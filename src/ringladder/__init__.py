@@ -2,7 +2,7 @@
 ladder with four-spin ring exchange on the Jl = Jr = cos(theta), K = sin(theta)
 coupling circle."""
 
-from .basis import SectorBasis, build_sector, index_of
+from .basis import SectorBasis, build_sector
 from .eigensolver import (
     EigenResult,
     EigensolverError,
@@ -33,9 +33,10 @@ from .hamiltonian import (
     LadderTables,
     StateVector,
     apply_T,
-    apply_hamiltonian,
     apply_ring_decomposed,
     apply_ring_permutation,
+    bond_matrix,
+    ring_matrix,
 )
 from .lattice import (
     Couplings,
@@ -66,12 +67,12 @@ __all__ = [
     "enumerate_terms",
     "SectorBasis",
     "build_sector",
-    "index_of",
     "StateVector",
     "LadderTables",
     "HamiltonianAction",
+    "bond_matrix",
+    "ring_matrix",
     "apply_ring_permutation",
-    "apply_hamiltonian",
     "apply_ring_decomposed",
     "apply_T",
     "EigenResult",

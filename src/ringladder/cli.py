@@ -18,6 +18,7 @@ import sys
 from .ferromagnet import fm_entropy, fm_entropy_asymptotic, fm_pair_concurrence
 from .lattice import LadderSpec
 from .sweep import (
+    PAIR_KINDS,
     BlockSpec,
     SweepConfig,
     block_sites,
@@ -54,11 +55,11 @@ def parse_blocks(text: str) -> tuple[BlockSpec, ...]:
 
 
 def parse_pairs(text: str) -> tuple[str, ...]:
-    pairs = tuple(p.strip() for p in text.split(",") if p.strip())
-    for p in pairs:
-        if p not in ("rung", "leg", "diag"):
-            raise argparse.ArgumentTypeError(f"unknown pair kind {p!r}")
-    return pairs
+    """Parse 'rung,leg,diag'; SweepConfig decides which kinds exist."""
+    try:
+        return SweepConfig.check_pairs(p.strip() for p in text.split(",") if p.strip())
+    except ValueError as exc:
+        raise argparse.ArgumentTypeError(str(exc)) from exc
 
 
 _CONFIG_PARSERS = {
@@ -113,7 +114,7 @@ def _add_common(p: argparse.ArgumentParser) -> None:
                    help="permit theta outside the unique-ground-state window")
     p.add_argument("--blocks", type=parse_blocks, default=(),
                    metavar="FAM:L,...", help="block geometries, e.g. A:4,D:6")
-    p.add_argument("--pairs", type=parse_pairs, default=("rung", "leg", "diag"),
+    p.add_argument("--pairs", type=parse_pairs, default=PAIR_KINDS,
                    metavar="KINDS", help="which pair concurrences to compute")
 
 

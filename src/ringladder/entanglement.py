@@ -15,7 +15,7 @@ import scipy.linalg
 import scipy.sparse
 
 from .basis import SectorBasis
-from .hamiltonian import StateVector, _pair_action
+from .hamiltonian import StateVector, bond_matrix
 
 __all__ = [
     "DensityMatrix",
@@ -221,7 +221,7 @@ def rung_correlator(state: StateVector, rung: int) -> float:
     if not 1 <= rung <= L:
         raise ValueError(f"rung must be in 1..{L}, got {rung}")
     lo = 2 * (rung - 1)
-    return float(state.amps @ _pair_action(state.basis, lo, lo + 1, state.amps))
+    return float(state.amps @ (bond_matrix(state.basis, [(lo, lo + 1)]) @ state.amps))
 
 
 def expectation_T(state: StateVector) -> float:

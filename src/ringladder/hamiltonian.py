@@ -1,13 +1,17 @@
-"""Matrix-free action of the ladder Hamiltonian on fixed-Sz state vectors.
+"""Sparse term matrices of the ladder Hamiltonian on fixed-Sz sectors.
 
 The Hamiltonian is
 
     H = Jr * sum_i S1i.S2i + Jl * sum_bonds S.S + K * sum_i (P_i + Pinv_i)
 
-where P_i cyclically rotates the four spins of plaquette i clockwise.  The
-production path applies the ring term as a pair of basis permutations; the
-spin-operator decomposition of P + Pinv is kept alongside as an independent
-cross-check route and is not used in solves.
+where P_i cyclically rotates the four spins of plaquette i clockwise.  Each
+term is one coupling-independent scipy.sparse matrix over the sector basis:
+bond_matrix gives a sum of S.S bonds in CSR form with its diagonal, and
+ring_matrix stacks the forward rotations of every plaquette into one CSC
+matrix P, so the ring term acts as P @ v + P.T @ v.  The same bond_matrix
+serves the solve, apply_T and the rung correlators.  The spin-operator
+decomposition of P + Pinv is kept alongside as an independent cross-check
+route and is not used in solves.
 """
 
 from __future__ import annotations
@@ -15,16 +19,18 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
+import scipy.sparse
 
-from .basis import SectorBasis, build_sector
+from .basis import SectorBasis
 from .lattice import Couplings, LadderSpec, Plaquette, enumerate_terms
 
 __all__ = [
     "StateVector",
     "LadderTables",
     "HamiltonianAction",
+    "bond_matrix",
+    "ring_matrix",
     "apply_ring_permutation",
-    "apply_hamiltonian",
     "apply_ring_decomposed",
     "apply_T",
 ]
@@ -70,36 +76,62 @@ def apply_ring_permutation(plaquette: Plaquette, config, inverse: bool = False):
     return cleared | (vd << a) | (va << b) | (vb << c) | (vc << d)
 
 
-def _bond_tables(states: np.ndarray, basis: SectorBasis, i: int, j: int):
-    """Diagonal and flip-flop index tables for one S_i . S_j bond.
+def bond_matrix(basis: SectorBasis, bonds) -> scipy.sparse.csr_array:
+    """sum over bonds (i, j) of S_i . S_j as a CSR matrix on the sector.
 
-    Returns (diag, sel, tgt): diag holds the +-1/4 SzSz weights, and the
-    flip-flop part sends amplitude at sel to tgt with weight 1/2.
+    Row k holds the flip-flop entries 1/2 of its antiparallel bonds in bond
+    order, then its diagonal, the sum of the +-1/4 SzSz weights, last.  The
+    rows are filled in place from one (dim, nbonds + 1) column table.
     """
-    bi = (states >> i) & 1
-    bj = (states >> j) & 1
-    anti = bi != bj
-    diag = np.where(anti, -0.25, 0.25)
-    sel = np.nonzero(anti)[0].astype(np.int64)
-    flipped = states[sel] ^ ((np.int64(1) << i) | (np.int64(1) << j))
-    tgt = basis.rank_many(flipped)
-    # rank_many already rejects sector escapes; cross-check the map itself
-    assert np.array_equal(states[tgt], flipped)
-    return diag, sel, tgt
+    bonds = list(bonds)
+    states = basis.states
+    nb = len(bonds)
+    cols = np.empty((basis.dim, nb + 1), dtype=np.int32)
+    keep = np.empty((basis.dim, nb + 1), dtype=bool)
+    for b, (i, j) in enumerate(bonds):
+        anti = (((states >> i) ^ (states >> j)) & 1).astype(bool)
+        flip = (np.int64(1) << i) | (np.int64(1) << j)
+        cols[anti, b] = basis.rank_many(states[anti] ^ flip)
+        keep[:, b] = anti
+    cols[:, nb] = np.arange(basis.dim)
+    keep[:, nb] = True
+
+    n_anti = keep[:, :nb].sum(axis=1)
+    nnz = basis.dim + int(n_anti.sum())
+    idx = scipy.sparse.get_index_dtype(maxval=nnz)
+    indptr = np.zeros(basis.dim + 1, dtype=idx)
+    np.cumsum(n_anti + 1, out=indptr[1:])
+    indices = cols[keep].astype(idx, copy=False)
+    del cols, keep  # free the build tables before data is allocated
+    data = np.full(nnz, 0.5)
+    data[indptr[1:] - 1] = 0.25 * nb - 0.5 * n_anti
+    return scipy.sparse.csr_array((data, indices, indptr), shape=(basis.dim, basis.dim))
 
 
-def _perm_table(states: np.ndarray, basis: SectorBasis, plaq: Plaquette):
-    """Index map fwd with states[fwd[k]] = forward-rotated states[k]."""
-    rotated = apply_ring_permutation(plaq, states)
-    fwd = basis.rank_many(rotated)
-    assert np.array_equal(states[fwd], rotated)
-    return fwd
+def ring_matrix(basis: SectorBasis, plaquettes) -> scipy.sparse.csc_array:
+    """sum over plaquettes of the forward rotation P as a CSC matrix.
+
+    Column k holds a 1 at the rank of each plaquette's rotation of
+    states[k], so P @ v applies every forward rotation and P.T @ v every
+    inverse one.
+    """
+    plaquettes = list(plaquettes)
+    n = len(plaquettes)
+    idx = scipy.sparse.get_index_dtype(maxval=max(n * basis.dim, basis.dim))
+    rows = np.empty((basis.dim, n), dtype=idx)
+    for p_idx, plaq in enumerate(plaquettes):
+        rows[:, p_idx] = basis.rank_many(apply_ring_permutation(plaq, basis.states))
+    indptr = np.arange(basis.dim + 1, dtype=idx) * n
+    return scipy.sparse.csc_array(
+        (np.ones(rows.size), rows.reshape(-1), indptr), shape=(basis.dim, basis.dim)
+    )
 
 
 class LadderTables:
-    """Coupling-independent scatter tables for one (geometry, sector) pair.
+    """Coupling-independent term matrices for one (geometry, sector) pair.
 
-    Building costs O(N * dim) per term; share one instance across all theta
+    rung and leg are the CSR bond sums, ring the CSC forward-rotation sum.
+    Building costs O(N * dim log dim); share one instance across all theta
     values of a sweep.  Read-only after construction, safe to use from
     concurrent solves.
     """
@@ -110,20 +142,9 @@ class LadderTables:
         self.spec = spec
         self.basis = basis
         rung_bonds, leg_bonds, plaquettes = enumerate_terms(spec)
-        states = basis.states
-        self.diag_rung = np.zeros(basis.dim)
-        self.rung_flips = []
-        for i, j in rung_bonds:
-            diag, sel, tgt = _bond_tables(states, basis, i, j)
-            self.diag_rung += diag
-            self.rung_flips.append((sel, tgt))
-        self.diag_leg = np.zeros(basis.dim)
-        self.leg_flips = []
-        for i, j in leg_bonds:
-            diag, sel, tgt = _bond_tables(states, basis, i, j)
-            self.diag_leg += diag
-            self.leg_flips.append((sel, tgt))
-        self.perms = [_perm_table(states, basis, p) for p in plaquettes]
+        self.rung = bond_matrix(basis, rung_bonds)
+        self.leg = bond_matrix(basis, leg_bonds)
+        self.ring = ring_matrix(basis, plaquettes)
 
 
 class HamiltonianAction:
@@ -144,7 +165,9 @@ class HamiltonianAction:
         self.couplings = couplings
         self.basis = basis
         self.tables = tables
-        self.diag = couplings.Jr * tables.diag_rung + couplings.Jl * tables.diag_leg
+        # .T builds a new sparse object on each access; one view serves
+        # every matvec at this coupling point
+        self._ring_T = tables.ring.T
 
     @property
     def dim(self) -> int:
@@ -154,40 +177,10 @@ class HamiltonianAction:
         v = np.asarray(v, dtype=np.float64)
         t = self.tables
         Jr, Jl, K = self.couplings.Jr, self.couplings.Jl, self.couplings.K
-        out = self.diag * v
-        for sel, tgt in t.rung_flips:
-            out[tgt] += (0.5 * Jr) * v[sel]
-        for sel, tgt in t.leg_flips:
-            out[tgt] += (0.5 * Jl) * v[sel]
+        out = Jr * (t.rung @ v) + Jl * (t.leg @ v)
         if K != 0.0:
-            for fwd in t.perms:
-                out[fwd] += K * v  # forward rotation
-                out += K * v[fwd]  # inverse rotation, same table transposed
+            out += K * (t.ring @ v + self._ring_T @ v)
         return out
-
-
-def apply_hamiltonian(
-    spec: LadderSpec,
-    couplings: Couplings,
-    basis: SectorBasis,
-    v: StateVector,
-) -> StateVector:
-    """H applied to one state vector.  Builds tables on the fly; for repeated
-    application at many couplings construct HamiltonianAction with shared
-    LadderTables instead."""
-    if v.basis is not basis:
-        raise ValueError("state vector lives on a different basis object")
-    action = HamiltonianAction(spec, couplings, basis)
-    return StateVector(basis, action.matvec(v.amps))
-
-
-def _pair_action(basis: SectorBasis, i: int, j: int, v: np.ndarray) -> np.ndarray:
-    """(S_i . S_j) applied to raw amplitudes, recomputing tables each call."""
-    states = basis.states
-    diag, sel, tgt = _bond_tables(states, basis, i, j)
-    out = diag * v
-    out[tgt] += 0.5 * v[sel]
-    return out
 
 
 def apply_ring_decomposed(plaquettes, basis: SectorBasis, v: StateVector) -> StateVector:
@@ -198,7 +191,7 @@ def apply_ring_decomposed(plaquettes, basis: SectorBasis, v: StateVector) -> Sta
         P + Pinv = 1/4 + sum of S.S over the four edges and both diagonals
                    + 4 [ (Sa.Sb)(Sc.Sd) + (Sa.Sd)(Sb.Sc) - (Sa.Sc)(Sb.Sd) ]
 
-    Slow reference route for cross-checking the permutation path only.
+    Slow reference route for cross-checking ring_matrix only.
     """
     if v.basis is not basis:
         raise ValueError("state vector lives on a different basis object")
@@ -206,12 +199,16 @@ def apply_ring_decomposed(plaquettes, basis: SectorBasis, v: StateVector) -> Sta
     out = np.zeros_like(w)
     for p in plaquettes:
         a, b, c, d = p.sites
+        S = {
+            pair: bond_matrix(basis, [pair])
+            for pair in ((a, b), (b, c), (c, d), (d, a), (a, c), (b, d))
+        }
         out += 0.25 * w
-        for i, j in ((a, b), (b, c), (c, d), (d, a), (a, c), (b, d)):
-            out += _pair_action(basis, i, j, w)
-        for (i, j), (k, l) in (((a, b), (c, d)), ((a, d), (b, c))):
-            out += 4.0 * _pair_action(basis, i, j, _pair_action(basis, k, l, w))
-        out -= 4.0 * _pair_action(basis, a, c, _pair_action(basis, b, d, w))
+        for pair_op in S.values():
+            out += pair_op @ w
+        out += 4.0 * (S[a, b] @ (S[c, d] @ w))
+        out += 4.0 * (S[d, a] @ (S[b, c] @ w))
+        out -= 4.0 * (S[a, c] @ (S[b, d] @ w))
     return StateVector(basis, out)
 
 
@@ -219,7 +216,5 @@ def apply_T(basis: SectorBasis, v: StateVector) -> StateVector:
     """(sum_i S1i . S2i) applied to v; the rung sum read off from basis.N."""
     if v.basis is not basis:
         raise ValueError("state vector lives on a different basis object")
-    out = np.zeros_like(v.amps)
-    for rung in range(basis.N // 2):
-        out += _pair_action(basis, 2 * rung, 2 * rung + 1, v.amps)
-    return StateVector(basis, out)
+    rungs = [(2 * r, 2 * r + 1) for r in range(basis.N // 2)]
+    return StateVector(basis, bond_matrix(basis, rungs) @ v.amps)

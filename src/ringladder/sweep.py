@@ -2,9 +2,11 @@
 zero crossings and extrema of observable series.
 
 A sweep solves for the lowest Sz-sector state at every grid point, then
-extracts pair concurrences (anchored at rung 1), the two-site rung entropy
-and its central-difference theta derivative, block entropies for requested
-block geometries, and the total rung correlator.
+extracts pair concurrences, the two-site rung entropy and its
+central-difference theta derivative, block entropies for requested block
+geometries, and the total rung correlator.  The rung, leg and diag pairs are
+anchored at rung 1: (leg 1, rung 1) with (leg 2, rung 1), (leg 1, rung 2)
+and (leg 2, rung 2).  On open ladders these are edge pairs.
 """
 
 from __future__ import annotations
@@ -38,6 +40,7 @@ __all__ = [
 ]
 
 FAMILIES = ("A", "B", "C", "D")
+PAIR_KINDS = ("rung", "leg", "diag")
 
 # the lowest sector state is known to be a unique ground state only for
 # theta/pi strictly inside this window; outside it a sweep must opt in
@@ -107,7 +110,7 @@ class SweepConfig:
     thetas_over_pi: tuple[float, ...]
     bc: str = "periodic"
     blocks: tuple[BlockSpec, ...] = ()
-    pairs: tuple[str, ...] = ("rung", "leg", "diag")
+    pairs: tuple[str, ...] = PAIR_KINDS
     twoSz: int = 0
     seed: int = 0
     tol: float = 1e-12
@@ -118,10 +121,18 @@ class SweepConfig:
     def __post_init__(self):
         object.__setattr__(self, "thetas_over_pi", tuple(float(t) for t in self.thetas_over_pi))
         object.__setattr__(self, "blocks", tuple(self.blocks))
-        object.__setattr__(self, "pairs", tuple(self.pairs))
-        for p in self.pairs:
-            if p not in ("rung", "leg", "diag"):
-                raise ValueError(f"unknown pair kind {p!r}")
+        object.__setattr__(self, "pairs", self.check_pairs(self.pairs))
+        if self.workers < 1:
+            raise ValueError(f"workers must be at least 1, got {self.workers}")
+
+    @staticmethod
+    def check_pairs(pairs) -> tuple[str, ...]:
+        """pairs as a tuple, each one of PAIR_KINDS."""
+        pairs = tuple(pairs)
+        for p in pairs:
+            if p not in PAIR_KINDS:
+                raise ValueError(f"unknown pair kind {p!r}, expected one of {PAIR_KINDS}")
+        return pairs
 
 
 @dataclass
@@ -163,7 +174,7 @@ def _measure(spec, basis, tables, cfg: SweepConfig, t_over_pi: float) -> SweepRe
         "leg": (s(1, 1), s(1, 2)),
         "diag": (s(1, 1), s(2, 2)),
     }
-    conc: dict[str, float | None] = {"rung": None, "leg": None, "diag": None}
+    conc: dict[str, float | None] = dict.fromkeys(PAIR_KINDS)
     for name in cfg.pairs:
         conc[name] = concurrence(reduced_density_matrix(psi, pair_sites[name]))
 
@@ -189,18 +200,19 @@ def _measure(spec, basis, tables, cfg: SweepConfig, t_over_pi: float) -> SweepRe
     )
 
 
-_WORKER_CACHE: dict = {}
-
-
-def _solve_point(args) -> SweepRecord:
-    cfg, t_over_pi = args
-    key = (cfg.L, cfg.bc, cfg.twoSz)
-    if key not in _WORKER_CACHE:
-        spec = LadderSpec(L=cfg.L, bc=cfg.bc)
-        basis = build_sector(spec.N, cfg.twoSz)
-        _WORKER_CACHE[key] = (spec, basis, LadderTables(spec, basis))
-    spec, basis, tables = _WORKER_CACHE[key]
-    return _measure(spec, basis, tables, cfg, t_over_pi)
+def _sweep_chunk(config: SweepConfig, thetas) -> list[SweepRecord]:
+    """Records of the given grid points; geometry, basis and tables are built
+    once for all of them."""
+    spec = LadderSpec(L=config.L, bc=config.bc)
+    basis = build_sector(spec.N, config.twoSz)
+    tables = LadderTables(spec, basis)
+    records = []
+    for t in thetas:
+        try:
+            records.append(_measure(spec, basis, tables, config, t))
+        except Exception as exc:
+            raise RuntimeError(f"sweep failed at theta = {t}*pi: {exc}") from exc
+    return records
 
 
 def run_sweep(config: SweepConfig) -> list[SweepRecord]:
@@ -208,7 +220,8 @@ def run_sweep(config: SweepConfig) -> list[SweepRecord]:
 
     Grid points must stay strictly inside the uniqueness window unless
     allow_degenerate is set; an eigensolver failure anywhere aborts the whole
-    sweep with the offending theta in the error message.
+    sweep with the offending theta in the error message.  With workers > 1
+    the grid is cut into contiguous chunks, one per worker process.
     """
     lo, hi = UNIQUE_WINDOW
     if not config.allow_degenerate:
@@ -219,20 +232,14 @@ def run_sweep(config: SweepConfig) -> list[SweepRecord]:
                     f"({lo}*pi, {hi}*pi); set allow_degenerate to sweep there"
                 )
 
-    jobs = [(config, t) for t in config.thetas_over_pi]
-    if config.workers > 1:
-        with ProcessPoolExecutor(max_workers=config.workers) as pool:
-            records = list(pool.map(_solve_point, jobs))
+    thetas = config.thetas_over_pi
+    n = min(config.workers, len(thetas))
+    if n <= 1:
+        records = _sweep_chunk(config, thetas)
     else:
-        spec = LadderSpec(L=config.L, bc=config.bc)
-        basis = build_sector(spec.N, config.twoSz)
-        tables = LadderTables(spec, basis)
-        records = []
-        for _, t in jobs:
-            try:
-                records.append(_measure(spec, basis, tables, config, t))
-            except Exception as exc:
-                raise RuntimeError(f"sweep failed at theta = {t}*pi: {exc}") from exc
+        chunks = [thetas[i * len(thetas) // n:(i + 1) * len(thetas) // n] for i in range(n)]
+        with ProcessPoolExecutor(max_workers=n) as pool:
+            records = [r for part in pool.map(_sweep_chunk, [config] * n, chunks) for r in part]
 
     for i in range(1, len(records) - 1):
         dtheta = (records[i + 1].thetaOverPi - records[i - 1].thetaOverPi) * math.pi

@@ -3,7 +3,7 @@ from math import comb
 import numpy as np
 import pytest
 
-from ringladder import build_sector, index_of
+from ringladder import build_sector
 
 
 def test_small_sector_dimensions():
@@ -53,13 +53,13 @@ def test_roundtrip_random_n20():
     assert np.array_equal(got, ks)
     # scalar path too
     for k in ks[:20]:
-        assert index_of(basis, int(basis.states[k])) == k
+        assert basis.index(int(basis.states[k])) == k
 
 
 def test_wrong_popcount_rejected():
     basis = build_sector(6, 0)
     with pytest.raises(ValueError):
-        index_of(basis, 0b1)
+        basis.index(0b1)
     with pytest.raises(ValueError):
         basis.rank_many(np.array([0b111100, 0b1111]))  # second has popcount 4
 

@@ -1,9 +1,10 @@
+import argparse
 import csv
 
 import pytest
 
 from ringladder import fm_entropy, fm_pair_concurrence
-from ringladder.cli import main, parse_blocks, read_config_file
+from ringladder.cli import main, parse_blocks, parse_pairs, read_config_file
 
 
 def test_parse_blocks_forms():
@@ -15,6 +16,12 @@ def test_parse_blocks_forms():
         parse_blocks("A4")
     with pytest.raises(Exception):
         parse_blocks("E:2")
+
+
+def test_parse_pairs_forms():
+    assert parse_pairs("rung, diag") == ("rung", "diag")
+    with pytest.raises(argparse.ArgumentTypeError, match="cross"):
+        parse_pairs("rung,cross")
 
 
 def test_blocks_subcommand(capsys):

@@ -8,9 +8,11 @@ from ringladder import (
     Couplings,
     HamiltonianAction,
     LadderSpec,
+    apply_ring_permutation,
     build_sector,
     couplings_from_theta,
     dense_oracle,
+    enumerate_terms,
     lowest_eigenpairs,
 )
 
@@ -55,15 +57,24 @@ def test_dense_oracle_trivial_diagonal():
 
 def test_dense_oracle_trace_identity():
     spec, basis, tables = geometry(3)
-    act = HamiltonianAction(
-        spec, couplings_from_theta(0.3 * math.pi), basis, tables
-    )
+    couplings = couplings_from_theta(0.3 * math.pi)
+    act = HamiltonianAction(spec, couplings, basis, tables)
     spectrum = dense_oracle(act.matvec, basis.dim)
-    # independent trace: diagonal bond terms plus K per permutation fixed point
-    trace = float(np.sum(act.diag))
-    for p_idx, fwd in enumerate(tables.perms):
-        fixed = int(np.sum(fwd == np.arange(basis.dim)))
-        trace += 2.0 * act.couplings.K * fixed
+    # independent trace from the basis masks alone: +-1/4 per bond by the
+    # parity of its two bits, plus 2K per ring fixed point (P and Pinv)
+    rung_bonds, leg_bonds, plaqs = enumerate_terms(spec)
+    states = basis.states
+
+    def bond_diag(bonds):
+        return sum(
+            float(np.sum(np.where(((states >> i) ^ (states >> j)) & 1, -0.25, 0.25)))
+            for i, j in bonds
+        )
+
+    trace = couplings.Jr * bond_diag(rung_bonds) + couplings.Jl * bond_diag(leg_bonds)
+    for p in plaqs:
+        fixed = int(np.sum(apply_ring_permutation(p, states) == states))
+        trace += 2.0 * couplings.K * fixed
     assert abs(np.sum(spectrum) - trace) <= 1e-10 * max(1.0, abs(trace))
 
 

@@ -2,6 +2,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from conftest import geometry, ground_state
 from ringladder import (
@@ -10,7 +12,6 @@ from ringladder import (
     LadderSpec,
     StateVector,
     apply_T,
-    apply_hamiltonian,
     apply_ring_decomposed,
     apply_ring_permutation,
     build_sector,
@@ -63,9 +64,8 @@ def test_ring_permutation_inverse_roundtrip():
 def test_all_up_is_eigenstate_at_theta_pi():
     spec = LadderSpec(L=4)
     basis = build_sector(8, 8)
-    v = StateVector(basis, np.ones(1))
-    hv = apply_hamiltonian(spec, couplings_from_theta(math.pi), basis, v)
-    assert hv.amps[0] == pytest.approx(-3.0, abs=1e-13)
+    act = HamiltonianAction(spec, couplings_from_theta(math.pi), basis)
+    assert act.matvec(np.ones(1))[0] == pytest.approx(-3.0, abs=1e-13)
 
 
 def test_single_rung_ground_energy():
@@ -109,6 +109,27 @@ def test_ring_routes_agree():
             via_ops = apply_ring_decomposed(plaqs, basis, v).amps
             scale = np.linalg.norm(via_perm)
             assert np.linalg.norm(via_perm - via_ops) <= 1e-12 * scale
+
+
+@settings(max_examples=30, deadline=None)
+@given(
+    L=st.integers(3, 5),
+    bc=st.sampled_from(("periodic", "open")),
+    twoSz=st.sampled_from((0, 2)),
+    couplings=st.tuples(*[st.floats(-2.0, 2.0)] * 3),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_sparse_terms_symmetric_and_ring_matches_decomposed(L, bc, twoSz, couplings, seed):
+    spec, basis, tables = geometry(L, bc, twoSz)
+    act = HamiltonianAction(spec, Couplings(*couplings), basis, tables)
+    H = np.column_stack([act.matvec(e) for e in np.eye(basis.dim)])
+    assert np.max(np.abs(H - H.T)) <= 1e-12 * max(1.0, np.max(np.abs(H)))
+
+    _, _, plaqs = enumerate_terms(spec)
+    v = StateVector(basis, np.random.default_rng(seed).normal(size=basis.dim))
+    via_csr = tables.ring @ v.amps + tables.ring.T @ v.amps
+    via_ops = apply_ring_decomposed(plaqs, basis, v).amps
+    assert np.linalg.norm(via_csr - via_ops) <= 1e-12 * np.linalg.norm(via_csr)
 
 
 def test_decomposed_all_up_plaquette_gives_two():

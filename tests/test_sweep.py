@@ -189,6 +189,21 @@ def test_sweep_parallel_matches_sequential(tmp_path):
         assert ra.E_rung2site == rb.E_rung2site
 
 
+@pytest.mark.parametrize("workers", (1, 2))
+def test_sweep_failure_names_theta(workers):
+    # no eigensolver meets a 1e-30 residual, so the first grid point fails
+    cfg = SweepConfig(L=3, thetas_over_pi=(0.10, 0.12), tol=1e-30, workers=workers)
+    with pytest.raises(RuntimeError, match=r"sweep failed at theta = 0\.1\*pi"):
+        run_sweep(cfg)
+
+
+def test_sweep_config_validation():
+    with pytest.raises(ValueError, match="workers"):
+        SweepConfig(L=3, thetas_over_pi=(0.1,), workers=0)
+    with pytest.raises(ValueError, match="pair kind"):
+        SweepConfig(L=3, thetas_over_pi=(0.1,), pairs=("rung", "cross"))
+
+
 def test_zero_crossing_basic():
     assert find_zero_crossing([(0.0, -1.0), (1.0, 1.0)]) == [0.5]
     assert find_zero_crossing([(0.0, 1.0), (1.0, 2.0)]) == []
