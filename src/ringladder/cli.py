@@ -6,8 +6,12 @@ Subcommands:
   fm-oracle  closed-form block entropies of the uniform Sz = 0 state
   blocks     print the site sets of requested block geometries
 
-Flags may also be given in a flat key = value config file via --config;
-explicit flags override file values.
+Each subcommand declares only the flags it reads.  A flat key = value file
+given with --config holds the same flags: the line 'key = value' reads as
+'--key=value' placed right after the subcommand name, so the subcommand's
+parser checks it like any flag, a key it lacks is rejected, and explicit
+flags win.  Bad input, from the file or the command line, exits with
+status 2 and a 'ringladder <cmd>: error:' line.
 """
 
 from __future__ import annotations
@@ -62,60 +66,35 @@ def parse_pairs(text: str) -> tuple[str, ...]:
         raise argparse.ArgumentTypeError(str(exc)) from exc
 
 
-_CONFIG_PARSERS = {
-    "rungs": int,
-    "bc": str,
-    "theta": float,
-    "theta_min": float,
-    "theta_max": float,
-    "theta_step": float,
-    "blocks": parse_blocks,
-    "pairs": parse_pairs,
-    "sector": int,
-    "seed": int,
-    "tol": float,
-    "out": str,
-    "workers": int,
-    "allow_degenerate": lambda s: s.lower() in ("1", "true", "yes", "on"),
-}
+def parse_bool(text: str) -> bool:
+    """Parse 'true' or 'false', in any case."""
+    value = text.strip().lower()
+    if value not in ("true", "false"):
+        raise argparse.ArgumentTypeError(f"expected true or false, got {text!r}")
+    return value == "true"
 
 
-def read_config_file(path: str) -> dict:
-    """Flat key = value file; keys mirror the long flags, '#' starts a comment."""
-    values = {}
+def read_config_file(path: str) -> list[str]:
+    """Flat key = value file as flag tokens: each line becomes '--key=value'.
+
+    '#' starts a comment; '_' in a key reads as '-'.  Apart from refusing a
+    nested 'config', which keys exist and what their values may be is left
+    to the subcommand's parser.
+    """
+    tokens = []
     with open(path) as fh:
         for lineno, raw in enumerate(fh, 1):
             line = raw.split("#", 1)[0].strip()
             if not line:
                 continue
             key, sep, val = line.partition("=")
-            key = key.strip().replace("-", "_")
+            key = key.strip().replace("_", "-")
             if not sep or not key:
                 raise ValueError(f"{path}:{lineno}: expected key = value, got {raw!r}")
-            if key not in _CONFIG_PARSERS:
-                raise ValueError(f"{path}:{lineno}: unknown option {key!r}")
-            values[key] = _CONFIG_PARSERS[key](val.strip())
-    return values
-
-
-def _add_common(p: argparse.ArgumentParser) -> None:
-    p.add_argument("--config", metavar="PATH", help="flat key = value option file")
-    p.add_argument("--rungs", type=int, default=4, metavar="L", help="rung count")
-    p.add_argument("--bc", choices=("periodic", "open"), default="periodic")
-    p.add_argument("--sector", type=int, default=0, metavar="TWOSZ",
-                   help="2*Sz of the sector to solve in")
-    p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--tol", type=float, default=1e-12,
-                   help="eigensolver residual tolerance")
-    p.add_argument("--out", metavar="PATH", help="CSV output path")
-    p.add_argument("--workers", type=int, default=1,
-                   help="parallel solves across grid points")
-    p.add_argument("--allow-degenerate", action="store_true",
-                   help="permit theta outside the unique-ground-state window")
-    p.add_argument("--blocks", type=parse_blocks, default=(),
-                   metavar="FAM:L,...", help="block geometries, e.g. A:4,D:6")
-    p.add_argument("--pairs", type=parse_pairs, default=PAIR_KINDS,
-                   metavar="KINDS", help="which pair concurrences to compute")
+            if key == "config":
+                raise ValueError(f"{path}:{lineno}: a config file cannot name another")
+            tokens.append(f"--{key}={val.strip()}")
+    return tokens
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -125,38 +104,44 @@ def build_parser() -> argparse.ArgumentParser:
                     "checks for the ring-exchange model.",
     )
     sub = parser.add_subparsers(dest="command", required=True)
+    # no abbreviations: a config key must name its flag exactly
+    gs = sub.add_parser("gs", help="single ground-state point", allow_abbrev=False)
+    sw = sub.add_parser("sweep", help="theta grid sweep, CSV output", allow_abbrev=False)
+    fm = sub.add_parser("fm-oracle", help="closed-form uniform-state entropies",
+                        allow_abbrev=False)
+    bl = sub.add_parser("blocks", help="print block geometry site sets", allow_abbrev=False)
 
-    gs = sub.add_parser("gs", help="single ground-state point")
-    _add_common(gs)
-    gs.add_argument("--theta", type=float, required=False, default=0.0,
-                    metavar="T", help="theta in units of pi")
-
-    sw = sub.add_parser("sweep", help="theta grid sweep, CSV output")
-    _add_common(sw)
+    # each subcommand declares exactly the flags it reads
+    for p in (gs, sw, fm, bl):
+        p.add_argument("--config", metavar="PATH", help="flat key = value option file")
+        p.add_argument("--rungs", type=int, default=4, metavar="L", help="rung count")
+    for p in (gs, sw, bl):
+        p.add_argument("--bc", choices=("periodic", "open"), default="periodic")
+    for p in (gs, sw, fm):
+        p.add_argument("--out", metavar="PATH", help="CSV output path")
+        p.add_argument("--blocks", type=parse_blocks, default=(),
+                       metavar="FAM:L,...", help="block geometries, e.g. A:4,D:6")
+    bl.add_argument("--blocks", type=parse_blocks, required=True,
+                    metavar="FAM:L,...", help="block geometries, e.g. A:4,D:6")
+    for p in (gs, sw):
+        p.add_argument("--sector", type=int, default=0, metavar="TWOSZ",
+                       help="2*Sz of the sector to solve in")
+        p.add_argument("--seed", type=int, default=0)
+        p.add_argument("--tol", type=float, default=1e-12,
+                       help="eigensolver residual tolerance")
+        p.add_argument("--workers", type=int, default=1,
+                       help="parallel solves across grid points")
+        p.add_argument("--allow-degenerate", type=parse_bool, nargs="?", const=True,
+                       default=False, metavar="BOOL",
+                       help="permit theta outside the unique-ground-state window")
+        p.add_argument("--pairs", type=parse_pairs, default=PAIR_KINDS,
+                       metavar="KINDS", help="which pair concurrences to compute")
+    gs.add_argument("--theta", type=float, default=0.0, metavar="T",
+                    help="theta in units of pi")
     sw.add_argument("--theta-min", type=float, default=-0.395, metavar="T")
     sw.add_argument("--theta-max", type=float, default=0.945, metavar="T")
     sw.add_argument("--theta-step", type=float, default=0.005, metavar="T")
-
-    fm = sub.add_parser("fm-oracle", help="closed-form uniform-state entropies")
-    _add_common(fm)
-
-    bl = sub.add_parser("blocks", help="print block geometry site sets")
-    _add_common(bl)
-
-    # subparsers parse into a fresh namespace, so config-file defaults must
-    # be installed on each of them, not on the top-level parser
-    parser.rl_subparsers = (gs, sw, fm, bl)
     return parser
-
-
-def _apply_config(parser: argparse.ArgumentParser, argv: list[str]) -> None:
-    probe = argparse.ArgumentParser(add_help=False)
-    probe.add_argument("--config")
-    known, _ = probe.parse_known_args(argv)
-    if known.config:
-        values = read_config_file(known.config)
-        for sp in parser.rl_subparsers:
-            sp.set_defaults(**values)
 
 
 def _cfg_from_args(args, thetas) -> SweepConfig:
@@ -213,8 +198,6 @@ def cmd_fm_oracle(args) -> int:
 
 def cmd_blocks(args) -> int:
     spec = LadderSpec(L=args.rungs, bc=args.bc)
-    if not args.blocks:
-        raise SystemExit("blocks: nothing to print, pass --blocks FAM:L,...")
     for b in args.blocks:
         sites = block_sites(b.family, b.l, spec)
         pretty = ", ".join(f"(leg {s % 2 + 1}, rung {s // 2 + 1})" for s in sites)
@@ -231,8 +214,24 @@ _COMMANDS = {
 
 
 def main(argv: list[str] | None = None) -> int:
+    """Run one subcommand and return its exit status; bad input exits with 2."""
     argv = list(sys.argv[1:] if argv is None else argv)
     parser = build_parser()
-    _apply_config(parser, argv)
-    args = parser.parse_args(argv)
-    return _COMMANDS[args.command](args)
+    if not argv or argv[0] not in _COMMANDS:
+        parser.parse_args(argv)  # help, or the usage error naming the subcommands
+        parser.error("the subcommand must come first")
+    command, rest = argv[0], argv[1:]
+    # --config is found before the real parse, which would refuse a call whose
+    # required flags (blocks --blocks) are in the file
+    probe = argparse.ArgumentParser(add_help=False, allow_abbrev=False, exit_on_error=False)
+    probe.add_argument("--config")
+    try:
+        path = probe.parse_known_args(rest)[0].config
+        if path is not None:
+            rest = read_config_file(path) + rest
+        args, extra = parser.parse_known_args([command, *rest])
+        if extra:
+            raise ValueError(f"unrecognized arguments: {' '.join(extra)}")
+        return _COMMANDS[command](args)
+    except (argparse.ArgumentError, OSError, ValueError) as exc:
+        parser.exit(2, f"{parser.prog} {command}: error: {exc}\n")

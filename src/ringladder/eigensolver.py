@@ -36,12 +36,6 @@ class EigenResult:
     degenerate: bool
 
 
-def _as_matvec(applyH):
-    if callable(applyH):
-        return applyH
-    return applyH.matvec
-
-
 def _canonical_sign(vectors: np.ndarray) -> np.ndarray:
     # fix each column's overall sign so runs are bitwise comparable
     for col in range(vectors.shape[1]):
@@ -70,18 +64,17 @@ def lowest_eigenpairs(
 ) -> EigenResult:
     """k lowest eigenpairs of a symmetric operator given by its action.
 
-    applyH is a callable v -> H v on length-dim arrays (or an object with a
-    matvec method).  Deterministic for a fixed seed.  Each returned pair
-    satisfies ||H v - E v|| <= tol * max(1, |E|); failure to converge raises
-    EigensolverError carrying the best residual reached.
+    applyH is a callable v -> H v on length-dim arrays.  Deterministic for a
+    fixed seed.  Each returned pair satisfies ||H v - E v|| <= tol * max(1, |E|);
+    failure to converge raises EigensolverError carrying the best residual
+    reached.
     """
     if not 1 <= k <= dim:
         raise ValueError(f"need 1 <= k <= dim, got k={k}, dim={dim}")
-    mv = _as_matvec(applyH)
 
     if dim <= max(16, 4 * k + 4):
         # tiny sector: dense solve is cheaper and has no iteration to tune
-        H = _materialize(mv, dim)
+        H = _materialize(applyH, dim)
         energies, vectors = scipy.linalg.eigh(H)
         energies, vectors = energies[:k].copy(), vectors[:, :k].copy()
     else:
@@ -89,7 +82,7 @@ def lowest_eigenpairs(
         v0 = rng.uniform(-1.0, 1.0, dim)
         v0 /= np.linalg.norm(v0)
         op = scipy.sparse.linalg.LinearOperator(
-            (dim, dim), matvec=mv, dtype=np.float64
+            (dim, dim), matvec=applyH, dtype=np.float64
         )
         ncv = min(dim, max(40, 4 * k + 2))
         try:
@@ -100,8 +93,9 @@ def lowest_eigenpairs(
             got = len(exc.eigenvalues)
             best = np.inf
             if got:
+                vecs, vals = exc.eigenvectors, exc.eigenvalues
                 r = [
-                    np.linalg.norm(mv(exc.eigenvectors[:, c]) - exc.eigenvalues[c] * exc.eigenvectors[:, c])
+                    np.linalg.norm(applyH(vecs[:, c]) - vals[c] * vecs[:, c])
                     for c in range(got)
                 ]
                 best = float(min(r))
@@ -114,7 +108,7 @@ def lowest_eigenpairs(
     vectors = _canonical_sign(np.ascontiguousarray(vectors))
     residuals = np.array(
         [
-            np.linalg.norm(mv(vectors[:, c]) - energies[c] * vectors[:, c])
+            np.linalg.norm(applyH(vectors[:, c]) - energies[c] * vectors[:, c])
             for c in range(k)
         ]
     )
@@ -138,11 +132,12 @@ def lowest_eigenpairs(
 def dense_oracle(applyH, dim: int) -> np.ndarray:
     """Full spectrum by materializing the operator column by column.
 
-    Brute-force cross-check for small sectors; refuses dim > 4096.
+    applyH is a callable v -> H v on length-dim arrays.  Brute-force
+    cross-check for small sectors; refuses dim > 4096.
     """
     if dim > DENSE_ORACLE_MAX_DIM:
         raise ValueError(f"dense oracle capped at dim {DENSE_ORACLE_MAX_DIM}, got {dim}")
-    H = _materialize(_as_matvec(applyH), dim)
+    H = _materialize(applyH, dim)
     asym = np.max(np.abs(H - H.T))
     if asym > 1e-10 * max(1.0, np.max(np.abs(H))):
         raise ValueError(f"operator is not symmetric (max asymmetry {asym:.3e})")

@@ -54,9 +54,6 @@ class StateVector:
     def norm(self) -> float:
         return float(np.linalg.norm(self.amps))
 
-    def dot(self, other: "StateVector") -> float:
-        return float(self.amps @ other.amps)
-
 
 def apply_ring_permutation(plaquette: Plaquette, config, inverse: bool = False):
     """Rotate the four spins of one plaquette in a configuration mask.

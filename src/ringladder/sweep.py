@@ -174,11 +174,12 @@ def _measure(spec, basis, tables, cfg: SweepConfig, t_over_pi: float) -> SweepRe
         "leg": (s(1, 1), s(1, 2)),
         "diag": (s(1, 1), s(2, 2)),
     }
+    rho_rung = reduced_density_matrix(psi, pair_sites["rung"])
     conc: dict[str, float | None] = dict.fromkeys(PAIR_KINDS)
     for name in cfg.pairs:
-        conc[name] = concurrence(reduced_density_matrix(psi, pair_sites[name]))
+        rho = rho_rung if name == "rung" else reduced_density_matrix(psi, pair_sites[name])
+        conc[name] = concurrence(rho)
 
-    rho_rung = reduced_density_matrix(psi, pair_sites["rung"])
     ev = {
         b.label: von_neumann_entropy(
             reduced_density_matrix(psi, block_sites(b.family, b.l, spec))

@@ -1,10 +1,13 @@
 import argparse
 import csv
+from pathlib import Path
 
 import pytest
 
 from ringladder import fm_entropy, fm_pair_concurrence
-from ringladder.cli import main, parse_blocks, parse_pairs, read_config_file
+from ringladder.cli import main, parse_blocks, parse_pairs
+
+DEMO_CONF = Path(__file__).resolve().parents[1] / "demos" / "sweep.conf"
 
 
 def test_parse_blocks_forms():
@@ -88,11 +91,53 @@ def test_config_file_defaults_and_override(tmp_path, capsys):
     assert float(over["thetaOverPi"]) == pytest.approx(0.14)
 
 
-def test_config_file_rejects_unknown_keys(tmp_path):
+def test_config_file_rejects_unknown_keys(tmp_path, capsys):
     bad = tmp_path / "bad.cfg"
     bad.write_text("rungz = 3\n")
-    with pytest.raises(ValueError):
-        read_config_file(str(bad))
+    with pytest.raises(SystemExit) as exc:
+        main(["gs", "--config", str(bad)])
+    assert exc.value.code == 2
+    assert "--rungz=3" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("argv, config", [
+    pytest.param(["gs", "--workers", "0"], None, id="workers-0"),
+    pytest.param(["gs", "--theta", "0.97"], None, id="theta-outside-window"),
+    pytest.param(["gs", "--rungs", "2"], None, id="rungs-2"),
+    pytest.param(["gs", "--config", "{tmp}/run.cfg"], "bc = sideways\n", id="file-bc"),
+    pytest.param(["gs", "--config", "{tmp}/run.cfg"], "allow_degenerate = maybe\n",
+                 id="file-bool"),
+    pytest.param(["gs", "--config", "{tmp}/run.cfg"], "theta-min = 0.1\n",
+                 id="file-key-of-sweep"),
+    pytest.param(["gs", "--config", "{tmp}/missing.cfg"], None, id="file-missing"),
+    pytest.param(["gs", "--config", "{tmp}/run.cfg"], "config = other.cfg\n",
+                 id="file-nested"),
+    pytest.param(["fm-oracle", "--workers", "2"], None, id="fm-oracle-workers"),
+    pytest.param(["blocks"], None, id="blocks-without-blocks"),
+])
+def test_bad_input_is_a_usage_error(argv, config, tmp_path, capsys):
+    if config is not None:
+        (tmp_path / "run.cfg").write_text(config)
+    with pytest.raises(SystemExit) as exc:
+        main([a.format(tmp=tmp_path) for a in argv])
+    assert exc.value.code == 2
+    assert f"ringladder {argv[0]}: error:" in capsys.readouterr().err
+
+
+def test_allow_degenerate_from_file_and_bare_flag(tmp_path, capsys):
+    cfgfile = tmp_path / "run.cfg"
+    cfgfile.write_text("allow_degenerate = true\n")
+    for argv in (["--config", str(cfgfile)], ["--allow-degenerate"]):
+        assert main(["gs", "--rungs", "3", "--theta", "0.97", *argv]) == 0
+        assert "thetaOverPi = 0.97\n" in capsys.readouterr().out
+
+
+def test_demo_config_runs(capsys):
+    argv = ["sweep", "--config", str(DEMO_CONF), "--theta-max", "-0.28", "--workers", "1"]
+    assert main(argv) == 0
+    rows = list(csv.reader(capsys.readouterr().out.splitlines()))
+    assert rows[0][8:10] == ["Ev_A4", "Ev_D4"]
+    assert [float(r[0]) for r in rows[1:]] == pytest.approx([-0.30, -0.29, -0.28])
 
 
 def test_unknown_subcommand_fails():

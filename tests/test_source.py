@@ -1,6 +1,7 @@
 """Guards on the package source itself."""
 
 import ast
+import importlib
 from pathlib import Path
 
 import ringladder
@@ -17,3 +18,13 @@ def test_no_assert_statements():
         if isinstance(node, ast.Assert)
     ]
     assert not found, f"bare assert statements in ringladder: {found}"
+
+
+def test_benchmark_call_sites_resolve(monkeypatch):
+    # the traced benchmark patches names bound in ringladder modules (cli.main,
+    # cli.fm_entropy, sweep.expectation_T, ...); installing its patches
+    # resolves every one, so a rename fails here and not only in a traced run
+    monkeypatch.syspath_prepend(str(Path(__file__).resolve().parents[1] / "perfbench"))
+    tracing = importlib.import_module("tracing")
+    with tracing.Tracer().installed():
+        pass
