@@ -29,12 +29,8 @@ from ringladder import (
 def solve_point(L, theta_over_pi, k=2):
     spec = LadderSpec(L=L, bc="periodic")
     basis = build_sector(spec.N, 0)
-    action = HamiltonianAction(
-        spec,
-        couplings_from_theta(theta_over_pi * math.pi),
-        basis,
-        LadderTables(spec, basis),
-    )
+    tables = LadderTables(spec, basis)
+    action = HamiltonianAction(tables, couplings_from_theta(theta_over_pi * math.pi))
     return spec, basis, action, lowest_eigenpairs(action.matvec, basis.dim, k=k)
 
 

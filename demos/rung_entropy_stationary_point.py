@@ -53,9 +53,7 @@ def crossing(L):
 def commutator_ratio(L, theta):
     spec = LadderSpec(L=L, bc="periodic")
     basis = build_sector(spec.N, 0)
-    action = HamiltonianAction(
-        spec, couplings_from_theta(theta), basis, LadderTables(spec, basis)
-    )
+    action = HamiltonianAction(LadderTables(spec, basis), couplings_from_theta(theta))
     rng = np.random.default_rng(0)
     v = rng.uniform(-1.0, 1.0, basis.dim)
     v /= np.linalg.norm(v)

@@ -129,8 +129,6 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--seed", type=int, default=0)
         p.add_argument("--tol", type=float, default=1e-12,
                        help="eigensolver residual tolerance")
-        p.add_argument("--workers", type=int, default=1,
-                       help="parallel solves across grid points")
         p.add_argument("--allow-degenerate", type=parse_bool, nargs="?", const=True,
                        default=False, metavar="BOOL",
                        help="permit theta outside the unique-ground-state window")
@@ -141,10 +139,12 @@ def build_parser() -> argparse.ArgumentParser:
     sw.add_argument("--theta-min", type=float, default=-0.395, metavar="T")
     sw.add_argument("--theta-max", type=float, default=0.945, metavar="T")
     sw.add_argument("--theta-step", type=float, default=0.005, metavar="T")
+    sw.add_argument("--workers", type=int, default=1,
+                    help="parallel solves across grid points")
     return parser
 
 
-def _cfg_from_args(args, thetas) -> SweepConfig:
+def _cfg_from_args(args, thetas, workers=1) -> SweepConfig:
     return SweepConfig(
         L=args.rungs,
         thetas_over_pi=thetas,
@@ -155,7 +155,7 @@ def _cfg_from_args(args, thetas) -> SweepConfig:
         seed=args.seed,
         tol=args.tol,
         out=args.out,
-        workers=args.workers,
+        workers=workers,
         allow_degenerate=args.allow_degenerate,
     )
 
@@ -171,7 +171,7 @@ def cmd_gs(args) -> int:
 
 def cmd_sweep(args) -> int:
     thetas = theta_grid(args.theta_min, args.theta_max, args.theta_step)
-    cfg = _cfg_from_args(args, thetas)
+    cfg = _cfg_from_args(args, thetas, args.workers)
     records = run_sweep(cfg)
     if cfg.out is None:
         write_csv(records, cfg.blocks, sys.stdout)

@@ -147,28 +147,16 @@ class LadderTables:
 class HamiltonianAction:
     """H bound to concrete couplings, exposing matvec on raw amplitude arrays."""
 
-    def __init__(
-        self,
-        spec: LadderSpec,
-        couplings: Couplings,
-        basis: SectorBasis,
-        tables: LadderTables | None = None,
-    ):
-        if tables is None:
-            tables = LadderTables(spec, basis)
-        if tables.spec != spec or tables.basis is not basis:
-            raise ValueError("tables were built for a different geometry or sector")
-        self.spec = spec
-        self.couplings = couplings
-        self.basis = basis
+    def __init__(self, tables: LadderTables, couplings: Couplings):
         self.tables = tables
+        self.couplings = couplings
         # .T builds a new sparse object on each access; one view serves
         # every matvec at this coupling point
         self._ring_T = tables.ring.T
 
     @property
     def dim(self) -> int:
-        return self.basis.dim
+        return self.tables.basis.dim
 
     def matvec(self, v: np.ndarray) -> np.ndarray:
         v = np.asarray(v, dtype=np.float64)

@@ -163,7 +163,7 @@ def theta_grid(start: float, stop: float, step: float) -> tuple[float, ...]:
 
 def _measure(spec, basis, tables, cfg: SweepConfig, t_over_pi: float) -> SweepRecord:
     couplings = couplings_from_theta(t_over_pi * math.pi)
-    action = HamiltonianAction(spec, couplings, basis, tables)
+    action = HamiltonianAction(tables, couplings)
     k = min(2, basis.dim)
     res = lowest_eigenpairs(action.matvec, basis.dim, k=k, seed=cfg.seed, tol=cfg.tol)
     psi = StateVector(basis, res.vectors[:, 0])
@@ -230,7 +230,8 @@ def run_sweep(config: SweepConfig) -> list[SweepRecord]:
             if not lo + 1e-12 < t < hi - 1e-12:
                 raise ValueError(
                     f"theta = {t}*pi is outside the open uniqueness window "
-                    f"({lo}*pi, {hi}*pi); set allow_degenerate to sweep there"
+                    f"({lo}*pi, {hi}*pi); set allow_degenerate=True "
+                    "(--allow-degenerate on the command line) to sweep there"
                 )
 
     thetas = config.thetas_over_pi

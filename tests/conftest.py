@@ -26,10 +26,8 @@ def geometry(L, bc="periodic", twoSz=0):
 @functools.lru_cache(maxsize=None)
 def solve(L, theta_over_pi, bc="periodic", twoSz=0, k=2, seed=0):
     """Lowest eigenpairs at one coupling point, cached."""
-    spec, basis, tables = geometry(L, bc, twoSz)
-    action = HamiltonianAction(
-        spec, couplings_from_theta(theta_over_pi * math.pi), basis, tables
-    )
+    _, basis, tables = geometry(L, bc, twoSz)
+    action = HamiltonianAction(tables, couplings_from_theta(theta_over_pi * math.pi))
     return lowest_eigenpairs(action.matvec, basis.dim, k=min(k, basis.dim), seed=seed)
 
 

@@ -119,12 +119,10 @@ def test_criterion_01_zero_crossing_common_point():
 
 
 def test_criterion_02_commutator_pinning():
-    spec, basis, tables = geometry(4)
+    _, basis, tables = geometry(4)
     theta_c = math.atan(0.5)
     actions = {
-        d: HamiltonianAction(
-            spec, couplings_from_theta(theta_c + d * math.pi), basis, tables
-        )
+        d: HamiltonianAction(tables, couplings_from_theta(theta_c + d * math.pi))
         for d in (0.0, 0.05, -0.05)
     }
     rng = np.random.default_rng(2)
@@ -226,7 +224,7 @@ def test_criterion_05_ring_route_equivalence():
     for L in (3, 4, 5, 6):
         spec, basis, tables = geometry(L)
         _, _, plaquettes = enumerate_terms(spec)
-        ring = HamiltonianAction(spec, Couplings(0.0, 0.0, 1.0), basis, tables)
+        ring = HamiltonianAction(tables, Couplings(0.0, 0.0, 1.0))
         for _ in range(25):
             v = rng.uniform(-1.0, 1.0, basis.dim)
             perm = ring.matvec(v)
@@ -244,11 +242,9 @@ def test_criterion_06_krylov_vs_dense():
     rng = np.random.default_rng(6)
     worst = 0.0
     for L in (3, 4):
-        spec, basis, tables = geometry(L)
+        _, basis, tables = geometry(L)
         for theta in rng.uniform(-math.pi, math.pi, 20):
-            action = HamiltonianAction(
-                spec, couplings_from_theta(theta), basis, tables
-            )
+            action = HamiltonianAction(tables, couplings_from_theta(theta))
             e_krylov = lowest_eigenpairs(action.matvec, basis.dim, k=1).energies[0]
             e_dense = dense_oracle(action.matvec, basis.dim)[0]
             worst = max(worst, abs(e_krylov - e_dense))

@@ -42,6 +42,11 @@ def test_fm_oracle_subcommand(capsys):
     assert float(out[1].split("=")[1]) == pytest.approx(fm_pair_concurrence(8))
     table = {int(r[0]): float(r[1]) for r in csv.reader(out[3:])}
     assert table[4] == pytest.approx(fm_entropy(8, 4), rel=1e-11)
+    # above N = 28 the weights must still be exact: 1.81008604285 is
+    # the exact entropy rounded to 12 digits
+    assert main(["fm-oracle", "--rungs", "500", "--blocks", "A:3"]) == 0
+    out = capsys.readouterr().out.splitlines()
+    assert out[3:] == ["3,1.81008604285,1.83740954041"]
 
 
 def test_gs_subcommand(capsys):
@@ -100,28 +105,33 @@ def test_config_file_rejects_unknown_keys(tmp_path, capsys):
     assert "--rungz=3" in capsys.readouterr().err
 
 
-@pytest.mark.parametrize("argv, config", [
-    pytest.param(["gs", "--workers", "0"], None, id="workers-0"),
-    pytest.param(["gs", "--theta", "0.97"], None, id="theta-outside-window"),
-    pytest.param(["gs", "--rungs", "2"], None, id="rungs-2"),
-    pytest.param(["gs", "--config", "{tmp}/run.cfg"], "bc = sideways\n", id="file-bc"),
-    pytest.param(["gs", "--config", "{tmp}/run.cfg"], "allow_degenerate = maybe\n",
+@pytest.mark.parametrize("argv, config, says", [
+    pytest.param(["sweep", "--workers", "0"], None, "", id="workers-0"),
+    pytest.param(["gs", "--workers", "2"], None, "--workers", id="gs-workers"),
+    pytest.param(["gs", "--theta", "0.97"], None, "--allow-degenerate",
+                 id="theta-outside-window"),
+    pytest.param(["gs", "--rungs", "2"], None, "", id="rungs-2"),
+    pytest.param(["gs", "--config", "{tmp}/run.cfg"], "bc = sideways\n", "",
+                 id="file-bc"),
+    pytest.param(["gs", "--config", "{tmp}/run.cfg"], "allow_degenerate = maybe\n", "",
                  id="file-bool"),
-    pytest.param(["gs", "--config", "{tmp}/run.cfg"], "theta-min = 0.1\n",
+    pytest.param(["gs", "--config", "{tmp}/run.cfg"], "theta-min = 0.1\n", "",
                  id="file-key-of-sweep"),
-    pytest.param(["gs", "--config", "{tmp}/missing.cfg"], None, id="file-missing"),
-    pytest.param(["gs", "--config", "{tmp}/run.cfg"], "config = other.cfg\n",
+    pytest.param(["gs", "--config", "{tmp}/missing.cfg"], None, "", id="file-missing"),
+    pytest.param(["gs", "--config", "{tmp}/run.cfg"], "config = other.cfg\n", "",
                  id="file-nested"),
-    pytest.param(["fm-oracle", "--workers", "2"], None, id="fm-oracle-workers"),
-    pytest.param(["blocks"], None, id="blocks-without-blocks"),
+    pytest.param(["fm-oracle", "--workers", "2"], None, "", id="fm-oracle-workers"),
+    pytest.param(["blocks"], None, "", id="blocks-without-blocks"),
 ])
-def test_bad_input_is_a_usage_error(argv, config, tmp_path, capsys):
+def test_bad_input_is_a_usage_error(argv, config, says, tmp_path, capsys):
     if config is not None:
         (tmp_path / "run.cfg").write_text(config)
     with pytest.raises(SystemExit) as exc:
         main([a.format(tmp=tmp_path) for a in argv])
     assert exc.value.code == 2
-    assert f"ringladder {argv[0]}: error:" in capsys.readouterr().err
+    err = capsys.readouterr().err
+    assert f"ringladder {argv[0]}: error:" in err
+    assert says in err
 
 
 def test_allow_degenerate_from_file_and_bare_flag(tmp_path, capsys):

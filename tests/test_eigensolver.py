@@ -8,6 +8,7 @@ from ringladder import (
     Couplings,
     HamiltonianAction,
     LadderSpec,
+    LadderTables,
     apply_ring_permutation,
     build_sector,
     couplings_from_theta,
@@ -18,16 +19,15 @@ from ringladder import (
 
 
 def action_at(L, theta_over_pi, bc="periodic", twoSz=0):
-    spec, basis, tables = geometry(L, bc, twoSz)
-    return HamiltonianAction(
-        spec, couplings_from_theta(theta_over_pi * math.pi), basis, tables
-    )
+    _, _, tables = geometry(L, bc, twoSz)
+    return HamiltonianAction(tables, couplings_from_theta(theta_over_pi * math.pi))
 
 
 def test_single_rung_singlet_energy():
     spec = LadderSpec(L=1, bc="open")
     basis = build_sector(2, 0)
-    act = HamiltonianAction(spec, Couplings(Jl=0.0, Jr=1.0, K=0.0), basis)
+    tables = LadderTables(spec, basis)
+    act = HamiltonianAction(tables, Couplings(Jl=0.0, Jr=1.0, K=0.0))
     res = lowest_eigenpairs(act.matvec, basis.dim, k=1)
     assert res.energies[0] == pytest.approx(-0.75, abs=1e-13)
 
@@ -58,7 +58,7 @@ def test_dense_oracle_trivial_diagonal():
 def test_dense_oracle_trace_identity():
     spec, basis, tables = geometry(3)
     couplings = couplings_from_theta(0.3 * math.pi)
-    act = HamiltonianAction(spec, couplings, basis, tables)
+    act = HamiltonianAction(tables, couplings)
     spectrum = dense_oracle(act.matvec, basis.dim)
     # independent trace from the basis masks alone: +-1/4 per bond by the
     # parity of its two bits, plus 2K per ring fixed point (P and Pinv)

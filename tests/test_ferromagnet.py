@@ -34,9 +34,9 @@ def test_fm_state_sector_validation():
 
 
 def test_uniform_state_is_ground_state_at_theta_pi():
-    spec, basis, tables = geometry(4)
+    _, basis, tables = geometry(4)
     v = fm_state(8, basis)
-    act = HamiltonianAction(spec, couplings_from_theta(math.pi), basis, tables)
+    act = HamiltonianAction(tables, couplings_from_theta(math.pi))
     hv = act.matvec(v.amps)
     assert np.linalg.norm(hv - (-3.0) * v.amps) <= 1e-12
 
@@ -105,20 +105,12 @@ def test_entropy_complement_symmetry():
         assert fm_entropy(12, l) == pytest.approx(fm_entropy(12, 12 - l), abs=1e-12)
 
 
-def test_large_n_crossover_consistency():
-    # exact integer weights below the crossover, log-gamma above; the two
-    # routes must agree where either could be used
-    lam_int = fm_block_spectrum(28, 10).lambdas
-    logc = [
-        math.exp(
-            math.lgamma(11) - math.lgamma(k + 1) - math.lgamma(11 - k)
-            + math.lgamma(19) - math.lgamma(14 - k + 1) - math.lgamma(19 - (14 - k))
-            - (math.lgamma(29) - 2 * math.lgamma(15))
-        )
-        for k in range(11)
-    ]
-    assert np.allclose(lam_int, logc, rtol=1e-12)
-    assert np.isfinite(fm_entropy(200, 100))
+def test_large_n_weights_exact():
+    # every weight is the correctly rounded integer quotient, at any N
+    for N, l in ((28, 10), (200, 37), (1000, 3), (1000, 500)):
+        n = N // 2
+        exact = [comb(l, k) * comb(N - l, n - k) / comb(N, n) for k in range(l + 1)]
+        assert fm_block_spectrum(N, l).lambdas.tolist() == exact
 
 
 def test_asymptote_value_and_gap():

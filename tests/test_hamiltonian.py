@@ -10,6 +10,7 @@ from ringladder import (
     Couplings,
     HamiltonianAction,
     LadderSpec,
+    LadderTables,
     StateVector,
     apply_T,
     apply_ring_decomposed,
@@ -64,25 +65,24 @@ def test_ring_permutation_inverse_roundtrip():
 def test_all_up_is_eigenstate_at_theta_pi():
     spec = LadderSpec(L=4)
     basis = build_sector(8, 8)
-    act = HamiltonianAction(spec, couplings_from_theta(math.pi), basis)
+    act = HamiltonianAction(LadderTables(spec, basis), couplings_from_theta(math.pi))
     assert act.matvec(np.ones(1))[0] == pytest.approx(-3.0, abs=1e-13)
 
 
 def test_single_rung_ground_energy():
     spec = LadderSpec(L=1, bc="open")
     basis = build_sector(2, 0)
-    act = HamiltonianAction(spec, Couplings(Jl=0.0, Jr=1.0, K=0.0), basis)
+    tables = LadderTables(spec, basis)
+    act = HamiltonianAction(tables, Couplings(Jl=0.0, Jr=1.0, K=0.0))
     H = np.column_stack([act.matvec(e) for e in np.eye(basis.dim)])
     assert np.linalg.eigvalsh(H)[0] == pytest.approx(-0.75, abs=1e-14)
 
 
 def test_hermiticity_random_vectors():
-    spec, basis, tables = geometry(4)
+    _, basis, tables = geometry(4)
     rng = np.random.default_rng(5)
     for theta_over_pi in (-0.3, 0.0, 0.147584, 0.6, 0.9):
-        act = HamiltonianAction(
-            spec, couplings_from_theta(theta_over_pi * math.pi), basis, tables
-        )
+        act = HamiltonianAction(tables, couplings_from_theta(theta_over_pi * math.pi))
         u = rng.normal(size=basis.dim)
         v = rng.normal(size=basis.dim)
         lhs = u @ act.matvec(v)
@@ -94,7 +94,7 @@ def test_basis_spec_mismatch_rejected():
     spec = LadderSpec(L=4)
     wrong = build_sector(6, 0)
     with pytest.raises(ValueError):
-        HamiltonianAction(spec, couplings_from_theta(0.0), wrong)
+        LadderTables(spec, wrong)
 
 
 def test_ring_routes_agree():
@@ -102,7 +102,7 @@ def test_ring_routes_agree():
     for L in (3, 4):
         spec, basis, tables = geometry(L)
         _, _, plaqs = enumerate_terms(spec)
-        ring_only = HamiltonianAction(spec, Couplings(0.0, 0.0, 1.0), basis, tables)
+        ring_only = HamiltonianAction(tables, Couplings(0.0, 0.0, 1.0))
         for _ in range(10):
             v = StateVector(basis, rng.normal(size=basis.dim))
             via_perm = ring_only.matvec(v.amps)
@@ -121,7 +121,7 @@ def test_ring_routes_agree():
 )
 def test_sparse_terms_symmetric_and_ring_matches_decomposed(L, bc, twoSz, couplings, seed):
     spec, basis, tables = geometry(L, bc, twoSz)
-    act = HamiltonianAction(spec, Couplings(*couplings), basis, tables)
+    act = HamiltonianAction(tables, Couplings(*couplings))
     H = np.column_stack([act.matvec(e) for e in np.eye(basis.dim)])
     assert np.max(np.abs(H - H.T)) <= 1e-12 * max(1.0, np.max(np.abs(H)))
 
@@ -232,13 +232,13 @@ def test_apply_T_all_up():
 
 
 def test_commutator_vanishes_only_at_special_point():
-    spec, basis, tables = geometry(4)
+    _, basis, tables = geometry(4)
     rng = np.random.default_rng(17)
     v = rng.normal(size=basis.dim)
     v /= np.linalg.norm(v)
 
     def comm_norm(theta):
-        act = HamiltonianAction(spec, couplings_from_theta(theta), basis, tables)
+        act = HamiltonianAction(tables, couplings_from_theta(theta))
         sv = StateVector(basis, v)
         ht = act.matvec(apply_T(basis, sv).amps)
         th = apply_T(basis, StateVector(basis, act.matvec(v))).amps
