@@ -3,12 +3,16 @@
 A configuration is a bitmask where bit s set means spin up at site s.  The
 sector with 2*Sz = twoSz holds every mask of popcount N/2 + Sz, enumerated in
 ascending numeric order by unranking in the combinatorial number system.
-Lookup is bisection in that sorted state list (Sandvik, arXiv:1101.3281,
-section 4), followed by an exact-match check.
+Lookup runs the system forwards (Sandvik, arXiv:1101.3281, section 4): a
+mask with set bits p1 < ... < pn has ordinal sum_j C(pj, j), summed one byte
+at a time from precomputed tables.  The sector is complete, so a mask belongs
+to it exactly when it is nonnegative, has no bit at or above N and has
+popcount n_up.
 """
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 from math import comb
 
@@ -17,6 +21,10 @@ import numpy as np
 __all__ = ["SectorBasis", "build_sector"]
 
 N_MAX = 32
+N_BYTES = (N_MAX + 7) // 8
+# rank_many works through its masks in blocks of this many, so that the
+# temporaries of one block stay in cache
+RANK_BLOCK = 1 << 15
 
 
 def _binomial_table(n: int, k: int) -> np.ndarray:
@@ -43,12 +51,32 @@ def _enumerate_masks(n: int, k: int, tab: np.ndarray) -> np.ndarray:
     return masks
 
 
+@functools.lru_cache(maxsize=None)
+def _byte_ordinals() -> np.ndarray:
+    """Lookup table of SectorBasis.rank_many.
+
+    Row k, at 256 c + b, is the ordinal share of byte value b at byte k of a
+    mask with c set bits below that byte: the sum over set bits i of b of
+    C(8k + i, c + 1 + (set bits of b below i)).
+    """
+    C = _binomial_table(8 * N_BYTES - 1, 8 * N_BYTES)
+    b = np.arange(256, dtype=np.int64)
+    c = np.arange(8 * (N_BYTES - 1) + 1, dtype=np.int64)[:, None]
+    tab = np.zeros((N_BYTES, len(c), 256), dtype=np.int64)
+    for k in range(N_BYTES):
+        for i in range(8):
+            j = c + 1 + np.bitwise_count(b & ((1 << i) - 1))
+            tab[k] += ((b >> i) & 1) * C[8 * k + i, j]
+    tab.flags.writeable = False  # one shared instance
+    return tab.reshape(N_BYTES, -1)
+
+
 @dataclass(frozen=True)
 class SectorBasis:
     """Complete ascending basis of one fixed-Sz sector.
 
     states[k] is the k-th configuration mask; rank_many inverts the
-    enumeration by binary search.  Immutable after construction.
+    enumeration by the combinatorial ordinal.  Immutable after construction.
     """
 
     N: int
@@ -69,18 +97,26 @@ class SectorBasis:
         A mask outside the sector means a computation escaped it and is
         reported as an error.
         """
-        configs = np.asarray(configs, dtype=np.int64)
-        rank = np.searchsorted(self.states, configs)
-        # a mask above every state lands at dim; clipping it keeps the lookup
-        # in range and the match check below still rejects it
-        np.minimum(rank, self.dim - 1, out=rank)
-        miss = self.states[rank] != configs
-        if np.any(miss):
-            bad = int(configs[miss][0])
-            raise ValueError(
-                f"mask {bad:#x} is not in the N = {self.N}, twoSz = {self.twoSz} sector"
-            )
-        return rank
+        configs = np.ascontiguousarray(configs, dtype="<i8")
+        flat = configs.reshape(-1)
+        rank = np.zeros(flat.size, dtype=np.int64)
+        tab = _byte_ordinals()
+        for lo in range(0, flat.size, RANK_BLOCK):
+            part = flat[lo:lo + RANK_BLOCK]
+            octets = part.view(np.uint8).reshape(-1, 8)
+            out = rank[lo:lo + RANK_BLOCK]
+            below = np.zeros(part.size, dtype=np.int64)  # set bits below byte k
+            for k in range((self.N + 7) // 8):
+                out += tab[k][(below << 8) | octets[:, k]]
+                below += np.bitwise_count(octets[:, k])
+            # a negative mask has its sign bit set, which lies above bit N - 1
+            miss = (part >> self.N != 0) | (below != self.n_up)
+            if np.any(miss):
+                bad = int(part[miss][0])
+                raise ValueError(
+                    f"mask {bad:#x} is not in the N = {self.N}, twoSz = {self.twoSz} sector"
+                )
+        return rank.reshape(configs.shape)
 
     def index(self, config: int) -> int:
         """Ordinal of a single configuration mask."""

@@ -128,7 +128,7 @@ class LadderTables:
     """Coupling-independent term matrices for one (geometry, sector) pair.
 
     rung and leg are the CSR bond sums, ring the CSC forward-rotation sum.
-    Building costs O(N * dim log dim); share one instance across all theta
+    Building costs O(N * dim); share one instance across all theta
     values of a sweep.  Read-only after construction, safe to use from
     concurrent solves.
     """

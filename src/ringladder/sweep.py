@@ -5,8 +5,9 @@ A sweep solves for the lowest Sz-sector state at every grid point, then
 extracts pair concurrences, the two-site rung entropy and its
 central-difference theta derivative, block entropies for requested block
 geometries, and the total rung correlator.  The rung, leg and diag pairs are
-anchored at rung 1: (leg 1, rung 1) with (leg 2, rung 1), (leg 1, rung 2)
-and (leg 2, rung 2).  On open ladders these are edge pairs.
+anchored at rung r: (leg 1, rung r) with (leg 2, rung r), (leg 1, rung r + 1)
+and (leg 2, rung r + 1), where r = 1 on periodic ladders and the middle rung
+ceil(L/2) on open ones, so both boundaries measure bulk pairs.
 """
 
 from __future__ import annotations
@@ -169,10 +170,11 @@ def _measure(spec, basis, tables, cfg: SweepConfig, t_over_pi: float) -> SweepRe
     psi = StateVector(basis, res.vectors[:, 0])
 
     s = spec.site
+    r = 1 if spec.bc == "periodic" else math.ceil(spec.L / 2)
     pair_sites = {
-        "rung": (s(1, 1), s(2, 1)),
-        "leg": (s(1, 1), s(1, 2)),
-        "diag": (s(1, 1), s(2, 2)),
+        "rung": (s(1, r), s(2, r)),
+        "leg": (s(1, r), s(1, r + 1)),
+        "diag": (s(1, r), s(2, r + 1)),
     }
     rho_rung = reduced_density_matrix(psi, pair_sites["rung"])
     conc: dict[str, float | None] = dict.fromkeys(PAIR_KINDS)

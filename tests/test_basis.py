@@ -64,10 +64,36 @@ def test_wrong_popcount_rejected():
         basis.rank_many(np.array([0b111100, 0b1111]))  # second has popcount 4
 
 
+def random_masks(N, n_up, count, rng):
+    """count masks of N bits with n_up set bits, drawn without the basis."""
+    pos = np.argsort(rng.random((count, N)), axis=1)[:, :n_up]
+    return np.sum(np.int64(1) << pos.astype(np.int64), axis=1)
+
+
+@pytest.mark.parametrize("N,twoSz", [(16, 0), (16, -4), (24, 6), (24, -6)])
+def test_rank_matches_bisection(N, twoSz):
+    basis = build_sector(N, twoSz)
+    masks = random_masks(N, basis.n_up, 5000, np.random.default_rng(N + twoSz))
+    assert np.array_equal(basis.rank_many(masks), np.searchsorted(basis.states, masks))
+
+
+@pytest.mark.parametrize("twoSz", [28, -28])
+def test_rank_every_state_top_byte(twoSz):
+    # N = 32 reads all four bytes; both sectors have 496 states
+    basis = build_sector(32, twoSz)
+    assert basis.dim == comb(32, 2)
+    assert np.array_equal(basis.rank_many(basis.states), np.arange(basis.dim))
+
+
 def test_out_of_range_bits_rejected():
     basis = build_sector(4, 0)
     with pytest.raises(ValueError):
         basis.index(0b110000)  # popcount 2 but bits above site 3
+    with pytest.raises(ValueError, match="-0x"):
+        basis.index(-1)
+    # negative, with popcount 4 over the one byte that N = 8 reads
+    with pytest.raises(ValueError, match="not in the N = 8"):
+        build_sector(8, 0).index((-1 << 8) | 0b1111)
 
 
 def test_invalid_sector_requests():

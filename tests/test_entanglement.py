@@ -5,6 +5,8 @@ import pytest
 
 from conftest import geometry, ground_state
 from ringladder import (
+    LadderSpec,
+    LadderTables,
     StateVector,
     build_sector,
     concurrence,
@@ -18,6 +20,27 @@ from ringladder import (
 )
 
 LOG2_3 = math.log2(3.0)
+
+
+def random_state(basis, rng) -> StateVector:
+    amps = rng.standard_normal(basis.dim)
+    return StateVector(basis, amps / np.linalg.norm(amps))
+
+
+def dense_rdm(state: StateVector, sites) -> np.ndarray:
+    """rho = A A^T from the state scattered into all 2^N amplitudes.
+
+    The full vector reshaped to N axes has site s on axis N - 1 - s; the
+    block axes go to the front in the order of sites, so sites[0] is the
+    most significant block bit.
+    """
+    N = state.basis.N
+    full = np.zeros(2**N)
+    full[state.basis.states] = state.amps
+    block_axes = [N - 1 - s for s in sites]
+    rest = [ax for ax in range(N) if ax not in block_axes]
+    A = np.transpose(full.reshape((2,) * N), block_axes + rest).reshape(2 ** len(sites), -1)
+    return A @ A.T
 
 
 def two_site_singlet():
@@ -121,6 +144,17 @@ def test_rdm_trace_and_psd():
                 assert np.max(np.abs(rho.rho[np.ix_(g, others)])) <= 1e-12
 
 
+@pytest.mark.parametrize("N", [2, 4, 6, 8, 10, 12])
+def test_rdm_matches_dense_oracle(N):
+    rng = np.random.default_rng(N)
+    for twoSz in (-2, 0, 2):
+        psi = random_state(build_sector(N, twoSz), rng)
+        for l in range(1, N):
+            for sites in (tuple(range(l)), tuple(int(s) for s in rng.permutation(N)[:l])):
+                rho = reduced_density_matrix(psi, sites).rho
+                assert np.max(np.abs(rho - dense_rdm(psi, sites))) <= 1e-13, (twoSz, sites)
+
+
 def test_entropy_trivial_spectra():
     assert von_neumann_entropy(np.diag([0.5, 0.5])) == pytest.approx(1.0, abs=1e-12)
     assert von_neumann_entropy(np.diag([1.0, 0.0])) == pytest.approx(0.0, abs=1e-12)
@@ -190,6 +224,21 @@ def test_rung_correlator_product_states():
     assert expectation_T(psi) == pytest.approx(-0.75 * L, abs=1e-12)
     allup = StateVector(build_sector(6, 6), np.ones(1))
     assert rung_correlator(allup, 2) == pytest.approx(0.25, abs=1e-14)
+
+
+@pytest.mark.parametrize("bc", ["periodic", "open"])
+@pytest.mark.parametrize("twoSz", [0, 2])
+def test_expectation_T_matches_matrix_routes(bc, twoSz):
+    rng = np.random.default_rng(7 + twoSz)
+    for L in (3, 4, 5):
+        spec = LadderSpec(L=L, bc=bc)
+        basis = build_sector(spec.N, twoSz)
+        rung = LadderTables(spec, basis).rung
+        for _ in range(3):
+            psi = random_state(basis, rng)
+            T = expectation_T(psi)
+            assert abs(T - psi.amps @ (rung @ psi.amps)) <= 1e-12
+            assert abs(T - sum(rung_correlator(psi, r) for r in range(1, L + 1))) <= 1e-12
 
 
 def test_su2_relations_on_ground_state():

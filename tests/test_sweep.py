@@ -5,14 +5,17 @@ import math
 import numpy as np
 import pytest
 
+from conftest import ground_state
 from ringladder import (
     BlockSpec,
     LadderSpec,
     SweepConfig,
     block_sites,
+    concurrence,
     enumerate_terms,
     find_extrema,
     find_zero_crossing,
+    reduced_density_matrix,
     run_sweep,
     theta_grid,
     write_csv,
@@ -115,6 +118,18 @@ def test_sweep_records_and_derivative():
         assert set(r.Ev) == {"A2", "D2"}
         assert r.C_rung is not None and 0.0 <= r.C_rung <= 1.0
         assert math.isfinite(r.T_expect)
+
+
+def test_open_ladder_pairs_are_bulk():
+    # open ladders anchor the pairs at the middle rung ceil(L/2), not at the
+    # edge, where C_leg is 0.029 at this point against 0.081 in the bulk
+    spec = LadderSpec(L=6, bc="open")
+    (rec,) = run_sweep(SweepConfig(L=6, thetas_over_pi=(0.1,), bc="open"))
+    psi = ground_state(6, 0.1, bc="open")
+    s = spec.site
+    bulk_leg = concurrence(reduced_density_matrix(psi, (s(1, 3), s(1, 4))))
+    assert rec.C_leg == pytest.approx(bulk_leg, abs=1e-9)
+    assert rec.C_leg > 0.05
 
 
 def test_sweep_pair_selection():

@@ -1,0 +1,78 @@
+"""The BENCH file writer in tools/, run as a script on synthetic results."""
+
+import json
+import subprocess
+import sys
+from pathlib import Path
+
+import pytest
+
+SCRIPT = Path(__file__).resolve().parents[1] / "tools" / "bench_file.py"
+
+MACHINE = {"cores": 2, "numpy": "2.4.6", "scipy": "1.17.1"}
+
+
+def result(path, workload, seed, metrics, machine=MACHINE):
+    path.write_text(json.dumps({
+        "workload": workload,
+        "machine": {**machine, "seed": seed},
+        "correct": True,
+        "metrics": {k: {"value": v, "unit": u} for k, (v, u) in metrics.items()},
+    }))
+    return str(path)
+
+
+def run(tmp_path, before, after):
+    out = tmp_path / "BENCH_1.json"
+    proc = subprocess.run(
+        [sys.executable, str(SCRIPT), "--before", *before, "--after", *after,
+         "--out", str(out)],
+        capture_output=True, text=True,
+    )
+    return proc, out
+
+
+def test_bench_file_medians_quartiles_and_counters(tmp_path):
+    before = [
+        result(tmp_path / f"b{i}.json", "observe", i,
+               {"measure_s": (t, "s"), "peak_rss_mb": (157.0, "MB")})
+        for i, t in enumerate([4.0, 5.0, 4.5, 4.8, 4.6])
+    ]
+    before.append(result(tmp_path / "bt.json", "observe", 1,
+                         {"basis.dim": (705432, "count"),
+                          "entanglement.rdm_block_s": (3.1, "s")}))
+    after = [result(tmp_path / "a0.json", "observe", 0,
+                    {"measure_s": (1.6, "s"), "peak_rss_mb": (131.0, "MB")})]
+
+    proc, out = run(tmp_path, before, after)
+    assert proc.returncode == 0, proc.stderr
+    bench = json.loads(out.read_text())
+    assert bench["machine"] == MACHINE
+    assert bench["seeds"] == {"before": [0, 1, 2, 3, 4], "after": [0]}
+    m = bench["workloads"]["observe"]["measure_s"]
+    assert m["unit"] == "s"
+    assert m["before"] == {"median": 4.6, "q1": 4.5, "q3": 4.8, "runs": 5}
+    assert m["after"] == {"median": 1.6, "q1": 1.6, "q3": 1.6, "runs": 1}
+    assert "after" not in bench["workloads"]["observe"]["entanglement.rdm_block_s"]
+    assert bench["counters"] == {
+        "observe": {"peak_rss_mb": {"before": 157.0, "after": 131.0},
+                    "basis.dim": {"before": 705432}},
+    }
+
+
+def test_bench_file_refuses_mixed_machines(tmp_path):
+    before = [result(tmp_path / "b.json", "observe", 0, {"measure_s": (4.0, "s")})]
+    after = [result(tmp_path / "a.json", "observe", 0, {"measure_s": (1.6, "s")},
+                    machine={**MACHINE, "cores": 8})]
+    proc, out = run(tmp_path, before, after)
+    assert proc.returncode == 2
+    assert "different machines" in proc.stderr
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("missing", ["before", "after"])
+def test_bench_file_needs_both_sides(tmp_path, missing):
+    f = result(tmp_path / "r.json", "observe", 0, {"measure_s": (4.0, "s")})
+    argv = [sys.executable, str(SCRIPT), "--out", str(tmp_path / "o.json")]
+    argv += ["--after" if missing == "before" else "--before", f]
+    assert subprocess.run(argv, capture_output=True).returncode == 2
