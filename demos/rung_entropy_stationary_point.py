@@ -19,10 +19,9 @@ import math
 import numpy as np
 
 from ringladder import (
+    Couplings,
     HamiltonianAction,
-    StateVector,
     SweepConfig,
-    apply_T,
     build_sector,
     couplings_from_theta,
     find_zero_crossing,
@@ -53,15 +52,15 @@ def crossing(L):
 def commutator_ratio(L, theta):
     spec = LadderSpec(L=L, bc="periodic")
     basis = build_sector(spec.N, 0)
-    action = HamiltonianAction(LadderTables(spec, basis), couplings_from_theta(theta))
+    tables = LadderTables(spec, basis)
+    action = HamiltonianAction(tables, couplings_from_theta(theta))
+    # T is H with only the rung coupling switched on
+    T = HamiltonianAction(tables, Couplings(Jl=0.0, Jr=1.0, K=0.0)).matvec
     rng = np.random.default_rng(0)
     v = rng.uniform(-1.0, 1.0, basis.dim)
     v /= np.linalg.norm(v)
-    sv = StateVector(basis, v)
     hv = action.matvec(v)
-    ht = action.matvec(apply_T(basis, sv).amps)
-    th = apply_T(basis, StateVector(basis, hv)).amps
-    return np.linalg.norm(ht - th) / np.linalg.norm(hv)
+    return np.linalg.norm(action.matvec(T(v)) - T(hv)) / np.linalg.norm(hv)
 
 
 def main():

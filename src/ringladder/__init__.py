@@ -32,7 +32,6 @@ from .hamiltonian import (
     HamiltonianAction,
     LadderTables,
     StateVector,
-    apply_T,
     apply_ring_decomposed,
     apply_ring_permutation,
     bond_matrix,
@@ -74,7 +73,6 @@ __all__ = [
     "ring_matrix",
     "apply_ring_permutation",
     "apply_ring_decomposed",
-    "apply_T",
     "EigenResult",
     "EigensolverError",
     "lowest_eigenpairs",

@@ -1,21 +1,24 @@
-"""Sparse term matrices of the ladder Hamiltonian on fixed-Sz sectors.
+"""The ladder Hamiltonian on fixed-Sz sectors as one sparse matrix per coupling point.
 
 The Hamiltonian is
 
     H = Jr * sum_i S1i.S2i + Jl * sum_bonds S.S + K * sum_i (P_i + Pinv_i)
 
-where P_i cyclically rotates the four spins of plaquette i clockwise.  Each
-term is one coupling-independent scipy.sparse matrix over the sector basis:
-bond_matrix gives a sum of S.S bonds in CSR form with its diagonal, and
-ring_matrix stacks the forward rotations of every plaquette into one CSC
-matrix P, so the ring term acts as P @ v + P.T @ v.  The same bond_matrix
-serves the solve, apply_T and the rung correlators.  The spin-operator
-decomposition of P + Pinv is kept alongside as an independent cross-check
-route and is not used in solves.
+where P_i cyclically rotates the four spins of plaquette i clockwise.
+LadderTables holds one coupling-independent CSR pattern for all of H with an
+int8 code per entry, and HamiltonianAction turns the codes into values at
+its couplings, so each matvec is a single sparse product.  bond_matrix (a
+sum of S.S bonds in CSR form with its diagonal) and ring_matrix (the forward
+rotations of every plaquette stacked into one CSC matrix P, so the ring term
+is P + P.T) build the terms one by one; they serve the rung correlators and
+check the merged pattern.  The spin-operator decomposition of P + Pinv is
+kept alongside as an independent cross-check route and is not used in
+solves.
 """
 
 from __future__ import annotations
 
+import itertools
 from dataclasses import dataclass
 
 import numpy as np
@@ -32,7 +35,6 @@ __all__ = [
     "ring_matrix",
     "apply_ring_permutation",
     "apply_ring_decomposed",
-    "apply_T",
 ]
 
 
@@ -124,13 +126,80 @@ def ring_matrix(basis: SectorBasis, plaquettes) -> scipy.sparse.csc_array:
     )
 
 
-class LadderTables:
-    """Coupling-independent term matrices for one (geometry, sector) pair.
+# codes of the merged pattern: 0 marks the diagonal, RUNG + m and LEG + m a
+# bond flip-flop that m ring exchanges also reach, DIAG_SWAP an exchange
+# across a plaquette diagonal and FOUR_FLIP the flip of an alternating
+# plaquette
+RUNG, LEG, DIAG_SWAP, FOUR_FLIP = 1, 4, 7, 8
 
-    rung and leg are the CSR bond sums, ring the CSC forward-rotation sum.
-    Building costs O(N * dim); share one instance across all theta
-    values of a sweep.  Read-only after construction, safe to use from
-    concurrent solves.
+
+def _coupling_lut(c: Couplings) -> np.ndarray:
+    """Matrix element of every off-diagonal code at these couplings."""
+    Jr, Jl, K = c.Jr, c.Jl, c.K
+    return np.array(
+        [0.0]
+        + [0.5 * Jr + m * K for m in range(3)]
+        + [0.5 * Jl + m * K for m in range(3)]
+        + [K, 2.0 * K]
+    )
+
+
+def _bond_slots(up, rung_bonds, leg_bonds, plaquettes):
+    """The flip-flop slots of H's rows, rung bonds then leg bonds.
+
+    up[s] is the bool spin-up array of site s over the sector states.  Yields
+    (on, flip, code): the rows that hold the slot, the bits its column flips
+    and the code of its entries (an array over those rows, or a scalar when
+    no plaquette touches the bond).
+    """
+    # P and Pinv each exchange one edge of a plaquette with exactly one
+    # antiparallel diagonal pair: the two antiparallel edges of its minority spin
+    one_odd = [up[p.a] ^ up[p.c] ^ up[p.b] ^ up[p.d] for p in plaquettes]
+    touching: dict[frozenset, list[int]] = {}
+    for k, p in enumerate(plaquettes):
+        for edge in ((p.a, p.b), (p.b, p.c), (p.c, p.d), (p.d, p.a)):
+            touching.setdefault(frozenset(edge), []).append(k)
+    for bonds, base in ((rung_bonds, RUNG), (leg_bonds, LEG)):
+        for i, j in bonds:
+            on = up[i] ^ up[j]
+            hits = sum(one_odd[k][on] for k in touching.get(frozenset((i, j)), ()))
+            yield on, (1 << i) | (1 << j), base + hits
+
+
+def _plaquette_slots(up, plaquettes):
+    """The ring slots of H's rows that no bond flip reaches, by plaquette:
+    both diagonal exchanges, then the four-spin flip."""
+    for p in plaquettes:
+        dac, dbd = up[p.a] ^ up[p.c], up[p.b] ^ up[p.d]
+        both = dac & dbd
+        yield both, (1 << p.a) | (1 << p.c), DIAG_SWAP
+        yield both, (1 << p.b) | (1 << p.d), DIAG_SWAP
+        alternating = ~(dac | dbd) & (up[p.a] ^ up[p.b])
+        yield alternating, (1 << p.a) | (1 << p.b) | (1 << p.c) | (1 << p.d), FOUR_FLIP
+
+
+class LadderTables:
+    """Coupling-independent sparsity pattern of H for one (geometry, sector) pair.
+
+    indptr and indices are one CSR pattern holding every term, and code
+    gives the int8 kind of each entry, so a coupling point only has to look
+    up its values.  P and Pinv of a plaquette (a, b, c, d) land
+
+      * on the diagonal when all four spins are equal (weight 2);
+      * on an antiparallel edge of the plaquette, which is a rung or leg
+        bond flip already in the pattern, when exactly one of a != c,
+        b != d holds (weight 1 on each of the minority spin's two edges);
+      * on both diagonal exchanges (a c) and (b d) when both hold (weight 1);
+      * on the four-spin flip when the plaquette alternates (weight 2).
+
+    Row k holds its antiparallel bonds in rung then leg order, its diagonal
+    exchanges and four-spin flips by plaquette, and its diagonal last.  The
+    diagonal is Jr (nr/4 - anti_r/2) + Jl (nl/4 - anti_l/2) + K fixed,
+    with the per-row int8 counts anti_r and anti_l of antiparallel rung
+    and leg bonds and fixed, twice the number of uniform plaquettes.
+    Building costs O(N * dim); share one instance across all theta values
+    of a sweep.  Read-only after construction, safe to use from concurrent
+    solves.
     """
 
     def __init__(self, spec: LadderSpec, basis: SectorBasis):
@@ -139,33 +208,77 @@ class LadderTables:
         self.spec = spec
         self.basis = basis
         rung_bonds, leg_bonds, plaquettes = enumerate_terms(spec)
-        self.rung = bond_matrix(basis, rung_bonds)
-        self.leg = bond_matrix(basis, leg_bonds)
-        self.ring = ring_matrix(basis, plaquettes)
+        self.n_rung, self.n_leg = len(rung_bonds), len(leg_bonds)
+        states = basis.states
+        up = [((states >> s) & 1).astype(bool) for s in range(spec.N)]
+
+        def anti(bonds):
+            n = np.zeros(basis.dim, dtype=np.int8)
+            for i, j in bonds:
+                n += up[i] ^ up[j]
+            return n
+
+        self.anti_r = anti(rung_bonds)
+        self.anti_l = anti(leg_bonds)
+        self.fixed = np.zeros(basis.dim, dtype=np.int8)
+        for p in plaquettes:
+            mixed = (up[p.a] ^ up[p.b]) | (up[p.b] ^ up[p.c]) | (up[p.c] ^ up[p.d])
+            self.fixed += np.int8(2) * ~mixed
+
+        # two passes over the slots, so only one slot's arrays live at a time:
+        # count the entries of each row (one per antiparallel bond, the ring
+        # slots and the diagonal), then scatter them in place
+        row_len = 1 + self.anti_r.astype(np.int64) + self.anti_l
+        for on, _, _ in _plaquette_slots(up, plaquettes):
+            row_len += on
+        nnz = int(row_len.sum())
+        idx = scipy.sparse.get_index_dtype(maxval=max(nnz, basis.dim))
+        self.indptr = np.zeros(basis.dim + 1, dtype=idx)
+        np.cumsum(row_len, out=self.indptr[1:])
+        del row_len
+        self.indices = np.empty(nnz, dtype=idx)
+        self.code = np.zeros(nnz, dtype=np.int8)
+        pos = self.indptr[:-1].copy()
+        for on, flip, code in itertools.chain(
+            _bond_slots(up, rung_bonds, leg_bonds, plaquettes),
+            _plaquette_slots(up, plaquettes),
+        ):
+            rows = np.flatnonzero(on)
+            at = pos[rows]
+            self.indices[at] = basis.rank_many(states[rows] ^ flip)
+            self.code[at] = code
+            pos[rows] += 1
+        self.indices[pos] = np.arange(basis.dim)
 
 
 class HamiltonianAction:
-    """H bound to concrete couplings, exposing matvec on raw amplitude arrays."""
+    """H bound to concrete couplings, exposing matvec on raw amplitude arrays.
+
+    H is one CSR matrix whose data is looked up from the tables' codes; it
+    shares indices and indptr with the tables, so each coupling point adds
+    one float array of nnz entries.
+    """
 
     def __init__(self, tables: LadderTables, couplings: Couplings):
         self.tables = tables
         self.couplings = couplings
-        # .T builds a new sparse object on each access; one view serves
-        # every matvec at this coupling point
-        self._ring_T = tables.ring.T
+        t, Jr, Jl, K = tables, couplings.Jr, couplings.Jl, couplings.K
+        data = _coupling_lut(couplings)[t.code]
+        data[t.indptr[1:] - 1] = (
+            Jr * (0.25 * t.n_rung - 0.5 * t.anti_r)
+            + Jl * (0.25 * t.n_leg - 0.5 * t.anti_l)
+            + K * t.fixed
+        )
+        self.H = scipy.sparse.csr_array(
+            (data, t.indices, t.indptr), shape=(self.dim, self.dim)
+        )
 
     @property
     def dim(self) -> int:
         return self.tables.basis.dim
 
     def matvec(self, v: np.ndarray) -> np.ndarray:
-        v = np.asarray(v, dtype=np.float64)
-        t = self.tables
-        Jr, Jl, K = self.couplings.Jr, self.couplings.Jl, self.couplings.K
-        out = Jr * (t.rung @ v) + Jl * (t.leg @ v)
-        if K != 0.0:
-            out += K * (t.ring @ v + self._ring_T @ v)
-        return out
+        return self.H @ np.asarray(v, dtype=np.float64)
 
 
 def apply_ring_decomposed(plaquettes, basis: SectorBasis, v: StateVector) -> StateVector:
@@ -195,11 +308,3 @@ def apply_ring_decomposed(plaquettes, basis: SectorBasis, v: StateVector) -> Sta
         out += 4.0 * (S[d, a] @ (S[b, c] @ w))
         out -= 4.0 * (S[a, c] @ (S[b, d] @ w))
     return StateVector(basis, out)
-
-
-def apply_T(basis: SectorBasis, v: StateVector) -> StateVector:
-    """(sum_i S1i . S2i) applied to v; the rung sum read off from basis.N."""
-    if v.basis is not basis:
-        raise ValueError("state vector lives on a different basis object")
-    rungs = [(2 * r, 2 * r + 1) for r in range(basis.N // 2)]
-    return StateVector(basis, bond_matrix(basis, rungs) @ v.amps)

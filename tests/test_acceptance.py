@@ -25,7 +25,6 @@ from ringladder import (
     StateVector,
     SweepConfig,
     apply_ring_decomposed,
-    apply_T,
     block_sites,
     build_sector,
     concurrence,
@@ -125,16 +124,16 @@ def test_criterion_02_commutator_pinning():
         d: HamiltonianAction(tables, couplings_from_theta(theta_c + d * math.pi))
         for d in (0.0, 0.05, -0.05)
     }
+    T = HamiltonianAction(tables, Couplings(Jl=0.0, Jr=1.0, K=0.0)).matvec
     rng = np.random.default_rng(2)
     worst_at = {d: 0.0 for d in actions}
     for _ in range(10):
         v = rng.uniform(-1.0, 1.0, basis.dim)
         v /= np.linalg.norm(v)
-        sv = StateVector(basis, v)
-        tv = apply_T(basis, sv).amps
+        tv = T(v)
         for d, act in actions.items():
             hv = act.matvec(v)
-            comm = act.matvec(tv) - apply_T(basis, StateVector(basis, hv)).amps
+            comm = act.matvec(tv) - T(hv)
             worst_at[d] = max(worst_at[d], np.linalg.norm(comm) / np.linalg.norm(hv))
     at_point = worst_at[0.0]
     off = min(worst_at[0.05], worst_at[-0.05])

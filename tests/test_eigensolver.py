@@ -139,3 +139,21 @@ def test_dense_oracle_rejects_asymmetric():
     M = np.array([[0.0, 1.0], [0.0, 0.0]])
     with pytest.raises(ValueError):
         dense_oracle(lambda v: M @ v, 2)
+
+
+@pytest.mark.parametrize("L, k", [(2, 2), (4, 2), (4, 1), (5, 3)])
+def test_matvec_count_matches_counting_wrapper(L, k):
+    # L = 2 (dim 6) takes the dense route, the others Lanczos; both count the
+    # residual checks too
+    act = action_at(L, 0.2, bc="open" if L == 2 else "periodic")
+    calls = 0
+
+    def counting(v):
+        nonlocal calls
+        calls += 1
+        return act.matvec(v)
+
+    res = lowest_eigenpairs(counting, act.dim, k=k, seed=3)
+    assert res.matvecs == calls
+    if L == 2:
+        assert calls == act.dim + k  # one per column, one per residual

@@ -6,10 +6,11 @@ import pytest
 from conftest import geometry, ground_state
 from ringladder import (
     LadderSpec,
-    LadderTables,
     StateVector,
+    bond_matrix,
     build_sector,
     concurrence,
+    enumerate_terms,
     expectation_T,
     fm_state,
     reduced_density_matrix,
@@ -233,7 +234,7 @@ def test_expectation_T_matches_matrix_routes(bc, twoSz):
     for L in (3, 4, 5):
         spec = LadderSpec(L=L, bc=bc)
         basis = build_sector(spec.N, twoSz)
-        rung = LadderTables(spec, basis).rung
+        rung = bond_matrix(basis, enumerate_terms(spec)[0])
         for _ in range(3):
             psi = random_state(basis, rng)
             T = expectation_T(psi)

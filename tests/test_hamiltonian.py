@@ -12,16 +12,19 @@ from ringladder import (
     LadderSpec,
     LadderTables,
     StateVector,
-    apply_T,
     apply_ring_decomposed,
     apply_ring_permutation,
+    bond_matrix,
     build_sector,
     couplings_from_theta,
     enumerate_terms,
+    ring_matrix,
     rung_correlator,
 )
 
 THETA_C = math.atan(0.5)
+# T = sum_i S1i.S2i is H at these couplings
+RUNG_ONLY = Couplings(Jl=0.0, Jr=1.0, K=0.0)
 
 
 def single_plaquette():
@@ -127,9 +130,49 @@ def test_sparse_terms_symmetric_and_ring_matches_decomposed(L, bc, twoSz, coupli
 
     _, _, plaqs = enumerate_terms(spec)
     v = StateVector(basis, np.random.default_rng(seed).normal(size=basis.dim))
-    via_csr = tables.ring @ v.amps + tables.ring.T @ v.amps
+    P = ring_matrix(basis, plaqs)
+    via_csr = P @ v.amps + P.T @ v.amps
     via_ops = apply_ring_decomposed(plaqs, basis, v).amps
     assert np.linalg.norm(via_csr - via_ops) <= 1e-12 * np.linalg.norm(via_csr)
+
+
+@pytest.mark.parametrize("bc", ["periodic", "open"])
+@pytest.mark.parametrize("twoSz", [0, 2, -4])
+def test_merged_pattern_matches_term_sum(bc, twoSz):
+    """One coded pattern against Jr rung + Jl leg + K (P + P.T) of the
+    separately built term matrices, entry by entry."""
+    rng = np.random.default_rng(41 + twoSz)
+    for L in range(3, 7):
+        spec, basis, tables = geometry(L, bc, twoSz)
+        rung_bonds, leg_bonds, plaqs = enumerate_terms(spec)
+        rung, leg = bond_matrix(basis, rung_bonds), bond_matrix(basis, leg_bonds)
+        P = ring_matrix(basis, plaqs)
+        ptr, ind = tables.indptr, tables.indices
+        for row in range(basis.dim):
+            cols = ind[ptr[row]:ptr[row + 1]]
+            assert len(np.unique(cols)) == len(cols), f"row {row} repeats a column"
+        assert np.array_equal(ind[ptr[1:] - 1], np.arange(basis.dim))
+        acts = []
+        for _ in range(3):
+            c = Couplings(*rng.uniform(-2.0, 2.0, 3))
+            act = HamiltonianAction(tables, c)
+            want = c.Jr * rung + c.Jl * leg + c.K * (P + P.T)
+            err = abs(act.H - want).max()
+            assert err <= 1e-14 * abs(want).max(), (L, c, err)
+            acts.append(act)
+        for act in acts[:2]:
+            assert np.shares_memory(act.H.indices, tables.indices)
+            assert np.shares_memory(act.H.indptr, tables.indptr)
+
+
+def test_tables_hold_no_float_entries():
+    # the pattern is coupling-independent: only an action holds values
+    _, _, tables = geometry(5)
+    floats = [
+        k for k, a in vars(tables).items() if isinstance(a, np.ndarray) and a.dtype.kind == "f"
+    ]
+    assert floats == []
+    assert tables.code.dtype == np.int8
 
 
 def test_decomposed_all_up_plaquette_gives_two():
@@ -208,7 +251,7 @@ def test_singlet_pair_plaquette_eigenstate():
 
 def test_apply_T_singlet_product():
     L = 3
-    spec, basis, _ = geometry(L)
+    spec, basis, tables = geometry(L)
     coef = {0: 1.0}
     for r in range(L):
         nxt = {}
@@ -219,16 +262,15 @@ def test_apply_T_singlet_product():
     amps = np.zeros(basis.dim)
     for mask, cval in coef.items():
         amps[basis.index(mask)] = cval
-    v = StateVector(basis, amps)
-    tv = apply_T(basis, v)
-    assert np.linalg.norm(tv.amps - (-0.75 * L) * v.amps) <= 1e-12
+    tv = HamiltonianAction(tables, RUNG_ONLY).matvec(amps)
+    assert np.linalg.norm(tv - (-0.75 * L) * amps) <= 1e-12
 
 
 def test_apply_T_all_up():
     basis = build_sector(8, 8)
-    v = StateVector(basis, np.ones(1))
-    tv = apply_T(basis, v)
-    assert tv.amps[0] == pytest.approx(4 * 0.25, abs=1e-14)
+    tables = LadderTables(LadderSpec(L=4), basis)
+    tv = HamiltonianAction(tables, RUNG_ONLY).matvec(np.ones(1))
+    assert tv[0] == pytest.approx(4 * 0.25, abs=1e-14)
 
 
 def test_commutator_vanishes_only_at_special_point():
@@ -236,13 +278,11 @@ def test_commutator_vanishes_only_at_special_point():
     rng = np.random.default_rng(17)
     v = rng.normal(size=basis.dim)
     v /= np.linalg.norm(v)
+    T = HamiltonianAction(tables, RUNG_ONLY).matvec
 
     def comm_norm(theta):
         act = HamiltonianAction(tables, couplings_from_theta(theta))
-        sv = StateVector(basis, v)
-        ht = act.matvec(apply_T(basis, sv).amps)
-        th = apply_T(basis, StateVector(basis, act.matvec(v))).amps
-        return np.linalg.norm(ht - th)
+        return np.linalg.norm(act.matvec(T(v)) - T(act.matvec(v)))
 
     at_pin = comm_norm(THETA_C)
     assert at_pin <= 1e-10

@@ -4,6 +4,8 @@ import ast
 import importlib
 from pathlib import Path
 
+import numpy as np
+
 import ringladder
 
 SRC = Path(ringladder.__file__).resolve().parent
@@ -23,8 +25,14 @@ def test_no_assert_statements():
 def test_benchmark_call_sites_resolve(monkeypatch):
     # the traced benchmark patches names bound in ringladder modules (cli.main,
     # cli.fm_entropy, sweep.expectation_T, ...); installing its patches
-    # resolves every one, so a rename fails here and not only in a traced run
+    # resolves every one, so a rename fails here and not only in a traced run.
+    # A matvec must still go through HamiltonianAction.matvec, once per call
     monkeypatch.syspath_prepend(str(Path(__file__).resolve().parents[1] / "perfbench"))
     tracing = importlib.import_module("tracing")
-    with tracing.Tracer().installed():
-        pass
+    spec = ringladder.LadderSpec(L=3)
+    basis = ringladder.build_sector(spec.N, 0)
+    tables = ringladder.LadderTables(spec, basis)
+    with tracing.Tracer().installed() as tracer:
+        act = ringladder.HamiltonianAction(tables, ringladder.couplings_from_theta(0.1))
+        act.matvec(np.ones(basis.dim))
+    assert [span[0] for span in tracer.spans] == ["hamiltonian.matvec"]
