@@ -1,13 +1,19 @@
 """Enumeration and ranking of fixed-magnetization bitmask bases.
 
 A configuration is a bitmask where bit s set means spin up at site s.  The
-sector with 2*Sz = twoSz holds every mask of popcount N/2 + Sz, enumerated in
-ascending numeric order by unranking in the combinatorial number system.
-Lookup runs the system forwards (Sandvik, arXiv:1101.3281, section 4): a
-mask with set bits p1 < ... < pn has ordinal sum_j C(pj, j), summed one byte
-at a time from precomputed tables.  The sector is complete, so a mask belongs
-to it exactly when it is nonnegative, has no bit at or above N and has
-popcount n_up.
+sector with 2*Sz = twoSz holds every mask of popcount n_up = N/2 + Sz, in
+ascending numeric order.  Both enumeration and lookup use H. Q. Lin's two
+tables (PRB 42, 6561 (1990); Sandvik, arXiv:1101.3281, section 4).  A mask m
+splits at b = N // 2 into hi = m >> b and lo = m & (2^b - 1):
+
+- lo_rank[lo] is the position of lo among the b-bit masks of its popcount;
+- off[hi] counts the sector states whose high half is below hi.
+
+The states ascend, so the ordinal of m is off[hi] + lo_rank[lo], and the
+states of one high half are hi << b joined to each low half of popcount
+n_up - popcount(hi) in turn.  The sector is complete, so a mask belongs to it
+exactly when it is nonnegative, has no bit at or above N and has popcount
+n_up.
 """
 
 from __future__ import annotations
@@ -21,54 +27,33 @@ import numpy as np
 __all__ = ["SectorBasis", "build_sector"]
 
 N_MAX = 32
-N_BYTES = (N_MAX + 7) // 8
 # rank_many works through its masks in blocks of this many, so that the
 # temporaries of one block stay in cache
 RANK_BLOCK = 1 << 15
 
 
-def _binomial_table(n: int, k: int) -> np.ndarray:
-    """Table C[p, j] = binomial(p, j) for 0 <= p <= n, 0 <= j <= k."""
-    tab = np.zeros((n + 1, k + 1), dtype=np.int64)
-    for p in range(n + 1):
-        for j in range(min(p, k) + 1):
-            tab[p, j] = comb(p, j)
-    return tab
-
-
-def _enumerate_masks(n: int, k: int, tab: np.ndarray) -> np.ndarray:
-    """All n-bit masks of popcount k, ascending, by combinatorial unranking."""
-    dim = comb(n, k)
-    masks = np.zeros(dim, dtype=np.int64)
-    rem = np.arange(dim, dtype=np.int64)
-    left = np.full(dim, k, dtype=np.int64)  # bits still to place per mask
-    for pos in range(n - 1, -1, -1):
-        c = tab[pos, np.minimum(left, k)]
-        take = (left > 0) & (rem >= c)
-        masks[take] |= np.int64(1) << pos
-        rem[take] -= c[take]
-        left[take] -= 1
-    return masks
-
-
 @functools.lru_cache(maxsize=None)
-def _byte_ordinals() -> np.ndarray:
-    """Lookup table of SectorBasis.rank_many.
+def _lin_tables(N: int, n_up: int) -> tuple[np.ndarray, ...]:
+    """Read-only (lo_rank, off, lows, first) of the (N, n_up) sector.
 
-    Row k, at 256 c + b, is the ordinal share of byte value b at byte k of a
-    mask with c set bits below that byte: the sum over set bits i of b of
-    C(8k + i, c + 1 + (set bits of b below i)).
+    lows lists the b-bit masks by popcount, ascending within a popcount, and
+    popcount p starts at lows[first[p]], so lo_rank[lows[first[p] + j]] = j.
     """
-    C = _binomial_table(8 * N_BYTES - 1, 8 * N_BYTES)
-    b = np.arange(256, dtype=np.int64)
-    c = np.arange(8 * (N_BYTES - 1) + 1, dtype=np.int64)[:, None]
-    tab = np.zeros((N_BYTES, len(c), 256), dtype=np.int64)
-    for k in range(N_BYTES):
-        for i in range(8):
-            j = c + 1 + np.bitwise_count(b & ((1 << i) - 1))
-            tab[k] += ((b >> i) & 1) * C[8 * k + i, j]
-    tab.flags.writeable = False  # one shared instance
-    return tab.reshape(N_BYTES, -1)
+    b = N // 2
+    pop = np.bitwise_count(np.arange(1 << b)).astype(np.int64)
+    lows = np.argsort(pop, kind="stable")
+    first = np.searchsorted(pop[lows], np.arange(b + 2))
+    lo_rank = np.empty(1 << b, dtype=np.int64)
+    lo_rank[lows] = np.arange(1 << b) - first[pop[lows]]
+    need = n_up - np.bitwise_count(np.arange(1 << (N - b))).astype(np.int64)
+    fits = (need >= 0) & (need <= b)
+    need = np.where(fits, need, 0)
+    width = np.where(fits, first[need + 1] - first[need], 0)
+    off = np.cumsum(width) - width
+    tables = (lo_rank, off, lows, first)
+    for t in tables:
+        t.flags.writeable = False  # one shared instance
+    return tables
 
 
 @dataclass(frozen=True)
@@ -76,7 +61,7 @@ class SectorBasis:
     """Complete ascending basis of one fixed-Sz sector.
 
     states[k] is the k-th configuration mask; rank_many inverts the
-    enumeration by the combinatorial ordinal.  Immutable after construction.
+    enumeration with Lin's tables.  Immutable after construction.
     """
 
     N: int
@@ -97,25 +82,26 @@ class SectorBasis:
         A mask outside the sector means a computation escaped it and is
         reported as an error.
         """
-        configs = np.ascontiguousarray(configs, dtype="<i8")
+        configs = np.asarray(configs, dtype=np.int64)
         flat = configs.reshape(-1)
-        rank = np.zeros(flat.size, dtype=np.int64)
-        tab = _byte_ordinals()
-        for lo in range(0, flat.size, RANK_BLOCK):
-            part = flat[lo:lo + RANK_BLOCK]
-            octets = part.view(np.uint8).reshape(-1, 8)
-            out = rank[lo:lo + RANK_BLOCK]
-            below = np.zeros(part.size, dtype=np.int64)  # set bits below byte k
-            for k in range((self.N + 7) // 8):
-                out += tab[k][(below << 8) | octets[:, k]]
-                below += np.bitwise_count(octets[:, k])
-            # a negative mask has its sign bit set, which lies above bit N - 1
-            miss = (part >> self.N != 0) | (below != self.n_up)
-            if np.any(miss):
-                bad = int(part[miss][0])
+        rank = np.empty(flat.size, dtype=np.int64)
+        lo_rank, off = _lin_tables(self.N, self.n_up)[:2]
+        b = self.N // 2
+        for at in range(0, flat.size, RANK_BLOCK):
+            part = flat[at:at + RANK_BLOCK]
+            # checked before the lookup, which would read a negative high
+            # half from the end of off
+            if part.min() < 0 or part.max() >> self.N or np.any(
+                np.bitwise_count(part) != self.n_up
+            ):
+                miss = (part >> self.N != 0) | (np.bitwise_count(part) != self.n_up)
                 raise ValueError(
-                    f"mask {bad:#x} is not in the N = {self.N}, twoSz = {self.twoSz} sector"
+                    f"mask {int(part[miss][0]):#x} is not in the "
+                    f"N = {self.N}, twoSz = {self.twoSz} sector"
                 )
+            out = rank[at:at + RANK_BLOCK]
+            np.take(off, part >> b, out=out)
+            out += lo_rank[part & ((1 << b) - 1)]
         return rank.reshape(configs.shape)
 
     def index(self, config: int) -> int:
@@ -132,5 +118,15 @@ def build_sector(N: int, twoSz: int) -> SectorBasis:
     if abs(twoSz) > N or (N + twoSz) % 2:
         raise ValueError(f"no sector with twoSz = {twoSz} on {N} sites")
     n_up = (N + twoSz) // 2
-    states = _enumerate_masks(N, n_up, _binomial_table(N, max(n_up, 1)))
+    _, off, lows, first = _lin_tables(N, n_up)
+    b = N // 2
+    width = np.diff(off, append=comb(N, n_up))
+    his = np.flatnonzero(width)
+    width = width[his]
+    # state k, in the run of hi, has low half lows[first[p] + k - off[hi]]
+    # with p = n_up - popcount(hi)
+    k = np.repeat(first[n_up - np.bitwise_count(his).astype(np.int64)] - off[his], width)
+    k += np.arange(len(k))
+    states = np.repeat(his << b, width)
+    states |= lows[k]
     return SectorBasis(N=N, twoSz=twoSz, states=states)

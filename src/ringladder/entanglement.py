@@ -41,12 +41,14 @@ Z_MIN, Z_MAX = -0.5, 1.0 / 6.0
 class DensityMatrix:
     """Reduced density matrix of an ordered site block.
 
-    rho is real 2^l x 2^l, block-diagonal in the block up-count because the
-    global state has fixed Sz.
+    rho is real 2^l x 2^l and block-diagonal in the block up-count u, because
+    the global state has fixed Sz.  blocks[u] is the dense block over the
+    patterns of up-count u, in ascending pattern order; a u missing from
+    blocks has a zero block.
     """
 
     sites: tuple[int, ...]
-    rho: np.ndarray
+    blocks: dict[int, np.ndarray]
 
     @property
     def n_sites(self) -> int:
@@ -58,12 +60,23 @@ class DensityMatrix:
         pop = np.bitwise_count(idx)
         return [np.nonzero(pop == u)[0] for u in range(self.n_sites + 1)]
 
+    @property
+    def rho(self) -> np.ndarray:
+        """The dense 2^l x 2^l matrix, assembled from the blocks on each call."""
+        rho = np.zeros((2**self.n_sites, 2**self.n_sites))
+        for u, rows in enumerate(self.sz_sectors()):
+            if u in self.blocks:
+                rho[np.ix_(rows, rows)] = self.blocks[u]
+        return rho
+
     def eigenvalues(self) -> np.ndarray:
-        """Full spectrum, computed sector by sector, descending."""
-        lam = np.concatenate(
-            [scipy.linalg.eigvalsh(self.rho[np.ix_(g, g)]) for g in self.sz_sectors()]
-        )
-        return np.sort(lam)[::-1]
+        """Full spectrum, computed block by block, descending."""
+        l = self.n_sites
+        lam = [
+            scipy.linalg.eigvalsh(self.blocks[u]) if u in self.blocks else np.zeros(comb(l, u))
+            for u in range(l + 1)
+        ]
+        return np.sort(np.concatenate(lam))[::-1]
 
 
 @dataclass(frozen=True)
@@ -120,7 +133,7 @@ def reduced_density_matrix(state: StateVector, sites) -> DensityMatrix:
     del relabelled
 
     n_env = N - l
-    rho = DensityMatrix(sites=sites, rho=np.zeros((2**l, 2**l)))
+    rho = DensityMatrix(sites=sites, blocks={})
     for u, rows in enumerate(rho.sz_sectors()):
         env_up = basis.n_up - u
         if not 0 <= env_up <= n_env:
@@ -129,7 +142,7 @@ def reduced_density_matrix(state: StateVector, sites) -> DensityMatrix:
         # lowest bits set
         starts = basis.rank_many((rows << n_env) | ((1 << env_up) - 1))
         M = ordered[starts[:, None] + np.arange(comb(n_env, env_up))]
-        rho.rho[np.ix_(rows, rows)] = M @ M.T
+        rho.blocks[u] = M @ M.T
     return rho
 
 

@@ -7,7 +7,8 @@ central-difference theta derivative, block entropies for requested block
 geometries, and the total rung correlator.  The rung, leg and diag pairs are
 anchored at rung r: (leg 1, rung r) with (leg 2, rung r), (leg 1, rung r + 1)
 and (leg 2, rung r + 1), where r = 1 on periodic ladders and the middle rung
-ceil(L/2) on open ones, so both boundaries measure bulk pairs.
+ceil(L/2) on open ones, so both boundaries measure bulk pairs.  A one-rung
+open ladder has only the rung pair, which is then the whole system.
 """
 
 from __future__ import annotations
@@ -16,6 +17,8 @@ import csv
 import math
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
+
+import numpy as np
 
 from .basis import build_sector
 from .eigensolver import lowest_eigenpairs
@@ -125,6 +128,8 @@ class SweepConfig:
         object.__setattr__(self, "pairs", self.check_pairs(self.pairs))
         if self.workers < 1:
             raise ValueError(f"workers must be at least 1, got {self.workers}")
+        if self.L == 1 and {"leg", "diag"} & set(self.pairs):
+            raise ValueError("a one-rung ladder has no leg or diag pair; use --pairs rung")
 
     @staticmethod
     def check_pairs(pairs) -> tuple[str, ...]:
@@ -162,6 +167,18 @@ def theta_grid(start: float, stop: float, step: float) -> tuple[float, ...]:
     return tuple(start + i * step for i in range(n + 1))
 
 
+def _rung_rdm(psi: StateVector, spec: LadderSpec, r: int):
+    """Two-site RDM of rung r.  On a one-rung ladder the rung is the whole
+    system, which reduced_density_matrix refuses; its RDM is |psi><psi| over
+    the patterns with site 0 as the high bit."""
+    if spec.L > 1:
+        return reduced_density_matrix(psi, (spec.site(1, r), spec.site(2, r)))
+    masks = psi.basis.states
+    v = np.zeros(4)
+    v[((masks & 1) << 1) | (masks >> 1)] = psi.amps
+    return np.outer(v, v)
+
+
 def _measure(spec, basis, tables, cfg: SweepConfig, t_over_pi: float) -> SweepRecord:
     couplings = couplings_from_theta(t_over_pi * math.pi)
     action = HamiltonianAction(tables, couplings)
@@ -169,17 +186,15 @@ def _measure(spec, basis, tables, cfg: SweepConfig, t_over_pi: float) -> SweepRe
     res = lowest_eigenpairs(action.matvec, basis.dim, k=k, seed=cfg.seed, tol=cfg.tol)
     psi = StateVector(basis, res.vectors[:, 0])
 
-    s = spec.site
     r = 1 if spec.bc == "periodic" else math.ceil(spec.L / 2)
-    pair_sites = {
-        "rung": (s(1, r), s(2, r)),
-        "leg": (s(1, r), s(1, r + 1)),
-        "diag": (s(1, r), s(2, r + 1)),
-    }
-    rho_rung = reduced_density_matrix(psi, pair_sites["rung"])
+    # (leg, rung) of the second site of the other pairs; the first is (1, r)
+    partner = {"leg": (1, r + 1), "diag": (2, r + 1)}
+    rho_rung = _rung_rdm(psi, spec, r)
     conc: dict[str, float | None] = dict.fromkeys(PAIR_KINDS)
     for name in cfg.pairs:
-        rho = rho_rung if name == "rung" else reduced_density_matrix(psi, pair_sites[name])
+        rho = rho_rung if name == "rung" else reduced_density_matrix(
+            psi, (spec.site(1, r), spec.site(*partner[name]))
+        )
         conc[name] = concurrence(rho)
 
     ev = {

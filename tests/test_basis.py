@@ -1,3 +1,4 @@
+from itertools import combinations
 from math import comb
 
 import numpy as np
@@ -78,8 +79,8 @@ def test_rank_matches_bisection(N, twoSz):
 
 
 @pytest.mark.parametrize("twoSz", [28, -28])
-def test_rank_every_state_top_byte(twoSz):
-    # N = 32 reads all four bytes; both sectors have 496 states
+def test_rank_every_state_top_half(twoSz):
+    # N = 32 splits into two 16-bit halves; both sectors have 496 states
     basis = build_sector(32, twoSz)
     assert basis.dim == comb(32, 2)
     assert np.array_equal(basis.rank_many(basis.states), np.arange(basis.dim))
@@ -91,7 +92,7 @@ def test_out_of_range_bits_rejected():
         basis.index(0b110000)  # popcount 2 but bits above site 3
     with pytest.raises(ValueError, match="-0x"):
         basis.index(-1)
-    # negative, with popcount 4 over the one byte that N = 8 reads
+    # negative, with popcount 4 in the low 8 bits that N = 8 keeps
     with pytest.raises(ValueError, match="not in the N = 8"):
         build_sector(8, 0).index((-1 << 8) | 0b1111)
 
@@ -107,3 +108,31 @@ def test_invalid_sector_requests():
         build_sector(5, 1)
     with pytest.raises(ValueError):
         build_sector(0, 0)
+
+
+def popcount_oracle(N, n_up):
+    """Every N-bit mask of popcount n_up, ascending: by brute force up to
+    N = 16, above that by placing the fewer of the set or the clear bits in
+    every way (the sectors tested there have at most two)."""
+    if N <= 16:
+        return np.flatnonzero(np.bitwise_count(np.arange(2**N)) == n_up)
+    few = min(n_up, N - n_up)
+    masks = np.array([sum(1 << p for p in c) for c in combinations(range(N), few)])
+    return np.sort(masks if few == n_up else ((1 << N) - 1) ^ masks)
+
+
+@pytest.mark.parametrize("N", [*range(2, 17, 2), 32])
+def test_sector_matches_popcount_oracle(N):
+    sectors = range(-N, N + 1, 2) if N <= 16 else (32, 30, 28, -28, -30, -32)
+    for twoSz in sectors:
+        basis = build_sector(N, twoSz)
+        assert np.array_equal(basis.states, popcount_oracle(N, basis.n_up)), twoSz
+        assert np.array_equal(basis.rank_many(basis.states), np.arange(basis.dim)), twoSz
+
+
+def test_rank_empty_keeps_shape():
+    basis = build_sector(8, 0)
+    assert basis.rank_many(np.zeros(0, dtype=np.int64)).shape == (0,)
+    assert basis.rank_many(np.zeros((0, 3), dtype=np.int64)).shape == (0, 3)
+    assert np.array_equal(basis.rank_many(basis.states[:6].reshape(2, 3)),
+                          np.arange(6).reshape(2, 3))

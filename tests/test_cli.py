@@ -58,6 +58,17 @@ def test_gs_subcommand(capsys):
     assert fields["degenerate"] == "0"
 
 
+def test_gs_one_rung_open_ladder(capsys):
+    # the rung is the whole system and its ground state is the singlet
+    argv = ["gs", "--rungs", "1", "--bc", "open", "--pairs", "rung", "--theta", "0.1"]
+    assert main(argv) == 0
+    fields = dict(line.split(" = ") for line in capsys.readouterr().out.strip().splitlines())
+    assert float(fields["C_rung"]) == 1.0
+    assert float(fields["E_rung2site"]) == pytest.approx(0.0, abs=1e-12)
+    assert float(fields["T_expect"]) == -0.75
+    assert fields["C_leg"] == fields["C_diag"] == "n/a"
+
+
 def test_sweep_subcommand_csv(tmp_path):
     out = tmp_path / "sweep.csv"
     rc = main([
@@ -111,6 +122,8 @@ def test_config_file_rejects_unknown_keys(tmp_path, capsys):
     pytest.param(["gs", "--theta", "0.97"], None, "--allow-degenerate",
                  id="theta-outside-window"),
     pytest.param(["gs", "--rungs", "2"], None, "", id="rungs-2"),
+    pytest.param(["gs", "--rungs", "1", "--bc", "open"], None, "--pairs rung",
+                 id="one-rung-leg-pairs"),
     pytest.param(["gs", "--config", "{tmp}/run.cfg"], "bc = sideways\n", "",
                  id="file-bc"),
     pytest.param(["gs", "--config", "{tmp}/run.cfg"], "allow_degenerate = maybe\n", "",

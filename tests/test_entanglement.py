@@ -1,7 +1,10 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from conftest import geometry, ground_state
 from ringladder import (
@@ -12,6 +15,7 @@ from ringladder import (
     concurrence,
     enumerate_terms,
     expectation_T,
+    fm_entropy,
     fm_state,
     reduced_density_matrix,
     rung_correlator,
@@ -128,21 +132,41 @@ def test_rdm_validation_errors():
         reduced_density_matrix(uniform, tuple(range(15)))  # above the cap
 
 
-def test_rdm_trace_and_psd():
-    psi = ground_state(4, 0.25)
-    rng = np.random.default_rng(2)
-    for _ in range(5):
-        l = int(rng.integers(1, 7))
-        sites = tuple(int(s) for s in rng.choice(8, size=l, replace=False))
-        rho = reduced_density_matrix(psi, sites)
-        lam = rho.eigenvalues()
-        assert abs(lam.sum() - 1.0) <= 1e-10
-        assert lam.min() >= -1e-10
-        # block-diagonal in the block up-count
-        for g in rho.sz_sectors():
-            others = np.setdiff1d(np.arange(rho.rho.shape[0]), g)
-            if len(g) and len(others):
-                assert np.max(np.abs(rho.rho[np.ix_(g, others)])) <= 1e-12
+PROPERTY_SETTINGS = settings(max_examples=50, deadline=None, derandomize=True, database=None)
+
+
+@st.composite
+def ladder_and_block(draw):
+    """(L, theta/pi, bc, twoSz, sites): a ground state at random theta on a
+    small ladder, and one block of its sites that leaves a complement."""
+    L = draw(st.integers(3, 5))
+    theta = draw(st.floats(-1.0, 1.0))
+    bc = draw(st.sampled_from(["periodic", "open"]))
+    twoSz = draw(st.sampled_from([0, 2]))
+    sites = draw(st.lists(st.integers(0, 2 * L - 1), min_size=1, max_size=2 * L - 1,
+                          unique=True))
+    return L, theta, bc, twoSz, tuple(sites)
+
+
+@PROPERTY_SETTINGS
+@given(ladder_and_block())
+@example((4, 0.25, "periodic", 0, (7, 5, 2, 1, 3, 0)))
+@example((4, 0.25, "periodic", 0, (1, 7, 0, 4, 3, 5)))
+@example((4, 0.25, "periodic", 0, (1, 7, 6, 4, 3)))
+@example((4, 0.25, "periodic", 0, (2, 1, 0, 6, 7, 4)))
+@example((4, 0.25, "periodic", 0, (3, 2, 5, 6, 7, 1)))
+def test_rdm_trace_and_psd(case):
+    L, theta, bc, twoSz, sites = case
+    rho = reduced_density_matrix(ground_state(L, theta, bc, twoSz), sites)
+    lam = rho.eigenvalues()
+    assert abs(lam.sum() - 1.0) <= 1e-12
+    assert lam.min() >= -1e-12
+    # block-diagonal in the block up-count
+    dense = rho.rho
+    for g in rho.sz_sectors():
+        others = np.setdiff1d(np.arange(dense.shape[0]), g)
+        if len(g) and len(others):
+            assert np.max(np.abs(dense[np.ix_(g, others)])) <= 1e-12
 
 
 @pytest.mark.parametrize("N", [2, 4, 6, 8, 10, 12])
@@ -154,6 +178,20 @@ def test_rdm_matches_dense_oracle(N):
             for sites in (tuple(range(l)), tuple(int(s) for s in rng.permutation(N)[:l])):
                 rho = reduced_density_matrix(psi, sites).rho
                 assert np.max(np.abs(rho - dense_rdm(psi, sites))) <= 1e-13, (twoSz, sites)
+
+
+def test_block_entropy_keeps_only_the_blocks():
+    # a 12-site block of the N = 16 Dicke state: its blocks hold 21 MB, the
+    # dense 2^12 x 2^12 rho would be 134 MB
+    psi = fm_state(16, build_sector(16, 0))
+    tracemalloc.start()
+    try:
+        ent = von_neumann_entropy(reduced_density_matrix(psi, tuple(range(12))))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 64 * 2**20
+    assert ent == pytest.approx(fm_entropy(16, 12), abs=1e-10)
 
 
 def test_entropy_trivial_spectra():
@@ -253,13 +291,17 @@ def test_su2_relations_on_ground_state():
     assert rung_correlator(psi, 1) == pytest.approx(1.5 * p.z, abs=1e-10)
 
 
-def test_complement_symmetry():
-    psi = ground_state(6, 0.2)
-    rng = np.random.default_rng(31)
-    for _ in range(5):
-        l = int(rng.integers(1, 12))
-        sites = tuple(int(s) for s in rng.choice(12, size=l, replace=False))
-        rest = tuple(s for s in range(12) if s not in sites)
-        ea = von_neumann_entropy(reduced_density_matrix(psi, sites))
-        eb = von_neumann_entropy(reduced_density_matrix(psi, rest))
-        assert abs(ea - eb) <= 1e-9
+@PROPERTY_SETTINGS
+@given(ladder_and_block())
+@example((6, 0.2, "periodic", 0, (3, 11, 10, 5, 8, 6, 0)))
+@example((6, 0.2, "periodic", 0, (5, 9, 6, 2, 10, 4, 11, 8, 0)))
+@example((6, 0.2, "periodic", 0, (4, 0, 1, 2, 9, 7, 10)))
+@example((6, 0.2, "periodic", 0, (7,)))
+@example((6, 0.2, "periodic", 0, (3, 1, 5, 11, 7, 9, 4)))
+def test_complement_symmetry(case):
+    L, theta, bc, twoSz, sites = case
+    psi = ground_state(L, theta, bc, twoSz)
+    rest = tuple(s for s in range(2 * L) if s not in sites)
+    ea = von_neumann_entropy(reduced_density_matrix(psi, sites))
+    eb = von_neumann_entropy(reduced_density_matrix(psi, rest))
+    assert abs(ea - eb) <= 1e-10

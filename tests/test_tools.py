@@ -76,3 +76,55 @@ def test_bench_file_needs_both_sides(tmp_path, missing):
     argv = [sys.executable, str(SCRIPT), "--out", str(tmp_path / "o.json")]
     argv += ["--after" if missing == "before" else "--before", f]
     assert subprocess.run(argv, capture_output=True).returncode == 2
+
+
+CSV_DIFF = SCRIPT.parent / "csv_diff.py"
+
+
+def csv_diff(tmp_path, a: str, b: str | None):
+    (tmp_path / "a.csv").write_text(a)
+    if b is not None:
+        (tmp_path / "b.csv").write_text(b)
+    return subprocess.run(
+        [sys.executable, str(CSV_DIFF), str(tmp_path / "a.csv"), str(tmp_path / "b.csv")],
+        capture_output=True, text=True,
+    )
+
+
+GRID = "theta,E0,C_leg\n0.1,-1.5,\n0.2,-1.25,0.5\n0.3,-1.0,0.25\n"
+
+
+def test_csv_diff_identical(tmp_path):
+    proc = csv_diff(tmp_path, GRID, GRID)
+    assert proc.returncode == 0, proc.stderr
+    assert "byte-identical" in proc.stdout
+
+
+def test_csv_diff_counts_cells_and_largest_delta(tmp_path):
+    moved = "theta,E0,C_leg\n0.1,-1.5000000000001,\n0.2,-1.25,0.5\n0.3,-1.00000000001,x\n"
+    proc = csv_diff(tmp_path, GRID, moved)
+    assert proc.returncode == 1, proc.stderr
+    cols = {line.split()[0]: line.split()[1:] for line in proc.stdout.splitlines()[1:-1]}
+    assert cols["theta"] == ["0", "-"]
+    assert cols["E0"][0] == "2"
+    assert float(cols["E0"][1]) == pytest.approx(1e-11, rel=1e-3)
+    assert cols["C_leg"] == ["1", "-"]  # 0.25 against text: counted, no delta
+    assert proc.stdout.splitlines()[-1] == "3 of 9 cells differ"
+
+
+def test_csv_diff_same_cells_other_bytes(tmp_path):
+    proc = csv_diff(tmp_path, GRID, GRID.replace("\n", "\r\n"))
+    assert proc.returncode == 1
+    assert proc.stdout.splitlines()[-1] == "0 of 9 cells differ"
+
+
+@pytest.mark.parametrize("other", [
+    pytest.param("theta,E0,C_diag\n0.1,-1.5,\n0.2,-1.25,0.5\n0.3,-1.0,0.25\n", id="header"),
+    pytest.param("theta,E0,C_leg\n0.1,-1.5,\n0.2,-1.25,0.5\n", id="rows"),
+    pytest.param("theta,E0,C_leg\n0.1,-1.5\n0.2,-1.25,0.5\n0.3,-1.0,0.25\n", id="ragged"),
+    pytest.param(None, id="missing"),
+])
+def test_csv_diff_unreadable_or_unlike(tmp_path, other):
+    proc = csv_diff(tmp_path, GRID, other)
+    assert proc.returncode == 2
+    assert proc.stderr.startswith("csv_diff: ")
