@@ -36,8 +36,6 @@ def main():
             f"{r.thetaOverPi:9.2f} {r.C_rung:9.5f} {r.C_leg:9.5f} {r.C_diag:9.5f}"
         )
 
-    # the ferromagnetic endpoint sits outside the uniqueness window, so it
-    # has to be requested explicitly
     fm = run_sweep(
         SweepConfig(
             L=L,
@@ -45,7 +43,6 @@ def main():
             blocks=(),
             pairs=("rung", "leg", "diag"),
             seed=0,
-            allow_degenerate=True,
         )
     )[0]
     n = 2 * L

@@ -40,7 +40,7 @@ def main():
     print(f"ladder: {L} rungs periodic, {spec.N} sites, sector dim {basis.dim}")
     print(f"theta = {t}*pi")
     print(f"E0 = {res.energies[0]:.12f}")
-    print(f"gap = {res.energies[1] - res.energies[0]:.6f}  degenerate: {res.degenerate}")
+    print(f"gap = {res.energies[1] - res.energies[0]:.6f}  multiplicity: {res.multiplicity}")
     print(f"residual norms: {[f'{r:.2e}' for r in res.residuals]}")
 
     psi = StateVector(basis, res.vectors[:, 0])

@@ -66,14 +66,6 @@ def parse_pairs(text: str) -> tuple[str, ...]:
         raise argparse.ArgumentTypeError(str(exc)) from exc
 
 
-def parse_bool(text: str) -> bool:
-    """Parse 'true' or 'false', in any case."""
-    value = text.strip().lower()
-    if value not in ("true", "false"):
-        raise argparse.ArgumentTypeError(f"expected true or false, got {text!r}")
-    return value == "true"
-
-
 def read_config_file(path: str) -> list[str]:
     """Flat key = value file as flag tokens: each line becomes '--key=value'.
 
@@ -129,9 +121,6 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--seed", type=int, default=0)
         p.add_argument("--tol", type=float, default=1e-12,
                        help="eigensolver residual tolerance")
-        p.add_argument("--allow-degenerate", type=parse_bool, nargs="?", const=True,
-                       default=False, metavar="BOOL",
-                       help="permit theta outside the unique-ground-state window")
         p.add_argument("--pairs", type=parse_pairs, default=PAIR_KINDS,
                        metavar="KINDS", help="which pair concurrences to compute")
     gs.add_argument("--theta", type=float, default=0.0, metavar="T",
@@ -156,7 +145,6 @@ def _cfg_from_args(args, thetas, workers=1) -> SweepConfig:
         tol=args.tol,
         out=args.out,
         workers=workers,
-        allow_degenerate=args.allow_degenerate,
     )
 
 

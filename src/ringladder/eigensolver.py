@@ -17,7 +17,7 @@ __all__ = ["EigenResult", "EigensolverError", "lowest_eigenpairs", "dense_oracle
 
 DENSE_ORACLE_MAX_DIM = 4096
 
-# gap below this relative threshold flags the ground state as degenerate
+# levels closer than this, relative to max(1, |E0|), to E0 count as ground states
 DEGENERACY_RTOL = 1e-8
 
 
@@ -28,13 +28,15 @@ class EigensolverError(RuntimeError):
 @dataclass
 class EigenResult:
     """k lowest eigenpairs: ascending energies, column eigenvectors,
-    verified residual norms, a ground-state degeneracy flag and the number
-    of operator applications the solve made, residual checks included."""
+    verified residual norms, the ground-state multiplicity (how many of the
+    k levels lie within DEGENERACY_RTOL * max(1, |E0|) of E0, so at most k)
+    and the number of operator applications the solve made, residual checks
+    included."""
 
     energies: np.ndarray
     vectors: np.ndarray  # shape (dim, k), unit columns
     residuals: np.ndarray
-    degenerate: bool
+    multiplicity: int
     matvecs: int
 
 
@@ -131,16 +133,12 @@ def lowest_eigenpairs(
             f"residual contract violated: pair {worst} has "
             f"||Hv - Ev|| = {residuals[worst]:.3e} > {bound[worst]:.3e}"
         )
-    degenerate = False
-    if k >= 2:
-        degenerate = (energies[1] - energies[0]) < DEGENERACY_RTOL * max(
-            1.0, abs(energies[0])
-        )
+    band = DEGENERACY_RTOL * max(1.0, abs(energies[0]))
     return EigenResult(
         energies=energies,
         vectors=vectors,
         residuals=residuals,
-        degenerate=bool(degenerate),
+        multiplicity=int(np.count_nonzero(energies - energies[0] < band)),
         matvecs=matvecs,
     )
 

@@ -31,7 +31,7 @@ __all__ = [
 
 RDM_MAX_SITES = 14
 
-# entropy eigenvalues below this are treated as exact zeros
+# entropy eigenvalues within this of 0 or of 1 contribute exactly nothing
 EIG_FLOOR = 1e-14
 
 Z_MIN, Z_MAX = -0.5, 1.0 / 6.0
@@ -101,6 +101,8 @@ def reduced_density_matrix(state: StateVector, sites) -> DensityMatrix:
     order for every pattern.  The block of rho at up-count u is then the
     dense product M_u M_u^T of the C(l, u) runs stacked as rows: O(dim)
     integer work and one BLAS product per u instead of a 4^l full trace.
+    A block of all N sites has one environment per pattern, so rho is
+    |psi><psi| over the patterns.
     """
     sites = tuple(int(s) for s in sites)
     basis = state.basis
@@ -110,8 +112,8 @@ def reduced_density_matrix(state: StateVector, sites) -> DensityMatrix:
         raise ValueError("block sites must be distinct")
     if any(s < 0 or s >= N for s in sites):
         raise ValueError(f"block sites must lie in 0..{N - 1}")
-    if not 1 <= l <= N - 1:
-        raise ValueError(f"block size must be in 1..{N - 1}, got {l}")
+    if l == 0:
+        raise ValueError("block needs at least one site")
     if l > RDM_MAX_SITES:
         raise ValueError(f"block size capped at {RDM_MAX_SITES} sites, got {l}")
 
@@ -153,13 +155,14 @@ def _spectrum(rho) -> np.ndarray:
 
 
 def von_neumann_entropy(rho) -> float:
-    """-sum lam log2 lam over the spectrum, with 0 log 0 = 0.
+    """-sum lam log2 lam over the spectrum, with 0 log 0 = 1 log 1 = 0.
 
-    Accepts a DensityMatrix or a plain Hermitian matrix.
+    Accepts a DensityMatrix or a plain Hermitian matrix.  A pure state gives
+    exactly 0.0, never -0.0.
     """
     lam = _spectrum(rho)
-    lam = lam[lam > EIG_FLOOR]
-    return float(-np.sum(lam * np.log2(lam)))
+    lam = lam[(lam > EIG_FLOOR) & (lam < 1.0 - EIG_FLOOR)]
+    return float(np.sum(lam * -np.log2(lam)))
 
 
 _SYSY = np.array(

@@ -1,7 +1,7 @@
 """Parameter sweeps over theta: observables per grid point, CSV emission,
 zero crossings and extrema of observable series.
 
-A sweep solves for the lowest Sz-sector state at every grid point, then
+A sweep solves for the lowest Sz-sector states at every grid point, then
 extracts pair concurrences, the two-site rung entropy and its
 central-difference theta derivative, block entropies for requested block
 geometries, and the total rung correlator.  The rung, leg and diag pairs are
@@ -9,6 +9,10 @@ anchored at rung r: (leg 1, rung r) with (leg 2, rung r), (leg 1, rung r + 1)
 and (leg 2, rung r + 1), where r = 1 on periodic ladders and the middle rung
 ceil(L/2) on open ones, so both boundaries measure bulk pairs.  A one-rung
 open ladder has only the rung pair, which is then the whole system.
+
+A ground state of multiplicity g > 1 is measured as the equal mixture of
+its manifold, rho = (1/g) sum_i |psi_i><psi_i|, which does not depend on
+the basis the eigensolver picks inside it.
 """
 
 from __future__ import annotations
@@ -18,11 +22,10 @@ import math
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 
-import numpy as np
-
 from .basis import build_sector
 from .eigensolver import lowest_eigenpairs
 from .entanglement import (
+    DensityMatrix,
     concurrence,
     expectation_T,
     reduced_density_matrix,
@@ -45,10 +48,6 @@ __all__ = [
 
 FAMILIES = ("A", "B", "C", "D")
 PAIR_KINDS = ("rung", "leg", "diag")
-
-# the lowest sector state is known to be a unique ground state only for
-# theta/pi strictly inside this window; outside it a sweep must opt in
-UNIQUE_WINDOW = (-0.40, 0.95)
 
 
 @dataclass(frozen=True)
@@ -120,7 +119,6 @@ class SweepConfig:
     tol: float = 1e-12
     out: str | None = None
     workers: int = 1
-    allow_degenerate: bool = False
 
     def __post_init__(self):
         object.__setattr__(self, "thetas_over_pi", tuple(float(t) for t in self.thetas_over_pi))
@@ -167,40 +165,43 @@ def theta_grid(start: float, stop: float, step: float) -> tuple[float, ...]:
     return tuple(start + i * step for i in range(n + 1))
 
 
-def _rung_rdm(psi: StateVector, spec: LadderSpec, r: int):
-    """Two-site RDM of rung r.  On a one-rung ladder the rung is the whole
-    system, which reduced_density_matrix refuses; its RDM is |psi><psi| over
-    the patterns with site 0 as the high bit."""
-    if spec.L > 1:
-        return reduced_density_matrix(psi, (spec.site(1, r), spec.site(2, r)))
-    masks = psi.basis.states
-    v = np.zeros(4)
-    v[((masks & 1) << 1) | (masks >> 1)] = psi.amps
-    return np.outer(v, v)
+def _manifold_rdm(states, sites) -> DensityMatrix:
+    """RDM of the equal mixture of the given states, averaged block by block
+    in place in the first state's RDM."""
+    first, *rest = [reduced_density_matrix(psi, sites) for psi in states]
+    for u, block in first.blocks.items():
+        for rho in rest:
+            block += rho.blocks[u]
+        block /= len(states)
+    return first
 
 
 def _measure(spec, basis, tables, cfg: SweepConfig, t_over_pi: float) -> SweepRecord:
     couplings = couplings_from_theta(t_over_pi * math.pi)
     action = HamiltonianAction(tables, couplings)
+    # widen the solve until a level above the ground manifold is returned,
+    # so the manifold is complete
     k = min(2, basis.dim)
-    res = lowest_eigenpairs(action.matvec, basis.dim, k=k, seed=cfg.seed, tol=cfg.tol)
-    psi = StateVector(basis, res.vectors[:, 0])
+    while True:
+        res = lowest_eigenpairs(action.matvec, basis.dim, k=k, seed=cfg.seed, tol=cfg.tol)
+        if res.multiplicity < k or k == basis.dim:
+            break
+        k = min(2 * k, basis.dim)
+    states = [StateVector(basis, res.vectors[:, i]) for i in range(res.multiplicity)]
 
     r = 1 if spec.bc == "periodic" else math.ceil(spec.L / 2)
     # (leg, rung) of the second site of the other pairs; the first is (1, r)
     partner = {"leg": (1, r + 1), "diag": (2, r + 1)}
-    rho_rung = _rung_rdm(psi, spec, r)
+    rho_rung = _manifold_rdm(states, (spec.site(1, r), spec.site(2, r)))
     conc: dict[str, float | None] = dict.fromkeys(PAIR_KINDS)
     for name in cfg.pairs:
-        rho = rho_rung if name == "rung" else reduced_density_matrix(
-            psi, (spec.site(1, r), spec.site(*partner[name]))
+        rho = rho_rung if name == "rung" else _manifold_rdm(
+            states, (spec.site(1, r), spec.site(*partner[name]))
         )
         conc[name] = concurrence(rho)
 
     ev = {
-        b.label: von_neumann_entropy(
-            reduced_density_matrix(psi, block_sites(b.family, b.l, spec))
-        )
+        b.label: von_neumann_entropy(_manifold_rdm(states, block_sites(b.family, b.l, spec)))
         for b in cfg.blocks
     }
     return SweepRecord(
@@ -213,8 +214,8 @@ def _measure(spec, basis, tables, cfg: SweepConfig, t_over_pi: float) -> SweepRe
         E_rung2site=von_neumann_entropy(rho_rung),
         dEr_dtheta=None,
         Ev=ev,
-        T_expect=expectation_T(psi),
-        degenerate=res.degenerate,
+        T_expect=sum(expectation_T(psi) for psi in states) / len(states),
+        degenerate=res.multiplicity > 1,
     )
 
 
@@ -236,21 +237,10 @@ def _sweep_chunk(config: SweepConfig, thetas) -> list[SweepRecord]:
 def run_sweep(config: SweepConfig) -> list[SweepRecord]:
     """Solve every grid point, fill derivatives, optionally write CSV.
 
-    Grid points must stay strictly inside the uniqueness window unless
-    allow_degenerate is set; an eigensolver failure anywhere aborts the whole
-    sweep with the offending theta in the error message.  With workers > 1
-    the grid is cut into contiguous chunks, one per worker process.
+    An eigensolver failure anywhere aborts the whole sweep with the offending
+    theta in the error message.  With workers > 1 the grid is cut into
+    contiguous chunks, one per worker process.
     """
-    lo, hi = UNIQUE_WINDOW
-    if not config.allow_degenerate:
-        for t in config.thetas_over_pi:
-            if not lo + 1e-12 < t < hi - 1e-12:
-                raise ValueError(
-                    f"theta = {t}*pi is outside the open uniqueness window "
-                    f"({lo}*pi, {hi}*pi); set allow_degenerate=True "
-                    "(--allow-degenerate on the command line) to sweep there"
-                )
-
     thetas = config.thetas_over_pi
     n = min(config.workers, len(thetas))
     if n <= 1:

@@ -64,7 +64,7 @@ def test_gs_one_rung_open_ladder(capsys):
     assert main(argv) == 0
     fields = dict(line.split(" = ") for line in capsys.readouterr().out.strip().splitlines())
     assert float(fields["C_rung"]) == 1.0
-    assert float(fields["E_rung2site"]) == pytest.approx(0.0, abs=1e-12)
+    assert fields["E_rung2site"] == "0"
     assert float(fields["T_expect"]) == -0.75
     assert fields["C_leg"] == fields["C_diag"] == "n/a"
 
@@ -119,15 +119,13 @@ def test_config_file_rejects_unknown_keys(tmp_path, capsys):
 @pytest.mark.parametrize("argv, config, says", [
     pytest.param(["sweep", "--workers", "0"], None, "", id="workers-0"),
     pytest.param(["gs", "--workers", "2"], None, "--workers", id="gs-workers"),
-    pytest.param(["gs", "--theta", "0.97"], None, "--allow-degenerate",
-                 id="theta-outside-window"),
     pytest.param(["gs", "--rungs", "2"], None, "", id="rungs-2"),
     pytest.param(["gs", "--rungs", "1", "--bc", "open"], None, "--pairs rung",
                  id="one-rung-leg-pairs"),
     pytest.param(["gs", "--config", "{tmp}/run.cfg"], "bc = sideways\n", "",
                  id="file-bc"),
-    pytest.param(["gs", "--config", "{tmp}/run.cfg"], "allow_degenerate = maybe\n", "",
-                 id="file-bool"),
+    pytest.param(["gs", "--config", "{tmp}/run.cfg"], "allow_degenerate = maybe\n",
+                 "--allow-degenerate=maybe", id="file-removed-key"),
     pytest.param(["gs", "--config", "{tmp}/run.cfg"], "theta-min = 0.1\n", "",
                  id="file-key-of-sweep"),
     pytest.param(["gs", "--config", "{tmp}/missing.cfg"], None, "", id="file-missing"),
@@ -147,12 +145,24 @@ def test_bad_input_is_a_usage_error(argv, config, says, tmp_path, capsys):
     assert says in err
 
 
+def test_gs_runs_outside_former_window(capsys):
+    # theta/pi = 0.97 lay outside the removed uniqueness window; the ground
+    # state there is unique and the point runs like any other
+    assert main(["gs", "--theta", "0.97"]) == 0
+    fields = dict(line.split(" = ") for line in capsys.readouterr().out.strip().splitlines())
+    assert fields["thetaOverPi"] == "0.97"
+    assert fields["degenerate"] == "0"
+
+
 def test_allow_degenerate_from_file_and_bare_flag(tmp_path, capsys):
+    # the option is gone: its flag and its config key are unknown options
     cfgfile = tmp_path / "run.cfg"
     cfgfile.write_text("allow_degenerate = true\n")
     for argv in (["--config", str(cfgfile)], ["--allow-degenerate"]):
-        assert main(["gs", "--rungs", "3", "--theta", "0.97", *argv]) == 0
-        assert "thetaOverPi = 0.97\n" in capsys.readouterr().out
+        with pytest.raises(SystemExit) as exc:
+            main(["gs", "--rungs", "3", "--theta", "0.97", *argv])
+        assert exc.value.code == 2
+        assert "unrecognized arguments: --allow-degenerate" in capsys.readouterr().err
 
 
 def test_demo_config_runs(capsys):

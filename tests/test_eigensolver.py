@@ -45,7 +45,7 @@ def test_polarized_multiplet_member_at_theta_pi():
     act = action_at(4, 1.0)
     res = lowest_eigenpairs(act.matvec, act.dim, k=2, seed=0)
     assert res.energies[0] == pytest.approx(-3.0, abs=1e-10)
-    assert res.degenerate is False
+    assert res.multiplicity == 1
     spectrum = dense_oracle(act.matvec, act.dim)
     assert abs(res.energies[0] - spectrum[0]) <= 1e-10
 
@@ -111,10 +111,10 @@ def test_deterministic_for_fixed_seed():
 
 
 def test_nondegenerate_across_window():
-    for L, points in ((4, (-0.39, -0.2, 0.0, 0.147584, 0.5, 0.7, 0.94)),
+    for L, points in ((4, (-0.5, -0.39, -0.2, 0.0, 0.147584, 0.5, 0.7, 0.94, 0.97, 1.0)),
                       (6, (0.0, 0.147584, 0.5))):
         for t in points:
-            assert solve(L, t).degenerate is False, (L, t)
+            assert solve(L, t).multiplicity == 1, (L, t)
 
 
 def test_variational_consistency():

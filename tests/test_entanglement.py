@@ -125,11 +125,26 @@ def test_rdm_validation_errors():
     with pytest.raises(ValueError):
         reduced_density_matrix(psi, (0, 6))
     with pytest.raises(ValueError):
-        reduced_density_matrix(psi, tuple(range(6)))  # full system
+        reduced_density_matrix(psi, ())
     big = build_sector(16, 0)
     uniform = fm_state(16, big)
     with pytest.raises(ValueError):
         reduced_density_matrix(uniform, tuple(range(15)))  # above the cap
+
+
+@pytest.mark.parametrize("sites", [(0, 1), (1, 0), (3, 0, 5, 1, 4, 2)],
+                         ids=["N2", "N2-reversed", "N6-shuffled"])
+def test_whole_system_rdm_is_the_projector(sites):
+    # tracing out nothing leaves |psi><psi| over the patterns, sites[0] the
+    # high bit
+    N = len(sites)
+    basis = build_sector(N, 0)
+    psi = random_state(basis, np.random.default_rng(N))
+    v = np.zeros(2**N)
+    pattern = sum(((basis.states >> s) & 1) << (N - 1 - t) for t, s in enumerate(sites))
+    v[pattern] = psi.amps
+    rho = reduced_density_matrix(psi, sites)
+    assert np.max(np.abs(rho.rho - np.outer(v, v))) <= 1e-15
 
 
 PROPERTY_SETTINGS = settings(max_examples=50, deadline=None, derandomize=True, database=None)
@@ -197,6 +212,9 @@ def test_block_entropy_keeps_only_the_blocks():
 def test_entropy_trivial_spectra():
     assert von_neumann_entropy(np.diag([0.5, 0.5])) == pytest.approx(1.0, abs=1e-12)
     assert von_neumann_entropy(np.diag([1.0, 0.0])) == pytest.approx(0.0, abs=1e-12)
+    # a pure state whose unit eigenvalue is rounded gives +0.0 exactly
+    pure = von_neumann_entropy(np.diag([1.0 - 2.2e-16, 0.0]))
+    assert pure == 0.0 and math.copysign(1.0, pure) == 1.0
     lam = np.diag([2 / 3, 1 / 6, 1 / 6])
     assert von_neumann_entropy(lam) == pytest.approx(1.251629, abs=1e-6)
 

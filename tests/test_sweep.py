@@ -5,7 +5,7 @@ import math
 import numpy as np
 import pytest
 
-from conftest import ground_state
+from conftest import ground_state, solve
 from ringladder import (
     BlockSpec,
     LadderSpec,
@@ -94,8 +94,8 @@ def test_theta_grid():
 
 
 def run_small_sweep(**kw):
-    # even L: odd periodic rings carry a momentum doublet even inside the
-    # uniqueness window, which would trip the degeneracy assertions below
+    # even L: odd periodic rings can have a degenerate ground state (g = 3 at
+    # L = 3, theta = 0.1 pi), which would trip the degeneracy assertions below
     cfg = SweepConfig(
         L=4,
         thetas_over_pi=theta_grid(0.10, 0.18, 0.02),
@@ -142,19 +142,32 @@ def test_sweep_pair_selection():
 
 
 def test_sweep_window_gate():
-    with pytest.raises(ValueError):
-        run_sweep(SweepConfig(L=3, thetas_over_pi=(0.96,)))
-    with pytest.raises(ValueError):
-        run_sweep(SweepConfig(L=3, thetas_over_pi=(-0.40,)))
-    # opting in clears the gate
-    recs = run_sweep(
-        SweepConfig(L=3, thetas_over_pi=(1.0,), allow_degenerate=True)
-    )
-    assert len(recs) == 1
+    # no theta is refused: the edges of the removed uniqueness window
+    # (-0.40 pi, 0.95 pi) and the ferromagnetic point run, and each ground
+    # state there is unique
+    recs = run_sweep(SweepConfig(L=4, thetas_over_pi=(-0.40, 0.96, 1.0)))
+    assert [r.degenerate for r in recs] == [False, False, False]
+
+
+@pytest.mark.parametrize("L, twoSz, theta, g", [(3, 0, 0.1, 3), (5, 2, 0.0, 2)])
+def test_degenerate_rows_do_not_depend_on_seed(L, twoSz, theta, g):
+    # a degenerate point is measured on its manifold average, which no basis
+    # choice inside the manifold can change; L = 5 at twoSz = 2 (dim 210)
+    # is solved by ARPACK
+    assert solve(L, theta, twoSz=twoSz, k=g + 1).multiplicity == g
+    blocks = (BlockSpec("A", 2), BlockSpec("D", 3))
+    rows = []
+    for seed in range(5):
+        (rec,) = run_sweep(SweepConfig(L=L, thetas_over_pi=(theta,), twoSz=twoSz,
+                                       blocks=blocks, seed=seed))
+        assert rec.degenerate is True
+        rows.append([rec.E0, rec.gap, rec.C_rung, rec.C_leg, rec.C_diag,
+                     rec.E_rung2site, rec.Ev["A2"], rec.Ev["D3"], rec.T_expect])
+    assert np.max(np.abs(np.array(rows) - rows[0])) <= 1e-10
 
 
 def test_theta_pi_concurrences_all_equal():
-    cfg = SweepConfig(L=4, thetas_over_pi=(1.0,), allow_degenerate=True, seed=0)
+    cfg = SweepConfig(L=4, thetas_over_pi=(1.0,), seed=0)
     rec = run_sweep(cfg)[0]
     expect = 1.0 / 7.0
     assert rec.C_rung == pytest.approx(expect, abs=1e-8)
