@@ -69,12 +69,14 @@ def lowest_eigenpairs(
     """k lowest eigenpairs of a symmetric operator given by its action.
 
     applyH is a callable v -> H v on length-dim arrays.  Deterministic for a
-    fixed seed.  Each returned pair satisfies ||H v - E v|| <= tol * max(1, |E|);
-    failure to converge raises EigensolverError carrying the best residual
-    reached.
+    fixed seed.  Each returned pair satisfies ||H v - E v|| <= tol * max(1, |E|),
+    tol a positive finite number; failure to converge raises EigensolverError
+    carrying the best residual reached.
     """
     if not 1 <= k <= dim:
         raise ValueError(f"need 1 <= k <= dim, got k={k}, dim={dim}")
+    if not (np.isfinite(tol) and tol > 0):
+        raise ValueError(f"tol must be a positive finite number, got {tol}")
     matvecs = 0
 
     def counted(v):

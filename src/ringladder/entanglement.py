@@ -9,7 +9,7 @@ bits.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from math import comb
+from math import comb, hypot, sqrt
 
 import numpy as np
 import scipy.linalg
@@ -93,10 +93,11 @@ class RungRdmParams:
 def reduced_density_matrix(state: StateVector, sites) -> DensityMatrix:
     """Trace out everything but the given sites of a pure sector state.
 
-    Every mask is relabelled so that the environment sites fill the low N - l
-    bits in ascending order and the block sites sit on top, sites[0] highest.
-    Relabelling keeps the popcount, so ranking the new masks lays the state
-    out with each block pattern owning one contiguous run of its
+    Each mask's block pattern (its block bits, sites[0] highest) is read
+    with one pass per site.  The masks of one pattern differ only in their
+    environment bits, so their ascending basis order is the ascending order
+    of their environments; a stable sort on the pattern therefore lays the
+    state out with each pattern owning one contiguous run of its
     C(N - l, n_up - u) environments, u the pattern's up-count, in the same
     order for every pattern.  The block of rho at up-count u is then the
     dense product M_u M_u^T of the C(l, u) runs stacked as rows: O(dim)
@@ -117,22 +118,15 @@ def reduced_density_matrix(state: StateVector, sites) -> DensityMatrix:
     if l > RDM_MAX_SITES:
         raise ValueError(f"block size capped at {RDM_MAX_SITES} sites, got {l}")
 
-    env = [s for s in range(N) if s not in sites]
-    target = {s: pos for pos, s in enumerate(env)}
-    target.update({s: N - 1 - t for t, s in enumerate(sites)})
-    # sites moving by the same shift move in one pass; runs of environment
-    # sites between block sites share theirs
-    moves: dict[int, int] = {}
-    for s, pos in target.items():
-        moves[pos - s] = moves.get(pos - s, 0) | (1 << pos)
-    masks = basis.states
-    relabelled = np.zeros(basis.dim, dtype=np.int64)
-    for shift, bits in moves.items():
-        moved = masks << shift if shift >= 0 else masks >> -shift
-        relabelled |= moved & bits
-    ordered = np.empty(basis.dim)
-    ordered[basis.rank_many(relabelled)] = state.amps
-    del relabelled
+    # l <= RDM_MAX_SITES = 14, so a pattern fits in uint16, for which numpy's
+    # stable sort is an O(dim) radix sort
+    pattern = np.zeros(basis.dim, dtype=np.uint16)
+    for t, s in enumerate(sites):
+        pattern |= ((basis.states >> s).astype(np.uint16) & 1) << (l - 1 - t)
+    ordered = state.amps[np.argsort(pattern, kind="stable")]
+    count = np.bincount(pattern, minlength=2**l)
+    starts = np.cumsum(count) - count
+    del pattern
 
     n_env = N - l
     rho = DensityMatrix(sites=sites, blocks={})
@@ -140,10 +134,7 @@ def reduced_density_matrix(state: StateVector, sites) -> DensityMatrix:
         env_up = basis.n_up - u
         if not 0 <= env_up <= n_env:
             continue
-        # each run starts at its pattern's lowest environment, the env_up
-        # lowest bits set
-        starts = basis.rank_many((rows << n_env) | ((1 << env_up) - 1))
-        M = ordered[starts[:, None] + np.arange(comb(n_env, env_up))]
+        M = ordered[starts[rows][:, None] + np.arange(comb(n_env, env_up))]
         rho.blocks[u] = M @ M.T
     return rho
 
@@ -165,53 +156,38 @@ def von_neumann_entropy(rho) -> float:
     return float(np.sum(lam * -np.log2(lam)))
 
 
-_SYSY = np.array(
-    [
-        [0.0, 0.0, 0.0, -1.0],
-        [0.0, 0.0, 1.0, 0.0],
-        [0.0, 1.0, 0.0, 0.0],
-        [-1.0, 0.0, 0.0, 0.0],
-    ]
-)
-
-
 def concurrence(rho) -> float:
-    """Wootters concurrence of a two-site density matrix.
+    """Wootters concurrence of a fixed-Sz two-site density matrix.
 
-    C = max(l1 - l2 - l3 - l4, 0) with l_i the descending square roots of
-    the eigenvalues of rho (sy x sy) rho* (sy x sy).
+    Such a matrix is an X state: populations p_dd, p_du, p_ud, p_uu and the
+    one coherence z = <ud|rho|du>.  Its concurrence has the closed form
+    C = 2 max(0, |z| - sqrt(p_dd p_uu)) (Wootters, PRL 80, 2245 (1998);
+    Yu & Eberly, Quantum Inf. Comput. 7, 459 (2007)).  A matrix outside that
+    pattern is refused by rung_rdm_params, and one with an eigenvalue below
+    -1e-12 here.
     """
-    if isinstance(rho, DensityMatrix):
-        rho = rho.rho
-    rho = np.asarray(rho, dtype=np.float64)
-    if rho.shape != (4, 4):
-        raise ValueError(f"concurrence needs a 4x4 matrix, got shape {rho.shape}")
-    if np.max(np.abs(rho - rho.T)) > 1e-10:
-        raise ValueError("two-site density matrix is not symmetric")
-    # For real symmetric rho the square roots of the eigenvalues of
-    # rho (sy x sy) rho (sy x sy) are |eig(sqrt(rho) (sy x sy) sqrt(rho))|,
-    # a Hermitian problem.  The asymmetric-product route loses ~sqrt(eps)
-    # on the zero eigenvalues of pure states; this one does not.
-    w, U = np.linalg.eigh(rho)
-    if w[0] < -1e-12:
-        raise ValueError(f"density matrix has eigenvalue {w[0]:.3e} < -1e-12")
-    root = (U * np.sqrt(np.clip(w, 0.0, None))) @ U.T
-    lam = np.sort(np.abs(np.linalg.eigvalsh(root @ _SYSY @ root)))[::-1]
-    return float(max(lam[0] - lam[1] - lam[2] - lam[3], 0.0))
+    p = rung_rdm_params(rho)
+    mid = (p.w1 + p.w2) / 2.0
+    lowest = min(p.uPlus, p.uMinus, mid - hypot((p.w1 - p.w2) / 2.0, p.z))
+    if lowest < -1e-12:
+        raise ValueError(f"density matrix has eigenvalue {lowest:.3e} < -1e-12")
+    return 2.0 * max(0.0, abs(p.z) - sqrt(max(0.0, p.uPlus * p.uMinus)))
 
 
 def rung_rdm_params(rho) -> RungRdmParams:
     """Extract (u+, u-, w1, w2, z) from a U(1)-structured two-site RDM.
 
-    The only entries allowed are the four populations and the single
-    <ud|rho|du> coherence; anything else signals a state that does not
-    conserve Sz and is rejected.
+    The matrix must be symmetric to 1e-10, and the only entries allowed are
+    the four populations and the single <ud|rho|du> coherence; anything else
+    signals a state that does not conserve Sz and is rejected.
     """
     if isinstance(rho, DensityMatrix):
         rho = rho.rho
     rho = np.asarray(rho, dtype=np.float64)
     if rho.shape != (4, 4):
-        raise ValueError(f"rung RDM must be 4x4, got shape {rho.shape}")
+        raise ValueError(f"two-site RDM must be 4x4, got shape {rho.shape}")
+    if np.max(np.abs(rho - rho.T)) > 1e-10:
+        raise ValueError("two-site density matrix is not symmetric")
     allowed = {(0, 0), (1, 1), (2, 2), (3, 3), (1, 2), (2, 1)}
     stray = max(
         abs(rho[r, c]) for r in range(4) for c in range(4) if (r, c) not in allowed
@@ -220,8 +196,6 @@ def rung_rdm_params(rho) -> RungRdmParams:
         raise ValueError(
             f"off-pattern entry of magnitude {stray:.3e}: not a fixed-Sz rung RDM"
         )
-    if abs(rho[1, 2] - rho[2, 1]) > 1e-10:
-        raise ValueError("coherence entries are not symmetric")
     return RungRdmParams(
         uPlus=float(rho[0, 0]),
         w1=float(rho[1, 1]),

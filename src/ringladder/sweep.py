@@ -12,7 +12,8 @@ open ladder has only the rung pair, which is then the whole system.
 
 A ground state of multiplicity g > 1 is measured as the equal mixture of
 its manifold, rho = (1/g) sum_i |psi_i><psi_i|, which does not depend on
-the basis the eigensolver picks inside it.
+the basis the eigensolver picks inside it; its gap is E_g - E0, to the first
+level above the manifold.
 """
 
 from __future__ import annotations
@@ -124,6 +125,10 @@ class SweepConfig:
         object.__setattr__(self, "thetas_over_pi", tuple(float(t) for t in self.thetas_over_pi))
         object.__setattr__(self, "blocks", tuple(self.blocks))
         object.__setattr__(self, "pairs", self.check_pairs(self.pairs))
+        if not all(math.isfinite(t) for t in self.thetas_over_pi):
+            raise ValueError(f"theta must be finite, got {self.thetas_over_pi}")
+        if not (math.isfinite(self.tol) and self.tol > 0):
+            raise ValueError(f"tol must be a positive finite number, got {self.tol}")
         if self.workers < 1:
             raise ValueError(f"workers must be at least 1, got {self.workers}")
         if self.L == 1 and {"leg", "diag"} & set(self.pairs):
@@ -159,6 +164,8 @@ class SweepRecord:
 
 def theta_grid(start: float, stop: float, step: float) -> tuple[float, ...]:
     """Inclusive uniform grid in units of pi, robust to float stepping."""
+    if step == 0:
+        raise ValueError("grid step must not be zero")
     n = int(round((stop - start) / step))
     if n < 0 or abs(start + n * step - stop) > 1e-9:
         raise ValueError(f"grid ({start}, {stop}, {step}) misses its endpoint")
@@ -187,7 +194,9 @@ def _measure(spec, basis, tables, cfg: SweepConfig, t_over_pi: float) -> SweepRe
         if res.multiplicity < k or k == basis.dim:
             break
         k = min(2 * k, basis.dim)
-    states = [StateVector(basis, res.vectors[:, i]) for i in range(res.multiplicity)]
+    g = res.multiplicity
+    states = [StateVector(basis, res.vectors[:, i]) for i in range(g)]
+    gap = float(res.energies[g] - res.energies[0]) if g < k else float("nan")
 
     r = 1 if spec.bc == "periodic" else math.ceil(spec.L / 2)
     # (leg, rung) of the second site of the other pairs; the first is (1, r)
@@ -207,7 +216,7 @@ def _measure(spec, basis, tables, cfg: SweepConfig, t_over_pi: float) -> SweepRe
     return SweepRecord(
         thetaOverPi=t_over_pi,
         E0=float(res.energies[0]),
-        gap=float(res.energies[1] - res.energies[0]) if k >= 2 else float("nan"),
+        gap=gap,
         C_rung=conc["rung"],
         C_leg=conc["leg"],
         C_diag=conc["diag"],
@@ -215,7 +224,7 @@ def _measure(spec, basis, tables, cfg: SweepConfig, t_over_pi: float) -> SweepRe
         dEr_dtheta=None,
         Ev=ev,
         T_expect=sum(expectation_T(psi) for psi in states) / len(states),
-        degenerate=res.multiplicity > 1,
+        degenerate=g > 1,
     )
 
 

@@ -133,6 +133,12 @@ def test_config_file_rejects_unknown_keys(tmp_path, capsys):
                  id="file-nested"),
     pytest.param(["fm-oracle", "--workers", "2"], None, "", id="fm-oracle-workers"),
     pytest.param(["blocks"], None, "", id="blocks-without-blocks"),
+    pytest.param(["sweep", "--theta-step", "0"], None, "step", id="theta-step-0"),
+    pytest.param(["gs", "--theta", "nan"], None, "theta", id="theta-nan"),
+    pytest.param(["gs", "--tol", "-1"], None, "tol", id="tol-negative"),
+    # a NaN or infinite tol would switch the residual check off
+    pytest.param(["gs", "--tol", "nan"], None, "tol", id="tol-nan"),
+    pytest.param(["gs", "--tol", "inf"], None, "tol", id="tol-inf"),
 ])
 def test_bad_input_is_a_usage_error(argv, config, says, tmp_path, capsys):
     if config is not None:

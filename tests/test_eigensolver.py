@@ -135,6 +135,13 @@ def test_argument_validation():
         dense_oracle(mv, 5000)
 
 
+@pytest.mark.parametrize("tol", [math.nan, math.inf, 0.0, -1e-12])
+def test_tol_must_be_positive_and_finite(tol):
+    # a residual is never > nan or > inf, so such a tol would pass any pair
+    with pytest.raises(ValueError, match="tol"):
+        lowest_eigenpairs(lambda v: v, 4, k=1, tol=tol)
+
+
 def test_dense_oracle_rejects_asymmetric():
     M = np.array([[0.0, 1.0], [0.0, 0.0]])
     with pytest.raises(ValueError):

@@ -243,6 +243,35 @@ def test_concurrence_shape_check():
         concurrence(np.eye(8) / 8.0)
 
 
+@pytest.mark.parametrize("p", np.linspace(0.0, 1.0, 21))
+def test_concurrence_werner_states(p):
+    # p |psi-><psi-| + (1 - p) 1/4 is entangled only above p = 1/3
+    rho = p * SINGLET_RHO + (1.0 - p) * np.eye(4) / 4.0
+    assert concurrence(rho) == pytest.approx(max(0.0, (3.0 * p - 1.0) / 2.0), abs=1e-14)
+
+
+def _with(rho, entries):
+    rho = rho.copy()
+    for rc, value in entries.items():
+        rho[rc] = value
+    return rho
+
+
+@pytest.mark.parametrize("rho, says", [
+    pytest.param(_with(SINGLET_RHO, {(1, 2): -0.4}), "not symmetric", id="asymmetric"),
+    pytest.param(np.diag([0.6, 0.3, 0.3, -0.2]), "eigenvalue", id="negative-population"),
+    pytest.param(_with(SINGLET_RHO, {(1, 1): 0.3, (2, 2): 0.3}), "eigenvalue",
+                 id="negative-in-coherence-block"),
+    # a coherence between different rung Sz: positive definite, but not the
+    # reduced state of a fixed-Sz state
+    pytest.param(_with(np.eye(4) / 4.0, {(0, 3): 0.1, (3, 0): 0.1}), "off-pattern",
+                 id="dd-uu-coherence"),
+])
+def test_concurrence_refusals(rho, says):
+    with pytest.raises(ValueError, match=says):
+        concurrence(rho)
+
+
 def test_rung_params_singlet_triplet_mixed():
     p = rung_rdm_params(SINGLET_RHO)
     assert (p.uPlus, p.uMinus) == (0.0, 0.0)
@@ -316,6 +345,9 @@ def test_su2_relations_on_ground_state():
 @example((6, 0.2, "periodic", 0, (4, 0, 1, 2, 9, 7, 10)))
 @example((6, 0.2, "periodic", 0, (7,)))
 @example((6, 0.2, "periodic", 0, (3, 1, 5, 11, 7, 9, 4)))
+# a shuffled block at the RDM_MAX_SITES = 14 cap, the widest pattern a
+# uint16 holds (dim 120)
+@example((8, 0.3, "periodic", 12, (13, 2, 9, 0, 15, 6, 11, 4, 1, 14, 7, 3, 12, 10)))
 def test_complement_symmetry(case):
     L, theta, bc, twoSz, sites = case
     psi = ground_state(L, theta, bc, twoSz)

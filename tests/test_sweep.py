@@ -91,6 +91,8 @@ def test_theta_grid():
     assert len(theta_grid(0.0, 0.0, 0.01)) == 1
     with pytest.raises(ValueError):
         theta_grid(0.0, 0.05, 0.02)
+    with pytest.raises(ValueError, match="step"):
+        theta_grid(0.0, 0.05, 0.0)
 
 
 def run_small_sweep(**kw):
@@ -154,13 +156,17 @@ def test_degenerate_rows_do_not_depend_on_seed(L, twoSz, theta, g):
     # a degenerate point is measured on its manifold average, which no basis
     # choice inside the manifold can change; L = 5 at twoSz = 2 (dim 210)
     # is solved by ARPACK
-    assert solve(L, theta, twoSz=twoSz, k=g + 1).multiplicity == g
+    ref = solve(L, theta, twoSz=twoSz, k=g + 1)
+    assert ref.multiplicity == g
     blocks = (BlockSpec("A", 2), BlockSpec("D", 3))
     rows = []
     for seed in range(5):
         (rec,) = run_sweep(SweepConfig(L=L, thetas_over_pi=(theta,), twoSz=twoSz,
                                        blocks=blocks, seed=seed))
         assert rec.degenerate is True
+        # the gap is to the first level above the manifold, not inside it
+        assert rec.gap == pytest.approx(ref.energies[g] - ref.energies[0], abs=1e-10)
+        assert rec.gap > 0.1
         rows.append([rec.E0, rec.gap, rec.C_rung, rec.C_leg, rec.C_diag,
                      rec.E_rung2site, rec.Ev["A2"], rec.Ev["D3"], rec.T_expect])
     assert np.max(np.abs(np.array(rows) - rows[0])) <= 1e-10

@@ -118,6 +118,17 @@ def test_csv_diff_same_cells_other_bytes(tmp_path):
     assert proc.stdout.splitlines()[-1] == "0 of 9 cells differ"
 
 
+def test_csv_diff_reads_gs_output_as_one_row(tmp_path):
+    gs = "thetaOverPi = 0.1\nE0 = -1.5\nC_leg = n/a\ngap = 0.25\n"
+    proc = csv_diff(tmp_path, gs, gs.replace("-1.5", "-1.5000000001"))
+    assert proc.returncode == 1, proc.stderr
+    cols = {line.split()[0]: line.split()[1:] for line in proc.stdout.splitlines()[1:-1]}
+    assert cols["thetaOverPi"] == ["0", "-"]
+    assert cols["E0"][0] == "1"
+    assert float(cols["E0"][1]) == pytest.approx(1e-10, rel=1e-3)
+    assert proc.stdout.splitlines()[-1] == "1 of 4 cells differ"
+
+
 @pytest.mark.parametrize("other", [
     pytest.param("theta,E0,C_diag\n0.1,-1.5,\n0.2,-1.25,0.5\n0.3,-1.0,0.25\n", id="header"),
     pytest.param("theta,E0,C_leg\n0.1,-1.5,\n0.2,-1.25,0.5\n", id="rows"),

@@ -4,10 +4,12 @@ Usage, from the repository root:
 
     python3 tools/csv_diff.py parent.csv change.csv
 
-For each column it prints how many cells differ in their text and the
-largest |difference| among those that both parse as numbers.  The exit
-status is 0 when the files are byte-identical, 1 when they are not, and 2
-when the headers or the row counts differ or a file cannot be read.
+A file whose every line reads 'name = value', as `ringladder gs` prints,
+is read as a one-row table with the names as its header.  For each column
+it prints how many cells differ in their text and the largest |difference|
+among those that both parse as numbers.  The exit status is 0 when the
+files are byte-identical, 1 when they are not, and 2 when the headers or
+the row counts differ or a file cannot be read.
 """
 
 from __future__ import annotations
@@ -22,7 +24,12 @@ import sys
 def read(path: str) -> tuple[bytes, list[list[str]]]:
     with open(path, "rb") as fh:
         raw = fh.read()
-    return raw, list(csv.reader(io.StringIO(raw.decode())))
+    text = raw.decode()
+    lines = text.splitlines()
+    if lines and all(" = " in line for line in lines):
+        names, values = zip(*(line.split(" = ", 1) for line in lines))
+        return raw, [list(names), list(values)]
+    return raw, list(csv.reader(io.StringIO(text)))
 
 
 def number(text: str) -> float:
