@@ -94,16 +94,20 @@ def reduced_density_matrix(state: StateVector, sites) -> DensityMatrix:
     """Trace out everything but the given sites of a pure sector state.
 
     Each mask's block pattern (its block bits, sites[0] highest) is read
-    with one pass per site.  The masks of one pattern differ only in their
-    environment bits, so their ascending basis order is the ascending order
-    of their environments; a stable sort on the pattern therefore lays the
-    state out with each pattern owning one contiguous run of its
-    C(N - l, n_up - u) environments, u the pattern's up-count, in the same
-    order for every pattern.  The block of rho at up-count u is then the
-    dense product M_u M_u^T of the C(l, u) runs stacked as rows: O(dim)
-    integer work and one BLAS product per u instead of a 4^l full trace.
-    A block of all N sites has one environment per pattern, so rho is
-    |psi><psi| over the patterns.
+    from two small tables, one over the high and one over the low half of
+    the mask (split at b = N // 2, as in Lin's tables), with one gather
+    each.  The masks of one pattern differ only in their environment bits,
+    so their ascending basis order is the ascending order of their
+    environments.  A stable sort on each pattern's position in
+    (up-count, pattern) order therefore lays the state out with each
+    pattern owning one contiguous run of its C(N - l, n_up - u)
+    environments, u the pattern's up-count, in the same order for every
+    pattern, and the C(l, u) runs of one u next to each other.  M_u, those
+    runs stacked as rows, is then a reshape of one slice, and the block of
+    rho at up-count u is the dense product M_u M_u^T: O(dim) integer work
+    and one BLAS product per u instead of a 4^l full trace.  A block of
+    all N sites has one environment per pattern, so rho is |psi><psi| over
+    the patterns.
     """
     sites = tuple(int(s) for s in sites)
     basis = state.basis
@@ -118,23 +122,30 @@ def reduced_density_matrix(state: StateVector, sites) -> DensityMatrix:
     if l > RDM_MAX_SITES:
         raise ValueError(f"block size capped at {RDM_MAX_SITES} sites, got {l}")
 
-    # l <= RDM_MAX_SITES = 14, so a pattern fits in uint16, for which numpy's
-    # stable sort is an O(dim) radix sort
-    pattern = np.zeros(basis.dim, dtype=np.uint16)
+    # l <= RDM_MAX_SITES = 14, so patterns and their positions fit in
+    # uint16, for which numpy's stable sort is an O(dim) radix sort
+    b = N // 2
+    hi_pattern = np.zeros(1 << (N - b), dtype=np.uint16)
+    lo_pattern = np.zeros(1 << b, dtype=np.uint16)
     for t, s in enumerate(sites):
-        pattern |= ((basis.states >> s).astype(np.uint16) & 1) << (l - 1 - t)
-    ordered = state.amps[np.argsort(pattern, kind="stable")]
-    count = np.bincount(pattern, minlength=2**l)
-    starts = np.cumsum(count) - count
-    del pattern
+        table, bit = (hi_pattern, s - b) if s >= b else (lo_pattern, s)
+        table |= ((np.arange(len(table)) >> bit) & 1).astype(np.uint16) << (l - 1 - t)
+    rho = DensityMatrix(sites=sites, blocks={})
+    position = np.empty(2**l, dtype=np.uint16)
+    position[np.concatenate(rho.sz_sectors())] = np.arange(2**l)
+    key = position[hi_pattern[basis.states >> b] | lo_pattern[basis.states & ((1 << b) - 1)]]
+    ordered = state.amps[np.argsort(key, kind="stable")]
+    del key
 
     n_env = N - l
-    rho = DensityMatrix(sites=sites, blocks={})
-    for u, rows in enumerate(rho.sz_sectors()):
+    at = 0
+    for u in range(l + 1):
         env_up = basis.n_up - u
         if not 0 <= env_up <= n_env:
             continue
-        M = ordered[starts[rows][:, None] + np.arange(comb(n_env, env_up))]
+        rows, cols = comb(l, u), comb(n_env, env_up)
+        M = ordered[at:at + rows * cols].reshape(rows, cols)
+        at += rows * cols
         rho.blocks[u] = M @ M.T
     return rho
 

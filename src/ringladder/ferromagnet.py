@@ -10,6 +10,7 @@ integer arithmetic at every N, so each one is correctly rounded.
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 from math import comb, e, log2, pi
 
@@ -52,6 +53,12 @@ def fm_state(N: int, basis: SectorBasis) -> StateVector:
     return StateVector(basis, np.full(dim, 1.0 / np.sqrt(dim)))
 
 
+@functools.lru_cache(maxsize=16)
+def _central_binomial(N: int) -> int:
+    """C(N, N/2), the count of the Sz = 0 sector; an N-bit integer."""
+    return comb(N, N // 2)
+
+
 def fm_block_spectrum(N: int, l: int) -> FmSpectrum:
     """Exact block RDM spectrum of the uniform Sz = 0 state.
 
@@ -60,7 +67,9 @@ def fm_block_spectrum(N: int, l: int) -> FmSpectrum:
     geometry: lambda_k = C(l, k) C(N - l, n - k) / C(N, n).  Each numerator
     is an exact integer, taken from the one before by the ratio of
     consecutive terms, and divided once by C(N, n), so every weight is
-    correctly rounded.  The integers have about N bits, so one spectrum
+    correctly rounded.  The law is mirror-symmetric, lambda_k =
+    lambda_{l-k} exactly, so only k up to l // 2 is computed and the rest
+    is that half reversed.  The integers have about N bits, so one spectrum
     takes milliseconds at N = 1000 but tens of seconds at N = 10^6.
     """
     if N <= 0 or N % 2:
@@ -68,13 +77,17 @@ def fm_block_spectrum(N: int, l: int) -> FmSpectrum:
     if not 1 <= l <= N - 1:
         raise ValueError(f"block size must be in 1..{N - 1}, got {l}")
     n = N // 2
-    lo, hi = max(0, l - n), min(l, n)  # k outside has weight 0
-    total = comb(N, n)
-    lam = np.zeros(l + 1)
+    lo, hi = max(0, l - n), min(l, n)  # k outside has weight 0; lo + hi = l
+    mid = l // 2
+    total = _central_binomial(N)
+    half = []
     c = comb(l, lo) * comb(N - l, n - lo)
-    for k in range(lo, hi + 1):
-        lam[k] = c / total
+    for k in range(lo, mid + 1):
+        half.append(c / total)
         c = c * (l - k) * (n - k) // ((k + 1) * (N - l - n + k + 1))
+    lam = np.zeros(l + 1)
+    lam[lo:mid + 1] = half
+    lam[l - mid:hi + 1] = half[::-1]
     return FmSpectrum(N=N, l=l, lambdas=lam)
 
 

@@ -131,6 +131,8 @@ class SweepConfig:
             raise ValueError(f"tol must be a positive finite number, got {self.tol}")
         if self.workers < 1:
             raise ValueError(f"workers must be at least 1, got {self.workers}")
+        if self.seed < 0:
+            raise ValueError(f"seed must be a non-negative integer, got {self.seed}")
         if self.L == 1 and {"leg", "diag"} & set(self.pairs):
             raise ValueError("a one-rung ladder has no leg or diag pair; use --pairs rung")
 

@@ -139,6 +139,7 @@ def test_config_file_rejects_unknown_keys(tmp_path, capsys):
     # a NaN or infinite tol would switch the residual check off
     pytest.param(["gs", "--tol", "nan"], None, "tol", id="tol-nan"),
     pytest.param(["gs", "--tol", "inf"], None, "tol", id="tol-inf"),
+    pytest.param(["gs", "--seed", "-1"], None, "seed", id="seed-negative"),
 ])
 def test_bad_input_is_a_usage_error(argv, config, says, tmp_path, capsys):
     if config is not None:

@@ -195,6 +195,25 @@ def test_rdm_matches_dense_oracle(N):
                 assert np.max(np.abs(rho - dense_rdm(psi, sites))) <= 1e-13, (twoSz, sites)
 
 
+@pytest.mark.parametrize("N", [10, 14])
+@pytest.mark.parametrize("half", ["high", "low", "both"])
+def test_rdm_pattern_tables_match_dense_oracle(N, half):
+    # the block pattern is read from one table over the high half of each
+    # mask (sites b..N-1, b = N // 2) and one over the low half
+    b = N // 2
+    rng = np.random.default_rng(N)
+    if half == "both":
+        blocks = [(b, b - 1), (b - 1, N - 1, 0, b), (0, b + 1, 2, N - 1, b - 1, b)]
+    else:
+        pool = range(b, N) if half == "high" else range(b)
+        blocks = [tuple(int(s) for s in rng.permutation(pool)[:l]) for l in (1, 3, len(pool))]
+    for twoSz in (-2, 0, 2):
+        psi = random_state(build_sector(N, twoSz), rng)
+        for sites in blocks:
+            rho = reduced_density_matrix(psi, sites).rho
+            assert np.max(np.abs(rho - dense_rdm(psi, sites))) <= 1e-13, (twoSz, sites)
+
+
 def test_block_entropy_keeps_only_the_blocks():
     # a 12-site block of the N = 16 Dicke state: its blocks hold 21 MB, the
     # dense 2^12 x 2^12 rho would be 134 MB

@@ -105,12 +105,23 @@ def test_entropy_complement_symmetry():
         assert fm_entropy(12, l) == pytest.approx(fm_entropy(12, 12 - l), abs=1e-12)
 
 
+def exact_weights(N, l):
+    n = N // 2
+    return [comb(l, k) * (comb(N - l, n - k) if k <= n else 0) / comb(N, n)
+            for k in range(l + 1)]
+
+
 def test_large_n_weights_exact():
-    # every weight is the correctly rounded integer quotient, at any N
-    for N, l in ((28, 10), (200, 37), (1000, 3), (1000, 500)):
-        n = N // 2
-        exact = [comb(l, k) * comb(N - l, n - k) / comb(N, n) for k in range(l + 1)]
-        assert fm_block_spectrum(N, l).lambdas.tolist() == exact
+    # every weight is the correctly rounded integer quotient, at any N; the
+    # half above l // 2 is the mirror of the half below, so this also covers
+    # blocks past N / 2 (lo = l - N/2 > 0) and both parities of l - lo
+    cases = [(N, l) for N in range(2, 31, 2) for l in range(1, N)]
+    cases += [(200, 37), (1000, 3), (1000, 500), (1000, 499), (1000, 501),
+              (1000, 700), (1000, 999)]
+    for N, l in cases:
+        lam = fm_block_spectrum(N, l).lambdas.tolist()
+        assert lam == exact_weights(N, l), (N, l)
+        assert lam == lam[::-1], (N, l)
 
 
 def test_asymptote_value_and_gap():

@@ -238,6 +238,13 @@ def test_sweep_config_validation():
         SweepConfig(L=3, thetas_over_pi=(0.1,), pairs=("rung", "cross"))
 
 
+def test_negative_seed_refused_on_the_dense_route_too():
+    # L = 2 has dim 6, solved densely without a start vector, so a negative
+    # seed would otherwise pass unused there and fail only at larger L
+    with pytest.raises(ValueError, match="seed"):
+        SweepConfig(L=2, thetas_over_pi=(0.0,), seed=-1)
+
+
 def test_zero_crossing_basic():
     assert find_zero_crossing([(0.0, -1.0), (1.0, 1.0)]) == [0.5]
     assert find_zero_crossing([(0.0, 1.0), (1.0, 2.0)]) == []

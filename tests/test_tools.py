@@ -129,10 +129,30 @@ def test_csv_diff_reads_gs_output_as_one_row(tmp_path):
     assert proc.stdout.splitlines()[-1] == "1 of 4 cells differ"
 
 
+ORACLE = (
+    "N = 6\nfm_pair_concurrence = 0.2\n"
+    "l,fm_entropy,fm_entropy_asymptotic\n1,1,0.97\n2,1.37,1.33\n3,1.52,1.44\n"
+)
+
+
+def test_csv_diff_reads_fm_oracle_output_as_two_tables(tmp_path):
+    # the name = value lines form a one-row table, the CSV after them another
+    proc = csv_diff(tmp_path, ORACLE, ORACLE.replace("1.37", "1.3700000001"))
+    assert proc.returncode == 1, proc.stderr
+    cols = {line.split()[0]: line.split()[1:] for line in proc.stdout.splitlines()[1:-1]}
+    assert list(cols) == ["N", "fm_pair_concurrence", "l", "fm_entropy",
+                          "fm_entropy_asymptotic"]
+    assert cols["N"] == ["0", "-"]
+    assert cols["fm_entropy"][0] == "1"
+    assert float(cols["fm_entropy"][1]) == pytest.approx(1e-10, rel=1e-3)
+    assert proc.stdout.splitlines()[-1] == "1 of 11 cells differ"
+
+
 @pytest.mark.parametrize("other", [
     pytest.param("theta,E0,C_diag\n0.1,-1.5,\n0.2,-1.25,0.5\n0.3,-1.0,0.25\n", id="header"),
     pytest.param("theta,E0,C_leg\n0.1,-1.5,\n0.2,-1.25,0.5\n", id="rows"),
     pytest.param("theta,E0,C_leg\n0.1,-1.5\n0.2,-1.25,0.5\n0.3,-1.0,0.25\n", id="ragged"),
+    pytest.param(ORACLE, id="layout"),  # a name = value table before the CSV
     pytest.param(None, id="missing"),
 ])
 def test_csv_diff_unreadable_or_unlike(tmp_path, other):

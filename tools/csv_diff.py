@@ -4,12 +4,14 @@ Usage, from the repository root:
 
     python3 tools/csv_diff.py parent.csv change.csv
 
-A file whose every line reads 'name = value', as `ringladder gs` prints,
-is read as a one-row table with the names as its header.  For each column
-it prints how many cells differ in their text and the largest |difference|
-among those that both parse as numbers.  The exit status is 0 when the
-files are byte-identical, 1 when they are not, and 2 when the headers or
-the row counts differ or a file cannot be read.
+Leading lines that read 'name = value' are read as a one-row table with
+the names as its header, and the CSV after them, if any, as a second
+table: `ringladder gs` prints only such lines, `ringladder fm-oracle` two
+of them and then a CSV.  For each column it prints how many cells differ in
+their text and the largest |difference| among those that both parse as
+numbers.  The exit status is 0 when the files are byte-identical, 1 when
+they are not, and 2 when the layouts, the headers or the row counts differ
+or a file cannot be read.
 """
 
 from __future__ import annotations
@@ -21,15 +23,19 @@ import math
 import sys
 
 
-def read(path: str) -> tuple[bytes, list[list[str]]]:
+def read(path: str) -> tuple[bytes, list[list[list[str]]]]:
+    """The file's bytes and its tables, each a header row and data rows."""
     with open(path, "rb") as fh:
         raw = fh.read()
-    text = raw.decode()
-    lines = text.splitlines()
-    if lines and all(" = " in line for line in lines):
-        names, values = zip(*(line.split(" = ", 1) for line in lines))
-        return raw, [list(names), list(values)]
-    return raw, list(csv.reader(io.StringIO(text)))
+    lines = raw.decode().splitlines()
+    named = next((i for i, line in enumerate(lines) if " = " not in line), len(lines))
+    tables = []
+    if named:
+        names, values = zip(*(line.split(" = ", 1) for line in lines[:named]))
+        tables.append([list(names), list(values)])
+    if named < len(lines):
+        tables.append(list(csv.reader(io.StringIO("\n".join(lines[named:])))))
+    return raw, tables
 
 
 def number(text: str) -> float:
@@ -69,7 +75,9 @@ def main(argv=None) -> int:
         if raw_a == raw_b:
             print("the files are byte-identical")
             return 0
-        diffs = column_diffs(a, b)
+        if not a or len(a) != len(b):
+            raise ValueError("the layouts differ")
+        diffs = [d for ta, tb in zip(a, b) for d in column_diffs(ta, tb)]
     except (OSError, ValueError, csv.Error) as exc:
         print(f"csv_diff: {exc}", file=sys.stderr)
         return 2
@@ -79,7 +87,7 @@ def main(argv=None) -> int:
         shown = "-" if delta is None else format(delta, ".3g")
         print(f"{name:<{width}}  {count:>5}  {shown}")
     total = sum(count for _, count, _ in diffs)
-    print(f"{total} of {(len(a) - 1) * len(a[0])} cells differ")
+    print(f"{total} of {sum((len(t) - 1) * len(t[0]) for t in a)} cells differ")
     return 1
 
 
