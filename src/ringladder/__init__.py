@@ -2,7 +2,7 @@
 ladder with four-spin ring exchange on the Jl = Jr = cos(theta), K = sin(theta)
 coupling circle."""
 
-from .basis import SectorBasis, build_sector
+from .basis import SectorBasis, SymmetrySector, build_sector, symmetry_sectors
 from .eigensolver import (
     EigenResult,
     EigensolverError,
@@ -66,6 +66,8 @@ __all__ = [
     "enumerate_terms",
     "SectorBasis",
     "build_sector",
+    "SymmetrySector",
+    "symmetry_sectors",
     "StateVector",
     "LadderTables",
     "HamiltonianAction",

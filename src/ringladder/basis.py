@@ -1,4 +1,5 @@
-"""Enumeration and ranking of fixed-magnetization bitmask bases.
+"""Enumeration and ranking of fixed-magnetization bitmask bases, and the
+symmetry sectors of a periodic ladder's fixed-magnetization sector.
 
 A configuration is a bitmask where bit s set means spin up at site s.  The
 sector with 2*Sz = twoSz holds every mask of popcount n_up = N/2 + Sz, in
@@ -13,7 +14,7 @@ The states ascend, so the ordinal of m is off[hi] + lo_rank[lo], and the
 states of one high half are hi << b joined to each low half of popcount
 n_up - popcount(hi) in turn.  The sector is complete, so a mask belongs to it
 exactly when it is nonnegative, has no bit at or above N and has popcount
-n_up.
+n_up.  The symmetry sectors are described after build_sector.
 """
 
 from __future__ import annotations
@@ -24,7 +25,14 @@ from math import comb
 
 import numpy as np
 
-__all__ = ["SectorBasis", "build_sector"]
+__all__ = [
+    "SectorBasis",
+    "build_sector",
+    "Irrep",
+    "LadderOrbits",
+    "SymmetrySector",
+    "symmetry_sectors",
+]
 
 N_MAX = 32
 # rank_many works through its masks in blocks of this many, so that the
@@ -130,3 +138,259 @@ def build_sector(N: int, twoSz: int) -> SectorBasis:
     states = np.repeat(his << b, width)
     states |= lows[k]
     return SectorBasis(N=N, twoSz=twoSz, states=states)
+
+
+# ---------------------------------------------------------------------------
+# Symmetry sectors of periodic ladders
+#
+# The periodic L-rung ladder (sites s = 2 * rung + leg, rungs from 0) is
+# invariant under the translation T (rung j -> j + 1), the reflection
+# R (rung j -> -j), the leg exchange Q and, at twoSz = 0, the spin
+# inversion Z.  They generate G = D_L x Z2 x Z2 (or D_L x Z2), whose element
+# e = ((z * 2 + q) * 2 + p) * L + r acts on a mask as Z^z Q^q T^r R^p.  A
+# real irrep Gamma of dimension d has orthogonal matrices D(g), and the
+# operators P_1j = (d / |G|) sum_g D_1j(g) g map a representative |a> to the
+# states of Gamma's first row (Sandvik, arXiv:1101.3281, section 4).  Their
+# Gram matrix is <a|P_ij|a> = (d / |G|) sum over the stabilizer of a of
+# D_ij(s) = n_a^2 Pi_a, with Pi_a the projector onto the vectors of the irrep
+# that the stabilizer fixes and n_a^2 = d |Stab a| / |G|.  Each unit vector
+# u of an orthonormal basis of the image of Pi_a gives one sector state
+#
+#     w(a, u) = (1 / n_a) sum_j u_j P_1j |a>,
+#
+# whose amplitude on the mask x = h(a) is n_a (D(h)^T u)_1, and
+# H w(a, u) = sum over the entries h_ba of a's row of h_ba * sum over the
+# states w(b', u') of b's orbit of u'^T D(g_b) u * n_b' / n_a, where g_b
+# maps b to its representative b'.  Real irreps keep H real: the momenta
+# k = 2 pi m / L with 0 < m < L / 2 pair with -k into two-dimensional
+# irreps, one of whose two rows is solved; the other row has the same
+# spectrum.
+# ---------------------------------------------------------------------------
+
+
+@dataclass(frozen=True)
+class Irrep:
+    """A real irrep of the periodic ladder's symmetry group.
+
+    Momentum k = 2 pi m / L.  m = 0 and m = L / 2 give one-dimensional
+    irreps with reflection parity ±1; every other 0 < m < L / 2 gives a
+    two-dimensional one (parity 0).  leg and flip are the leg-exchange and
+    spin-inversion parities; flip is +1 when the group has no inversion.
+    """
+
+    m: int
+    parity: int
+    leg: int
+    flip: int
+
+    @property
+    def dim(self) -> int:
+        return 1 if self.parity else 2
+
+    @property
+    def label(self) -> str:
+        p = {1: "+", -1: "-", 0: ""}[self.parity]
+        return f"k{self.m}{p} Q{self.leg:+d} Z{self.flip:+d}"
+
+
+def _reflect(masks: np.ndarray, L: int) -> np.ndarray:
+    """R: the two spins of rung j move to rung (L - j) mod L."""
+    out = np.zeros_like(masks)
+    for j in range(L):
+        out |= ((masks >> (2 * j)) & 3) << (2 * ((L - j) % L))
+    return out
+
+
+class LadderOrbits:
+    """Orbits of one fixed-Sz sector of the periodic L-rung ladder under G.
+
+    Each orbit's representative is its smallest mask.  For every sector
+    state x, orbit_of[x] is the index of its orbit in reps and element_of[x]
+    the (first) group element e with e(x) = reps[orbit_of[x]]; both come
+    from a running minimum over the images of all states under one group
+    element at a time, so the memory stays O(dim).  fix_orbit and fix_element
+    list the non-identity stabilizers of the representatives.  Element e is
+    Z^z[e] Q^q[e] T^r[e] R^p[e]; cosets lists the (p, q, z) of the L
+    translations each.
+    """
+
+    def __init__(self, basis: SectorBasis):
+        if basis.N < 6:
+            raise ValueError(f"a periodic ladder needs at least 3 rungs, got N = {basis.N}")
+        self.basis = basis
+        self.L = L = basis.N // 2
+        flips = (0, 1) if basis.twoSz == 0 else (0,)
+        self.cosets = [(p, q, z) for z in flips for q in (0, 1) for p in (0, 1)]
+        self.order = len(self.cosets) * L
+        e = np.arange(self.order)
+        self.r = e % L
+        self.p, self.q, self.z = (np.array([c[i] for c in self.cosets])[e // L] for i in range(3))
+
+        states = basis.states
+        # N <= 32, so the images are formed in uint32, half the memory traffic
+        rep = states.astype(np.uint32)
+        self.element_of = np.zeros(basis.dim, dtype=np.uint8)
+        for e, image in self._images(rep.copy()):
+            better = image < rep
+            np.copyto(rep, image, where=better)
+            self.element_of[better] = e
+        self.reps = states[rep == states]
+        self.orbit_of = np.searchsorted(self.reps, rep)
+        del rep
+        fixed = [(np.flatnonzero(image == self.reps), e) for e, image in self._images(self.reps)]
+        self.fix_orbit = np.concatenate([f for f, _ in fixed])
+        self.fix_element = np.concatenate([np.full(len(f), e) for f, e in fixed])
+
+    def locate(self, masks: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """(orbit index, element taking the mask to its representative) of
+        each in-sector mask."""
+        at = self.basis.rank_many(masks)
+        return self.orbit_of[at], self.element_of[at]
+
+    def _images(self, masks):
+        """(e, e(masks)) for every non-identity element e."""
+        N, L = self.basis.N, self.L
+        full = (1 << N) - 1
+        legs = int("01" * L, 2)
+        reflected = _reflect(masks, L)
+        for c, (p, q, z) in enumerate(self.cosets):
+            y = reflected if p else masks
+            if q:
+                y = ((y & legs) << 1) | ((y >> 1) & legs)
+            if z:
+                y = y ^ full
+            for r in range(L):
+                if c == 0 and r == 0:
+                    continue
+                yield c * L + r, ((y << (2 * r)) | (y >> (N - 2 * r))) & full if r else y
+
+    def irreps(self) -> list[Irrep]:
+        """Every real irrep of G, by momentum, parity, leg and flip."""
+        L = self.L
+        flips = (1, -1) if self.basis.twoSz == 0 else (1,)
+        out = []
+        for m in range(L // 2 + 1):
+            parities = (1, -1) if m == 0 or 2 * m == L else (0,)
+            out += [Irrep(m, p, q, z) for p in parities for q in (1, -1) for z in flips]
+        return out
+
+    def matrices(self, irrep: Irrep) -> np.ndarray:
+        """D[i, j] is the array of D_ij(e) over the group elements e."""
+        sign = irrep.leg ** self.q * irrep.flip ** self.z
+        if irrep.dim == 1:
+            turn = (-1) ** self.r if irrep.m else 1
+            return (sign * turn * irrep.parity ** self.p).astype(float).reshape(1, 1, -1)
+        angle = 2.0 * np.pi * ((irrep.m * self.r) % self.L) / self.L
+        c, s = sign * np.cos(angle), sign * np.sin(angle)
+        refl = (-1.0) ** self.p  # Rot(k r) @ diag(1, (-1)^p)
+        return np.array([[c, -s * refl], [s, c * refl]])
+
+    def sector(self, irrep: Irrep) -> "SymmetrySector":
+        """The sector of Gamma's first row."""
+        d = irrep.dim
+        D = self.matrices(irrep)
+        n_orbits = len(self.reps)
+        stab = 1 + np.bincount(self.fix_orbit, minlength=n_orbits)
+        proj = np.broadcast_to(np.eye(d), (n_orbits, d, d)).copy()
+        np.add.at(proj, self.fix_orbit, D[:, :, self.fix_element].transpose(2, 0, 1))
+        proj /= stab[:, None, None]
+        rank = np.rint(np.trace(proj, axis1=1, axis2=2)).astype(np.int64)
+        orbit = np.repeat(np.arange(n_orbits), rank)
+        first = np.cumsum(rank) - rank
+        vecs = np.zeros((d, len(orbit)))
+        full = first[rank == d]
+        for t in range(d):
+            vecs[t, full + t] = 1.0
+        # a rank-1 projector is u u^T: its longer column, normalized, is +-u
+        part = np.flatnonzero((rank == 1) & (d == 2))
+        if len(part):
+            cols = proj[part]
+            j = np.argmax(np.linalg.norm(cols, axis=1), axis=1)
+            u = cols[np.arange(len(part)), :, j]
+            vecs[:, first[part]] = (u / np.linalg.norm(u, axis=1, keepdims=True)).T
+        norm = np.sqrt(d * stab / self.order)
+        return SymmetrySector(self, irrep, D, orbit, vecs, first, rank, norm)
+
+    def sectors(self) -> list["SymmetrySector"]:
+        """Every non-empty sector, one per irrep."""
+        return [s for s in map(self.sector, self.irreps()) if s.dim]
+
+
+@dataclass(frozen=True, eq=False)
+class SymmetrySector:
+    """The states of one irrep row, built from the orbits' representatives.
+
+    Sector state i is w(orbit[i], vecs[:, i]); the states of one orbit are
+    adjacent, first[o] is the first of the count[o] states of orbit o, and
+    norm[o] its n_o.  D[i, j] holds D_ij over the group elements.  states[i]
+    is the representative mask of state i, so diagonal operators read it as
+    they read a plain sector's masks.
+    """
+
+    group: LadderOrbits
+    irrep: Irrep
+    D: np.ndarray
+    orbit: np.ndarray
+    vecs: np.ndarray
+    first: np.ndarray
+    count: np.ndarray
+    norm: np.ndarray
+
+    @property
+    def N(self) -> int:
+        return self.group.basis.N
+
+    @property
+    def dim(self) -> int:
+        return len(self.orbit)
+
+    @property
+    def states(self) -> np.ndarray:
+        return self.group.reps[self.orbit]
+
+    def couple(self, rows: np.ndarray, orbit: np.ndarray, element: np.ndarray):
+        """Entries of H's rows from plain entries h(rows[n], b_n), where the
+        mask b_n lies in orbit[n] and element[n] takes it to the orbit's
+        representative.
+
+        Returns (pick, cols, factors): plain entry pick[m] lands in column
+        cols[m] with its value times factors[m], once per state of its
+        target orbit in this sector (none, one or two).  pick ascends, so
+        entries keep the order of rows.
+        """
+        d = self.irrep.dim
+        count = self.count[orbit]
+        pick = np.repeat(np.arange(len(rows)), count)
+        t = np.arange(len(pick)) - np.repeat(np.cumsum(count) - count, count)
+        rows, orbit, element = rows[pick], orbit[pick], element[pick]
+        cols = self.first[orbit] + t
+        ratio = self.norm[orbit] / self.norm[self.orbit[rows]]
+        # u'^T D(g_b) u, with u the row's vector and u' the column's
+        factor = sum(
+            self.vecs[i][cols] * self.D[i, j][element] * self.vecs[j][rows]
+            for i in range(d) for j in range(d)
+        )
+        return pick, cols, factor * ratio
+
+    def expand(self, amps: np.ndarray, row: int = 0) -> np.ndarray:
+        """Amplitudes over the plain sector of the state sum_i amps[i] w_i.
+
+        row = 1 gives its partner in the irrep's second row, the same
+        combination of the P_2j |a>: orthogonal to it, with the same energy.
+        """
+        g = self.group
+        amps = np.asarray(amps) * self.norm[self.orbit]
+        out = np.zeros(len(g.orbit_of))
+        for t in range(self.irrep.dim):
+            weight = np.bincount(self.orbit, amps * self.vecs[t], minlength=len(g.reps))
+            out += weight[g.orbit_of] * self.D[t, row][g.element_of]
+        return out
+
+
+def symmetry_sectors(basis: SectorBasis) -> list[SymmetrySector]:
+    """The non-empty irrep sectors of a periodic ladder's fixed-Sz sector.
+
+    Summed with the irreps' dimensions as weights, their dimensions give
+    basis.dim.
+    """
+    return LadderOrbits(basis).sectors()

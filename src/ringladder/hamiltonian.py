@@ -1,4 +1,4 @@
-"""The ladder Hamiltonian on fixed-Sz sectors as one sparse matrix per coupling point.
+"""The ladder Hamiltonian on fixed-Sz or symmetry sectors as one sparse matrix per coupling point.
 
 The Hamiltonian is
 
@@ -18,13 +18,14 @@ solves.
 
 from __future__ import annotations
 
+import functools
 import itertools
 from dataclasses import dataclass
 
 import numpy as np
 import scipy.sparse
 
-from .basis import SectorBasis
+from .basis import LadderOrbits, SectorBasis, SymmetrySector
 from .lattice import Couplings, LadderSpec, Plaquette, enumerate_terms
 
 __all__ = [
@@ -200,31 +201,38 @@ class LadderTables:
     Building costs O(N * dim); share one instance across all theta values
     of a sweep.  Read-only after construction, safe to use from concurrent
     solves.
+
+    On a SymmetrySector of a periodic ladder the rows are the sector's
+    states, read through their representative masks, and each entry also
+    carries a float factor (see SymmetrySector.couple), so its value is
+    lut[code] * factor; a target orbit with two states in the sector gives
+    two entries, and one row may hold several entries of one column, which
+    the sparse product sums.  A plain sector has factor None.
     """
 
-    def __init__(self, spec: LadderSpec, basis: SectorBasis):
+    def __init__(self, spec: LadderSpec, basis: SectorBasis | SymmetrySector):
         if basis.N != spec.N:
             raise ValueError(f"basis is for {basis.N} sites, ladder has {spec.N}")
         self.spec = spec
         self.basis = basis
         rung_bonds, leg_bonds, plaquettes = enumerate_terms(spec)
         self.n_rung, self.n_leg = len(rung_bonds), len(leg_bonds)
-        states = basis.states
-        up = [((states >> s) & 1).astype(bool) for s in range(spec.N)]
+        if isinstance(basis, SectorBasis):
+            up = [((basis.states >> s) & 1).astype(bool) for s in range(spec.N)]
+            self.anti_r, self.anti_l, self.fixed = _diagonal_counts(
+                up, rung_bonds, leg_bonds, plaquettes
+            )
+            self.factor = None
+            self._fill_plain(up, rung_bonds, leg_bonds, plaquettes)
+        else:
+            if spec.bc != "periodic":
+                raise ValueError("symmetry sectors exist on periodic ladders only")
+            rows = _orbit_rows(spec, basis.group)
+            self.anti_r, self.anti_l, self.fixed = (c[basis.orbit] for c in rows.counts)
+            self._fill_sector(rows)
 
-        def anti(bonds):
-            n = np.zeros(basis.dim, dtype=np.int8)
-            for i, j in bonds:
-                n += up[i] ^ up[j]
-            return n
-
-        self.anti_r = anti(rung_bonds)
-        self.anti_l = anti(leg_bonds)
-        self.fixed = np.zeros(basis.dim, dtype=np.int8)
-        for p in plaquettes:
-            mixed = (up[p.a] ^ up[p.b]) | (up[p.b] ^ up[p.c]) | (up[p.c] ^ up[p.d])
-            self.fixed += np.int8(2) * ~mixed
-
+    def _fill_plain(self, up, rung_bonds, leg_bonds, plaquettes):
+        basis, states = self.basis, self.basis.states
         # two passes over the slots, so only one slot's arrays live at a time:
         # count the entries of each row (one per antiparallel bond, the ring
         # slots and the diagonal), then scatter them in place
@@ -250,12 +258,97 @@ class LadderTables:
             pos[rows] += 1
         self.indices[pos] = np.arange(basis.dim)
 
+    def _fill_sector(self, rows: _OrbitRows):
+        # every sector state takes the plain entries of its orbit's
+        # representative, each landing in as many columns as the target's
+        # orbit has states in the sector (none, one or two); couple keeps
+        # them in row order, so entry j of row i goes to i + j, after the
+        # diagonals of the i rows before it
+        basis = self.basis
+        o = basis.orbit
+        n = rows.ptr[o + 1] - rows.ptr[o]
+        row = np.repeat(np.arange(basis.dim), n)
+        src = np.arange(len(row)) + np.repeat(rows.ptr[o] - (np.cumsum(n) - n), n)
+        pick, cols, factor = basis.couple(row, rows.orbit[src], rows.element[src])
+        row, src = row[pick], src[pick]
+        nnz = len(row) + basis.dim
+        idx = scipy.sparse.get_index_dtype(maxval=max(nnz, basis.dim))
+        self.indptr = np.zeros(basis.dim + 1, dtype=idx)
+        np.cumsum(np.bincount(row, minlength=basis.dim) + 1, out=self.indptr[1:])
+        at = np.arange(len(row)) + row
+        self.indices = np.empty(nnz, dtype=idx)
+        self.indices[at] = cols
+        self.indices[self.indptr[1:] - 1] = np.arange(basis.dim)
+        self.code = np.zeros(nnz, dtype=np.int8)
+        self.code[at] = rows.code[src]
+        self.factor = np.ones(nnz)
+        self.factor[at] = factor
+
+
+def _diagonal_counts(up, rung_bonds, leg_bonds, plaquettes):
+    """Per state: the int8 counts of antiparallel rung and leg bonds, and
+    twice the number of uniform plaquettes."""
+
+    def anti(bonds):
+        n = np.zeros(len(up[0]), dtype=np.int8)
+        for i, j in bonds:
+            n += up[i] ^ up[j]
+        return n
+
+    fixed = np.zeros(len(up[0]), dtype=np.int8)
+    for p in plaquettes:
+        mixed = (up[p.a] ^ up[p.b]) | (up[p.b] ^ up[p.c]) | (up[p.c] ^ up[p.d])
+        fixed += np.int8(2) * ~mixed
+    return anti(rung_bonds), anti(leg_bonds), fixed
+
+
+@dataclass(frozen=True)
+class _OrbitRows:
+    """H's rows at the orbit representatives of a LadderOrbits: the
+    diagonal counts per orbit and, as CSR over orbits without the diagonal,
+    each entry's code, the orbit of its target mask and the group element
+    taking that mask to its representative."""
+
+    counts: tuple[np.ndarray, np.ndarray, np.ndarray]
+    ptr: np.ndarray
+    code: np.ndarray
+    orbit: np.ndarray
+    element: np.ndarray
+
+
+# every sector of a group reads the same rows and a sweep builds the
+# sectors of one group in turn, so only the last group's rows are kept
+@functools.lru_cache(maxsize=1)
+def _orbit_rows(spec: LadderSpec, group: LadderOrbits) -> _OrbitRows:
+    reps = group.reps
+    rung_bonds, leg_bonds, plaquettes = enumerate_terms(spec)
+    up = [((reps >> s) & 1).astype(bool) for s in range(spec.N)]
+    rows, masks, codes = [], [], []
+    for on, flip, code in itertools.chain(
+        _bond_slots(up, rung_bonds, leg_bonds, plaquettes),
+        _plaquette_slots(up, plaquettes),
+    ):
+        r = np.flatnonzero(on)
+        rows.append(r)
+        masks.append(reps[r] ^ flip)
+        codes.append(np.broadcast_to(np.asarray(code, dtype=np.int8), r.shape))
+    rows = np.concatenate(rows)
+    order = np.argsort(rows, kind="stable")
+    ptr = np.zeros(len(reps) + 1, dtype=np.int64)
+    np.cumsum(np.bincount(rows, minlength=len(reps)), out=ptr[1:])
+    orbit, element = group.locate(np.concatenate(masks)[order])
+    return _OrbitRows(
+        _diagonal_counts(up, rung_bonds, leg_bonds, plaquettes),
+        ptr, np.concatenate(codes)[order], orbit, element,
+    )
+
 
 class HamiltonianAction:
     """H bound to concrete couplings, exposing matvec on raw amplitude arrays.
 
-    H is one CSR matrix whose data is looked up from the tables' codes; it
-    shares indices and indptr with the tables, so each coupling point adds
+    H is one CSR matrix whose data is looked up from the tables' codes
+    (and multiplied by their factors on a symmetry sector); it shares
+    indices and indptr with the tables, so each coupling point adds
     one float array of nnz entries.
     """
 
@@ -264,6 +357,8 @@ class HamiltonianAction:
         self.couplings = couplings
         t, Jr, Jl, K = tables, couplings.Jr, couplings.Jl, couplings.K
         data = _coupling_lut(couplings)[t.code]
+        if t.factor is not None:
+            data *= t.factor
         data[t.indptr[1:] - 1] = (
             Jr * (0.25 * t.n_rung - 0.5 * t.anti_r)
             + Jl * (0.25 * t.n_leg - 0.5 * t.anti_l)

@@ -1,8 +1,9 @@
 """Parameter sweeps over theta: observables per grid point, CSV emission,
 zero crossings and extrema of observable series.
 
-A sweep solves for the lowest Sz-sector states at every grid point, then
-extracts pair concurrences, the two-site rung entropy and its
+A sweep solves for the lowest Sz-sector states at every grid point (on a
+periodic ladder through its symmetry sectors, expanded back to the Sz
+basis), then extracts pair concurrences, the two-site rung entropy and its
 central-difference theta derivative, block entropies for requested block
 geometries, and the total rung correlator.  The rung, leg and diag pairs are
 anchored at rung r: (leg 1, rung r) with (leg 2, rung r), (leg 1, rung r + 1)
@@ -19,12 +20,16 @@ level above the manifold.
 from __future__ import annotations
 
 import csv
+import functools
 import math
+import time
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
-from .basis import build_sector
-from .eigensolver import lowest_eigenpairs
+import numpy as np
+
+from .basis import build_sector, symmetry_sectors
+from .eigensolver import DEGENERACY_RTOL, EigenResult, lowest_eigenpairs
 from .entanglement import (
     DensityMatrix,
     concurrence,
@@ -149,7 +154,13 @@ class SweepConfig:
 @dataclass
 class SweepRecord:
     """Observables at one grid point.  dEr_dtheta (with theta in radians) is
-    filled by central difference on interior points only."""
+    filled by central difference on interior points only.
+
+    diagnostics describes how the point was computed and is not written to
+    the CSV: the number of sectors solved, the total matvecs and the largest
+    residual of all their solves, the ground multiplicity g, and the seconds
+    spent solving and measuring.
+    """
 
     thetaOverPi: float
     E0: float
@@ -162,6 +173,7 @@ class SweepRecord:
     Ev: dict[str, float]
     T_expect: float
     degenerate: bool
+    diagnostics: dict = field(default_factory=dict, compare=False, repr=False)
 
 
 def theta_grid(start: float, stop: float, step: float) -> tuple[float, ...]:
@@ -185,20 +197,90 @@ def _manifold_rdm(states, sites) -> DensityMatrix:
     return first
 
 
-def _measure(spec, basis, tables, cfg: SweepConfig, t_over_pi: float) -> SweepRecord:
-    couplings = couplings_from_theta(t_over_pi * math.pi)
+@dataclass
+class _Ground:
+    """E0, the gap to the first level above the ground band, an orthonormal
+    basis of the ground manifold over the Sz sector, every solve made and
+    the number of sectors solved."""
+
+    E0: float
+    gap: float
+    states: list[StateVector]
+    solves: list[EigenResult]
+    sectors: int
+
+
+def _solve_full(basis, tables, couplings, cfg: SweepConfig) -> _Ground:
+    """Lanczos on the whole Sz sector, widened until a level above the
+    ground manifold is returned, so the manifold is complete."""
     action = HamiltonianAction(tables, couplings)
-    # widen the solve until a level above the ground manifold is returned,
-    # so the manifold is complete
+    solves = []
     k = min(2, basis.dim)
     while True:
         res = lowest_eigenpairs(action.matvec, basis.dim, k=k, seed=cfg.seed, tol=cfg.tol)
+        solves.append(res)
         if res.multiplicity < k or k == basis.dim:
             break
         k = min(2 * k, basis.dim)
     g = res.multiplicity
     states = [StateVector(basis, res.vectors[:, i]) for i in range(g)]
     gap = float(res.energies[g] - res.energies[0]) if g < k else float("nan")
+    return _Ground(float(res.energies[0]), gap, states, solves, 1)
+
+
+def _solve_sectors(basis, sector_tables, couplings, cfg: SweepConfig) -> _Ground:
+    """The same from the symmetry sectors of a periodic ladder.
+
+    Every sector is solved for its lowest level, by the dense route up to
+    DENSE_MAX_DIM states and by Lanczos above.  A sector whose lowest level
+    lies in the ground band of E0, the lowest over all sectors, is widened by
+    doubling k until a level above the band is returned.  The band and the
+    first level above it are then complete over all sectors.
+    A level of a two-dimensional irrep counts twice: its partner is the
+    same combination in the irrep's second row.
+    """
+    found = []
+    for tables in sector_tables:
+        dim = tables.basis.dim
+        action = HamiltonianAction(tables, couplings)
+        found.append([tables.basis, action, [lowest_eigenpairs(
+            action.matvec, dim, k=1, seed=cfg.seed, tol=cfg.tol, matrix=action.H)]])
+    E0 = min(solves[-1].energies[0] for _, _, solves in found)
+    band = DEGENERACY_RTOL * max(1.0, abs(E0))
+    for sector, action, solves in found:
+        while solves[-1].energies[-1] - E0 < band and len(solves[-1].energies) < sector.dim:
+            k = min(2 * len(solves[-1].energies), sector.dim)
+            solves.append(lowest_eigenpairs(action.matvec, sector.dim, k=k, seed=cfg.seed,
+                                            tol=cfg.tol, matrix=action.H))
+    E0 = float(min(solves[-1].energies[0] for _, _, solves in found))
+    states, above = [], []
+    for sector, _, solves in found:
+        res = solves[-1]
+        n = int(np.count_nonzero(res.energies - E0 < band))
+        above += res.energies[n:n + 1].tolist()
+        states += [
+            StateVector(basis, sector.expand(res.vectors[:, c], row))
+            for c in range(n) for row in range(sector.irrep.dim)
+        ]
+    gap = min(above) - E0 if above else float("nan")
+    return _Ground(E0, gap, states, [r for *_, solves in found for r in solves], len(found))
+
+
+def _solver(spec, basis):
+    """The ground-state solver of one sweep chunk, built once for all its
+    grid points: the symmetry sectors on periodic ladders, the whole Sz
+    sector on open ones."""
+    if spec.bc == "periodic":
+        sectors = [LadderTables(spec, s) for s in symmetry_sectors(basis)]
+        return functools.partial(_solve_sectors, basis, sectors)
+    return functools.partial(_solve_full, basis, LadderTables(spec, basis))
+
+
+def _measure(spec, solve, cfg: SweepConfig, t_over_pi: float) -> SweepRecord:
+    start = time.perf_counter()
+    ground = solve(couplings_from_theta(t_over_pi * math.pi), cfg)
+    solved = time.perf_counter()
+    states = ground.states
 
     r = 1 if spec.bc == "periodic" else math.ceil(spec.L / 2)
     # (leg, rung) of the second site of the other pairs; the first is (1, r)
@@ -215,10 +297,10 @@ def _measure(spec, basis, tables, cfg: SweepConfig, t_over_pi: float) -> SweepRe
         b.label: von_neumann_entropy(_manifold_rdm(states, block_sites(b.family, b.l, spec)))
         for b in cfg.blocks
     }
-    return SweepRecord(
+    rec = SweepRecord(
         thetaOverPi=t_over_pi,
-        E0=float(res.energies[0]),
-        gap=gap,
+        E0=ground.E0,
+        gap=ground.gap,
         C_rung=conc["rung"],
         C_leg=conc["leg"],
         C_diag=conc["diag"],
@@ -226,8 +308,17 @@ def _measure(spec, basis, tables, cfg: SweepConfig, t_over_pi: float) -> SweepRe
         dEr_dtheta=None,
         Ev=ev,
         T_expect=sum(expectation_T(psi) for psi in states) / len(states),
-        degenerate=g > 1,
+        degenerate=len(states) > 1,
     )
+    rec.diagnostics = {
+        "sectors": ground.sectors,
+        "matvecs": sum(res.matvecs for res in ground.solves),
+        "residual_max": max(float(np.max(res.residuals)) for res in ground.solves),
+        "g": len(states),
+        "solve_s": solved - start,
+        "measure_s": time.perf_counter() - solved,
+    }
+    return rec
 
 
 def _sweep_chunk(config: SweepConfig, thetas) -> list[SweepRecord]:
@@ -235,11 +326,11 @@ def _sweep_chunk(config: SweepConfig, thetas) -> list[SweepRecord]:
     once for all of them."""
     spec = LadderSpec(L=config.L, bc=config.bc)
     basis = build_sector(spec.N, config.twoSz)
-    tables = LadderTables(spec, basis)
+    solve = _solver(spec, basis)
     records = []
     for t in thetas:
         try:
-            records.append(_measure(spec, basis, tables, config, t))
+            records.append(_measure(spec, solve, config, t))
         except Exception as exc:
             raise RuntimeError(f"sweep failed at theta = {t}*pi: {exc}") from exc
     return records

@@ -1,4 +1,5 @@
 import csv
+import dataclasses
 import io
 import math
 
@@ -17,6 +18,7 @@ from ringladder import (
     find_zero_crossing,
     reduced_density_matrix,
     run_sweep,
+    sweep,
     theta_grid,
     write_csv,
 )
@@ -154,8 +156,9 @@ def test_sweep_window_gate():
 @pytest.mark.parametrize("L, twoSz, theta, g", [(3, 0, 0.1, 3), (5, 2, 0.0, 2)])
 def test_degenerate_rows_do_not_depend_on_seed(L, twoSz, theta, g):
     # a degenerate point is measured on its manifold average, which no basis
-    # choice inside the manifold can change; L = 5 at twoSz = 2 (dim 210)
-    # is solved by ARPACK
+    # choice inside the manifold can change; the reference is Lanczos on the
+    # whole L = 5, twoSz = 2 sector (dim 210), the sweep solves its symmetry
+    # sectors
     ref = solve(L, theta, twoSz=twoSz, k=g + 1)
     assert ref.multiplicity == g
     blocks = (BlockSpec("A", 2), BlockSpec("D", 3))
@@ -203,6 +206,41 @@ def test_csv_round_trip_and_format():
     # 12 significant digits on float fields
     assert rows[1][1] == format(recs[0].E0, ".12g")
     assert rows[1][11] == "0"
+
+
+@pytest.mark.parametrize("bc, sectors", [("periodic", 17), ("open", 1)])
+def test_diagnostics_count_every_solve_and_leave_the_csv_alone(monkeypatch, bc, sectors):
+    solves = []
+    solve = sweep.lowest_eigenpairs
+
+    def recording(*args, **kwargs):
+        solves.append(solve(*args, **kwargs))
+        return solves[-1]
+
+    monkeypatch.setattr(sweep, "lowest_eigenpairs", recording)
+    blocks = (BlockSpec("A", 2),)
+    recs = []
+    for t in (0.1, 0.2):
+        done = len(solves)
+        (rec,) = run_sweep(SweepConfig(L=4, thetas_over_pi=(t,), bc=bc, blocks=blocks))
+        mine = solves[done:]
+        d = rec.diagnostics
+        assert set(d) == {"sectors", "matvecs", "residual_max", "g", "solve_s", "measure_s"}
+        assert d["sectors"] == sectors and len(mine) >= sectors
+        assert d["matvecs"] == sum(res.matvecs for res in mine)
+        assert d["residual_max"] == max(float(res.residuals.max()) for res in mine)
+        assert d["g"] == 1 and not rec.degenerate
+        assert d["solve_s"] > 0 and d["measure_s"] > 0
+        recs.append(rec)
+
+    # the CSV holds no trace of the diagnostics
+    plain = [dataclasses.replace(r, diagnostics={}) for r in recs]
+    assert plain == recs  # diagnostics take no part in comparisons either
+    a, b = io.StringIO(), io.StringIO()
+    write_csv(recs, blocks, a)
+    write_csv(plain, blocks, b)
+    assert a.getvalue() == b.getvalue()
+    assert "diag" not in a.getvalue().splitlines()[0].replace("C_diag", "")
 
 
 def test_sweep_deterministic():

@@ -1,0 +1,204 @@
+"""Symmetry sectors of periodic ladders against the whole Sz sector."""
+
+import functools
+import math
+from math import comb
+
+import numpy as np
+import pytest
+
+from conftest import geometry
+from ringladder import (
+    BlockSpec,
+    HamiltonianAction,
+    LadderSpec,
+    LadderTables,
+    SweepConfig,
+    build_sector,
+    couplings_from_theta,
+    dense_oracle,
+    lowest_eigenpairs,
+    run_sweep,
+    sweep,
+    symmetry_sectors,
+)
+from ringladder.basis import LadderOrbits
+from ringladder.eigensolver import DEGENERACY_RTOL
+
+THETA_C_OVER_PI = math.atan(0.5) / math.pi
+GRID = (-0.5, 0.0, 0.1, THETA_C_OVER_PI, 0.5, 0.75, 1.0)  # 1.0: the FM point
+BLOCKS = (BlockSpec("A", 2), BlockSpec("C", 3), BlockSpec("D", 3))
+# The full-sector Lanczos starts from one vector, so its Krylov space holds a
+# single combination of exactly degenerate states.  At these points it
+# returns one state of a two-dimensional irrep's ground pair (g = 1), which
+# the dense spectrum of the whole sector shows twice.
+LANCZOS_MISSES = {(5, 2, 0.75), (7, 2, 0.75)}
+
+
+def full_sector_solver(spec, basis):
+    return functools.partial(sweep._solve_full, basis, LadderTables(spec, basis))
+
+
+def both_paths(monkeypatch, cfg):
+    """Records of the symmetric path and of the whole-Sz-sector path."""
+    sym = run_sweep(cfg)
+    with monkeypatch.context() as m:
+        m.setattr(sweep, "_solver", full_sector_solver)
+        full = run_sweep(cfg)
+    return sym, full
+
+
+def assert_rows_match(a, b, blocks, skip=()):
+    header = sweep.csv_header(blocks)
+    for name, x, y in zip(header, sweep.record_row(a, blocks), sweep.record_row(b, blocks)):
+        if name in skip or x == y:
+            continue
+        assert x and y, f"{name}: {x!r} against {y!r}"
+        assert abs(float(x) - float(y)) <= 1e-10, f"{name}: {x} against {y}"
+
+
+def sector_isometry(sector, row=0):
+    """Columns: the sector states expanded over the plain basis."""
+    eye = np.eye(sector.dim)
+    return np.column_stack([sector.expand(eye[i], row) for i in range(sector.dim)])
+
+
+@pytest.mark.parametrize("L", range(3, 11))
+@pytest.mark.parametrize("twoSz", (0, 2))
+def test_sector_dimensions_add_up_to_the_sz_sector(L, twoSz):
+    basis = build_sector(2 * L, twoSz)
+    sectors = symmetry_sectors(basis)
+    assert sum(s.irrep.dim * s.dim for s in sectors) == comb(2 * L, L + twoSz // 2)
+    # one per real irrep: D_10 has four one- and four two-dimensional ones,
+    # each with both leg and both inversion parities
+    if (L, twoSz) == (10, 0):
+        assert len(sectors) == 32
+
+
+@pytest.mark.parametrize("L", (3, 4, 5))
+@pytest.mark.parametrize("twoSz", (0, 2))
+def test_sector_states_are_orthonormal_and_block_diagonalize_h(L, twoSz):
+    spec = LadderSpec(L=L)
+    basis = build_sector(spec.N, twoSz)
+    couplings = couplings_from_theta(0.37 * math.pi)
+    H = HamiltonianAction(LadderTables(spec, basis), couplings).H.toarray()
+    for sector in symmetry_sectors(basis):
+        block = HamiltonianAction(LadderTables(spec, sector), couplings).H.toarray()
+        B = sector_isometry(sector)
+        assert np.abs(B.T @ B - np.eye(sector.dim)).max() <= 1e-12
+        assert np.abs(B.T @ H @ B - block).max() <= 1e-12
+        if sector.irrep.dim == 2:
+            # the second row: orthogonal to the first, the same block of H
+            B2 = sector_isometry(sector, row=1)
+            assert np.abs(B2.T @ B2 - np.eye(sector.dim)).max() <= 1e-12
+            assert np.abs(B2.T @ B).max() <= 1e-12
+            assert np.abs(B2.T @ H @ B2 - block).max() <= 1e-12
+
+
+def test_partner_is_the_translated_state_less_its_projection():
+    # T psi = cos(k) psi + sin(k) psi' for a state psi of the first row
+    L = 6
+    spec = LadderSpec(L=L)
+    basis = build_sector(spec.N, 0)
+    states = basis.states
+    N = spec.N
+    shifted = ((states << 2) | (states >> (N - 2))) & ((1 << N) - 1)
+    to = basis.rank_many(shifted)
+    rng = np.random.default_rng(3)
+    for sector in symmetry_sectors(basis):
+        if sector.irrep.dim == 1:
+            continue
+        c = rng.standard_normal(sector.dim)
+        c /= np.linalg.norm(c)
+        psi, partner = sector.expand(c), sector.expand(c, row=1)
+        moved = np.empty_like(psi)
+        moved[to] = psi
+        k = 2 * math.pi * sector.irrep.m / L
+        assert np.abs(moved - math.cos(k) * psi - math.sin(k) * partner).max() <= 1e-12
+
+
+@pytest.mark.parametrize("L, twoSz, theta, g", [(3, 0, 0.1, 3), (5, 2, 0.0, 2), (6, 0, 0.1, 1)])
+def test_expanded_manifold_is_orthonormal_and_ground(L, twoSz, theta, g):
+    spec = LadderSpec(L=L)
+    basis = build_sector(spec.N, twoSz)
+    couplings = couplings_from_theta(theta * math.pi)
+    solve = sweep._solver(spec, basis)
+    ground = solve(couplings, SweepConfig(L=L, thetas_over_pi=(theta,), twoSz=twoSz))
+    V = np.column_stack([psi.amps for psi in ground.states])
+    assert V.shape[1] == g
+    assert np.abs(V.T @ V - np.eye(g)).max() <= 1e-12
+    H = HamiltonianAction(LadderTables(spec, basis), couplings)
+    for psi in ground.states:
+        assert np.linalg.norm(H.matvec(psi.amps) - ground.E0 * psi.amps) <= 1e-10
+
+
+def test_representatives_are_orbit_minima():
+    # a representative is the smallest mask of its orbit, reached from every
+    # state by its recorded element; no |G| x dim table is kept
+    basis = build_sector(8, 0)
+    orbits = LadderOrbits(basis)
+    assert orbits.order == 8 * 4
+    for name in ("orbit_of", "element_of"):
+        assert getattr(orbits, name).shape == (basis.dim,)
+    reps = orbits.reps[orbits.orbit_of]
+    assert np.all(reps <= basis.states)
+    images = dict(orbits._images(basis.states))
+    images[0] = basis.states
+    moved = np.array([images[e][i] for i, e in enumerate(orbits.element_of)])
+    assert np.array_equal(moved, reps)
+    for e, image in images.items():
+        assert np.all(orbits.reps[orbits.orbit_of] <= image)
+
+
+@pytest.mark.parametrize("L", range(3, 9))
+@pytest.mark.parametrize("twoSz", (0, 2))
+def test_symmetric_path_matches_full_sector_path(monkeypatch, L, twoSz):
+    cfg = SweepConfig(L=L, thetas_over_pi=GRID, twoSz=twoSz, blocks=BLOCKS)
+    sym, full = both_paths(monkeypatch, cfg)
+    missed = {i for i, t in enumerate(GRID) if (L, twoSz, t) in LANCZOS_MISSES}
+    for i, (a, b) in enumerate(zip(sym, full)):
+        assert a.E0 == pytest.approx(b.E0, abs=1e-10)
+        assert a.gap == pytest.approx(b.gap, abs=1e-10)
+        if i in missed:
+            _, basis, tables = geometry(L, "periodic", twoSz)
+            action = HamiltonianAction(tables, couplings_from_theta(GRID[i] * math.pi))
+            spectrum = dense_oracle(action.matvec, basis.dim)
+            band = DEGENERACY_RTOL * max(1.0, abs(spectrum[0]))
+            assert np.count_nonzero(spectrum - spectrum[0] < band) == 2
+            assert (a.diagnostics["g"], b.diagnostics["g"]) == (2, 1)
+            continue
+        assert a.degenerate == b.degenerate
+        near_miss = {i - 1, i + 1} & missed
+        assert_rows_match(a, b, BLOCKS, skip=("dEr_dtheta",) if near_miss else ())
+
+
+@pytest.mark.parametrize("L, seeds", [(5, range(5)), (9, range(3))])
+def test_two_dimensional_ground_level(monkeypatch, L, seeds):
+    # at twoSz = 2, theta = 0 the ground level lies in the k = 2 pi m / L
+    # sector with m = (L - 1) / 2, a two-dimensional irrep; at L = 9 that
+    # sector has 2,438 states and is solved by Lanczos from the seed
+    spec = LadderSpec(L=L)
+    basis = build_sector(spec.N, 2)
+    couplings = couplings_from_theta(0.0)
+    lowest = []
+    for sector in symmetry_sectors(basis):
+        action = HamiltonianAction(LadderTables(spec, sector), couplings)
+        res = lowest_eigenpairs(action.matvec, sector.dim, k=1, matrix=action.H)
+        lowest.append((res.energies[0], sector.irrep))
+    ground = min(lowest, key=lambda x: x[0])[1]
+    assert ground.dim == 2 and 0 < 2 * ground.m < L
+
+    blocks = (BlockSpec("A", 2), BlockSpec("D", 3))
+    rows = []
+    for seed in seeds:
+        cfg = SweepConfig(L=L, thetas_over_pi=(0.0,), twoSz=2, blocks=blocks, seed=seed)
+        (rec,) = run_sweep(cfg)
+        assert rec.degenerate is True and rec.diagnostics["g"] == 2
+        rows.append(rec)
+    for rec in rows[1:]:
+        assert_rows_match(rec, rows[0], blocks)
+    with monkeypatch.context() as m:
+        m.setattr(sweep, "_solver", full_sector_solver)
+        (full,) = run_sweep(SweepConfig(L=L, thetas_over_pi=(0.0,), twoSz=2, blocks=blocks))
+    assert full.degenerate is True
+    assert_rows_match(rows[0], full, blocks)

@@ -159,3 +159,29 @@ def test_csv_diff_unreadable_or_unlike(tmp_path, other):
     proc = csv_diff(tmp_path, GRID, other)
     assert proc.returncode == 2
     assert proc.stderr.startswith("csv_diff: ")
+
+
+def test_csv_diff_tol_accepts_numeric_moves_within_it(tmp_path):
+    moved = GRID.replace("-1.25", "-1.2500000000004")
+    (tmp_path / "a.csv").write_text(GRID)
+    (tmp_path / "b.csv").write_text(moved)
+    (tmp_path / "c.csv").write_text(moved.replace("0.25", "x"))
+
+    def run(other, *tol):
+        return subprocess.run(
+            [sys.executable, str(CSV_DIFF), *tol, str(tmp_path / "a.csv"),
+             str(tmp_path / other)],
+            capture_output=True, text=True,
+        )
+
+    within = run("b.csv", "--tol", "1e-10")
+    assert within.returncode == 0, within.stderr
+    lines = within.stdout.splitlines()
+    cols = {line.split()[0]: line.split()[1:] for line in lines[1:4]}
+    assert cols["E0"][0] == "1"
+    assert float(cols["E0"][1]) == pytest.approx(4e-13, rel=1e-2)
+    assert lines[4] == "1 of 9 cells differ"
+    assert run("b.csv").returncode == 1  # without --tol any difference fails
+    assert run("b.csv", "--tol", "1e-14").returncode == 1
+    # a cell that is not a number on both sides is outside every tolerance
+    assert run("c.csv", "--tol", "1").returncode == 1
