@@ -84,6 +84,12 @@ class SectorBasis:
     def n_up(self) -> int:
         return (self.N + self.twoSz) // 2
 
+    # as a sector of itself: one irrep row, whose states are the Sz basis
+    rows = 1
+
+    def expand(self, amps: np.ndarray, row: int = 0) -> np.ndarray:
+        return amps
+
     def rank_many(self, configs) -> np.ndarray:
         """Ordinals of an array of in-sector masks.
 
@@ -322,9 +328,7 @@ class SymmetrySector:
 
     Sector state i is w(orbit[i], vecs[:, i]); the states of one orbit are
     adjacent, first[o] is the first of the count[o] states of orbit o, and
-    norm[o] its n_o.  D[i, j] holds D_ij over the group elements.  states[i]
-    is the representative mask of state i, so diagonal operators read it as
-    they read a plain sector's masks.
+    norm[o] its n_o.  D[i, j] holds D_ij over the group elements.
     """
 
     group: LadderOrbits
@@ -345,8 +349,9 @@ class SymmetrySector:
         return len(self.orbit)
 
     @property
-    def states(self) -> np.ndarray:
-        return self.group.reps[self.orbit]
+    def rows(self) -> int:
+        """Rows of the irrep, each with a copy of every level."""
+        return self.irrep.dim
 
     def couple(self, rows: np.ndarray, orbit: np.ndarray, element: np.ndarray):
         """Entries of H's rows from plain entries h(rows[n], b_n), where the

@@ -29,6 +29,11 @@ DENSE_MAX_DIM = 64
 DEGENERACY_RTOL = 1e-8
 
 
+def ground_band(E0: float) -> float:
+    """Width of the ground band: a level E with E - E0 below it is a ground state."""
+    return DEGENERACY_RTOL * max(1.0, abs(E0))
+
+
 class EigensolverError(RuntimeError):
     """Raised when the iteration fails to meet the residual contract."""
 
@@ -37,7 +42,7 @@ class EigensolverError(RuntimeError):
 class EigenResult:
     """k lowest eigenpairs: ascending energies, column eigenvectors,
     verified residual norms, the ground-state multiplicity (how many of the
-    k levels lie within DEGENERACY_RTOL * max(1, |E0|) of E0, so at most k)
+    k levels lie within ground_band(E0) of E0, so at most k)
     and the number of operator applications the solve made, residual checks
     included."""
 
@@ -77,10 +82,12 @@ def lowest_eigenpairs(
 ) -> EigenResult:
     """k lowest eigenpairs of a symmetric operator given by its action.
 
-    applyH is a callable v -> H v on length-dim arrays.  matrix, when given,
-    is the same operator as a dense or scipy sparse matrix; the dense route
-    then reads it instead of applying applyH to every unit vector, and takes
-    every dim up to DENSE_MAX_DIM.  Deterministic for a fixed seed.  Each
+    applyH is a callable v -> H v on length-dim arrays; matrix, when given,
+    is the same operator as a dense or scipy sparse matrix.  The dense route
+    takes dim <= max(16, 4 k + 4), and every dim up to DENSE_MAX_DIM when
+    matrix is given; it reads matrix when given and applies applyH to every
+    unit vector when not.  Lanczos takes the rest.  Deterministic for a
+    fixed seed.  Each
     returned pair satisfies ||H v - E v|| <= tol * max(1, |E|), checked
     through applyH, tol a positive finite number; failure to converge raises
     EigensolverError carrying the best residual reached.
@@ -96,14 +103,13 @@ def lowest_eigenpairs(
         matvecs += 1
         return applyH(v)
 
-    if matrix is not None and dim <= DENSE_MAX_DIM:
-        H = matrix.toarray() if scipy.sparse.issparse(matrix) else np.asarray(matrix)
+    if dim <= max(16, 4 * k + 4) or (matrix is not None and dim <= DENSE_MAX_DIM):
+        # small sector: dense solve is cheaper and has no iteration to tune
+        if matrix is None:
+            H = _materialize(counted, dim)
+        else:
+            H = matrix.toarray() if scipy.sparse.issparse(matrix) else np.asarray(matrix)
         energies, vectors = scipy.linalg.eigh(H, subset_by_index=[0, k - 1])
-    elif dim <= max(16, 4 * k + 4):
-        # tiny sector: dense solve is cheaper and has no iteration to tune
-        H = _materialize(counted, dim)
-        energies, vectors = scipy.linalg.eigh(H)
-        energies, vectors = energies[:k].copy(), vectors[:, :k].copy()
     else:
         rng = np.random.default_rng(seed)
         v0 = rng.uniform(-1.0, 1.0, dim)
@@ -150,12 +156,11 @@ def lowest_eigenpairs(
             f"residual contract violated: pair {worst} has "
             f"||Hv - Ev|| = {residuals[worst]:.3e} > {bound[worst]:.3e}"
         )
-    band = DEGENERACY_RTOL * max(1.0, abs(energies[0]))
     return EigenResult(
         energies=energies,
         vectors=vectors,
         residuals=residuals,
-        multiplicity=int(np.count_nonzero(energies - energies[0] < band)),
+        multiplicity=int(np.count_nonzero(energies - energies[0] < ground_band(energies[0]))),
         matvecs=matvecs,
     )
 

@@ -29,7 +29,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .basis import build_sector, symmetry_sectors
-from .eigensolver import DEGENERACY_RTOL, EigenResult, lowest_eigenpairs
+from .eigensolver import EigenResult, ground_band, lowest_eigenpairs
 from .entanglement import (
     DensityMatrix,
     concurrence,
@@ -210,43 +210,30 @@ class _Ground:
     sectors: int
 
 
-def _solve_full(basis, tables, couplings, cfg: SweepConfig) -> _Ground:
-    """Lanczos on the whole Sz sector, widened until a level above the
-    ground manifold is returned, so the manifold is complete."""
-    action = HamiltonianAction(tables, couplings)
-    solves = []
-    k = min(2, basis.dim)
-    while True:
-        res = lowest_eigenpairs(action.matvec, basis.dim, k=k, seed=cfg.seed, tol=cfg.tol)
-        solves.append(res)
-        if res.multiplicity < k or k == basis.dim:
-            break
-        k = min(2 * k, basis.dim)
-    g = res.multiplicity
-    states = [StateVector(basis, res.vectors[:, i]) for i in range(g)]
-    gap = float(res.energies[g] - res.energies[0]) if g < k else float("nan")
-    return _Ground(float(res.energies[0]), gap, states, solves, 1)
-
-
-def _solve_sectors(basis, sector_tables, couplings, cfg: SweepConfig) -> _Ground:
-    """The same from the symmetry sectors of a periodic ladder.
+def _solve(basis, sector_tables, couplings, cfg: SweepConfig) -> _Ground:
+    """E0, the gap and the ground manifold of the Sz sector basis, from the
+    sectors that split it: the symmetry sectors of a periodic ladder, or
+    basis alone.
 
     Every sector is solved for its lowest level, by the dense route up to
-    DENSE_MAX_DIM states and by Lanczos above.  A sector whose lowest level
-    lies in the ground band of E0, the lowest over all sectors, is widened by
-    doubling k until a level above the band is returned.  The band and the
-    first level above it are then complete over all sectors.
-    A level of a two-dimensional irrep counts twice: its partner is the
-    same combination in the irrep's second row.
+    DENSE_MAX_DIM states and by Lanczos above; a lone sector must hold E0,
+    so it starts at k = 2.  A sector whose lowest level lies in the ground
+    band of E0, the lowest over all sectors, is widened by doubling k until
+    a level above the band is returned.  The band and the first level above
+    it are then complete over all sectors.  A level of a two-dimensional
+    irrep counts twice: its partner is the same combination in the irrep's
+    second row.
     """
     found = []
+    first_k = 1 if len(sector_tables) > 1 else 2
     for tables in sector_tables:
         dim = tables.basis.dim
         action = HamiltonianAction(tables, couplings)
         found.append([tables.basis, action, [lowest_eigenpairs(
-            action.matvec, dim, k=1, seed=cfg.seed, tol=cfg.tol, matrix=action.H)]])
+            action.matvec, dim, k=min(first_k, dim), seed=cfg.seed, tol=cfg.tol,
+            matrix=action.H)]])
     E0 = min(solves[-1].energies[0] for _, _, solves in found)
-    band = DEGENERACY_RTOL * max(1.0, abs(E0))
+    band = ground_band(E0)
     for sector, action, solves in found:
         while solves[-1].energies[-1] - E0 < band and len(solves[-1].energies) < sector.dim:
             k = min(2 * len(solves[-1].energies), sector.dim)
@@ -260,7 +247,7 @@ def _solve_sectors(basis, sector_tables, couplings, cfg: SweepConfig) -> _Ground
         above += res.energies[n:n + 1].tolist()
         states += [
             StateVector(basis, sector.expand(res.vectors[:, c], row))
-            for c in range(n) for row in range(sector.irrep.dim)
+            for c in range(n) for row in range(sector.rows)
         ]
     gap = min(above) - E0 if above else float("nan")
     return _Ground(E0, gap, states, [r for *_, solves in found for r in solves], len(found))
@@ -268,12 +255,10 @@ def _solve_sectors(basis, sector_tables, couplings, cfg: SweepConfig) -> _Ground
 
 def _solver(spec, basis):
     """The ground-state solver of one sweep chunk, built once for all its
-    grid points: the symmetry sectors on periodic ladders, the whole Sz
-    sector on open ones."""
-    if spec.bc == "periodic":
-        sectors = [LadderTables(spec, s) for s in symmetry_sectors(basis)]
-        return functools.partial(_solve_sectors, basis, sectors)
-    return functools.partial(_solve_full, basis, LadderTables(spec, basis))
+    grid points: _solve over the symmetry sectors on periodic ladders and
+    over the whole Sz sector on open ones."""
+    sectors = symmetry_sectors(basis) if spec.bc == "periodic" else [basis]
+    return functools.partial(_solve, basis, [LadderTables(spec, s) for s in sectors])
 
 
 def _measure(spec, solve, cfg: SweepConfig, t_over_pi: float) -> SweepRecord:

@@ -166,16 +166,21 @@ def test_matvec_count_matches_counting_wrapper(L, k):
         assert calls == act.dim + k  # one per column, one per residual
 
 
-@pytest.mark.parametrize("L, dense", [(3, True), (4, False)])
-def test_matrix_route_up_to_dense_max_dim(L, dense):
+@pytest.mark.parametrize("L, dense, k", [
+    pytest.param(3, True, 2, id="3-True"),
+    pytest.param(4, False, 2, id="4-False"),
+    pytest.param(4, True, 17, id="4-True-k17"),
+])
+def test_matrix_route_up_to_dense_max_dim(L, dense, k):
     # with its matrix given, a solve of at most DENSE_MAX_DIM = 64 states is
     # a dense eigh whose only matvecs are the residual checks; L = 4 (dim
-    # 70) stays on Lanczos
+    # 70) stays on Lanczos at k = 2, and at k = 17 (dim <= 4 k + 4) takes
+    # the dense route, which then reads the matrix too
     act = action_at(L, 0.3)
-    res = lowest_eigenpairs(act.matvec, act.dim, k=2, seed=2, matrix=act.H)
+    res = lowest_eigenpairs(act.matvec, act.dim, k=k, seed=2, matrix=act.H)
     spectrum = dense_oracle(act.matvec, act.dim)
-    assert np.abs(res.energies - spectrum[:2]).max() <= 1e-10
-    assert (res.matvecs == 2) is dense
+    assert np.abs(res.energies - spectrum[:k]).max() <= 1e-10
+    assert (res.matvecs == k) is dense
     if dense:  # a dense matrix serves as well as a sparse one
-        again = lowest_eigenpairs(act.matvec, act.dim, k=2, matrix=act.H.toarray())
+        again = lowest_eigenpairs(act.matvec, act.dim, k=k, matrix=act.H.toarray())
         assert np.array_equal(res.energies, again.energies)

@@ -6,16 +6,19 @@ import math
 import numpy as np
 import pytest
 
-from conftest import ground_state, solve
+from conftest import geometry, ground_state, solve
 from ringladder import (
     BlockSpec,
+    HamiltonianAction,
     LadderSpec,
     SweepConfig,
     block_sites,
     concurrence,
+    couplings_from_theta,
     enumerate_terms,
     find_extrema,
     find_zero_crossing,
+    lowest_eigenpairs,
     reduced_density_matrix,
     run_sweep,
     sweep,
@@ -241,6 +244,20 @@ def test_diagnostics_count_every_solve_and_leave_the_csv_alone(monkeypatch, bc, 
     write_csv(plain, blocks, b)
     assert a.getvalue() == b.getvalue()
     assert "diag" not in a.getvalue().splitlines()[0].replace("C_diag", "")
+
+
+def test_lone_sector_starts_at_k_2():
+    # an open ladder's whole Sz sector is the only sector, so it holds E0 and
+    # is solved once at k = 2, with no k = 1 solve before it; dim 70 is
+    # above DENSE_MAX_DIM, so both solves below run Lanczos
+    (rec,) = run_sweep(SweepConfig(L=4, thetas_over_pi=(0.1,), bc="open"))
+    _, basis, tables = geometry(4, "open")
+    action = HamiltonianAction(tables, couplings_from_theta(0.1 * math.pi))
+    direct = lowest_eigenpairs(action.matvec, basis.dim, k=2, matrix=action.H)
+    assert basis.dim == 70 and direct.multiplicity == 1
+    assert rec.diagnostics["sectors"] == 1
+    assert rec.diagnostics["matvecs"] == direct.matvecs
+    assert rec.E0 == direct.energies[0]
 
 
 def test_sweep_deterministic():

@@ -23,20 +23,23 @@ from ringladder import (
     symmetry_sectors,
 )
 from ringladder.basis import LadderOrbits
-from ringladder.eigensolver import DEGENERACY_RTOL
+from ringladder.eigensolver import ground_band
 
 THETA_C_OVER_PI = math.atan(0.5) / math.pi
 GRID = (-0.5, 0.0, 0.1, THETA_C_OVER_PI, 0.5, 0.75, 1.0)  # 1.0: the FM point
 BLOCKS = (BlockSpec("A", 2), BlockSpec("C", 3), BlockSpec("D", 3))
-# The full-sector Lanczos starts from one vector, so its Krylov space holds a
-# single combination of exactly degenerate states.  At these points it
-# returns one state of a two-dimensional irrep's ground pair (g = 1), which
-# the dense spectrum of the whole sector shows twice.
+# Lanczos on the whole Sz sector, solved by _solve as its lone sector,
+# starts from one vector, so its Krylov space holds a single combination of
+# exactly degenerate states.  At these points it returns one state of a
+# two-dimensional irrep's ground pair (g = 1), which the dense spectrum of
+# the whole sector shows twice.
 LANCZOS_MISSES = {(5, 2, 0.75), (7, 2, 0.75)}
 
 
 def full_sector_solver(spec, basis):
-    return functools.partial(sweep._solve_full, basis, LadderTables(spec, basis))
+    # the open-ladder production path: the whole Sz sector as _solve's lone
+    # sector, with no orbits, couple, expand or factors
+    return functools.partial(sweep._solve, basis, [LadderTables(spec, basis)])
 
 
 def both_paths(monkeypatch, cfg):
@@ -163,8 +166,7 @@ def test_symmetric_path_matches_full_sector_path(monkeypatch, L, twoSz):
             _, basis, tables = geometry(L, "periodic", twoSz)
             action = HamiltonianAction(tables, couplings_from_theta(GRID[i] * math.pi))
             spectrum = dense_oracle(action.matvec, basis.dim)
-            band = DEGENERACY_RTOL * max(1.0, abs(spectrum[0]))
-            assert np.count_nonzero(spectrum - spectrum[0] < band) == 2
+            assert np.count_nonzero(spectrum - spectrum[0] < ground_band(spectrum[0])) == 2
             assert (a.diagnostics["g"], b.diagnostics["g"]) == (2, 1)
             continue
         assert a.degenerate == b.degenerate
