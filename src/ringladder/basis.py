@@ -247,12 +247,6 @@ class LadderOrbits:
         self.fix_orbit = np.concatenate([f for f, _ in fixed])
         self.fix_element = np.concatenate([np.full(len(f), e) for f, e in fixed])
 
-    def locate(self, masks: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        """(orbit index, element taking the mask to its representative) of
-        each in-sector mask."""
-        at = self.basis.rank_many(masks)
-        return self.orbit_of[at], self.element_of[at]
-
     def _images(self, masks):
         """(e, e(masks)) for every non-identity element e."""
         N, L = self.basis.N, self.L

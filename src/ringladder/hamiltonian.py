@@ -7,11 +7,13 @@ The Hamiltonian is
 where P_i cyclically rotates the four spins of plaquette i clockwise.
 LadderTables holds one coupling-independent CSR pattern for all of H with an
 int8 code per entry, and HamiltonianAction turns the codes into values at
-its couplings, so each matvec is a single sparse product.  bond_matrix (a
-sum of S.S bonds in CSR form with its diagonal) and ring_matrix (the forward
-rotations of every plaquette stacked into one CSC matrix P, so the ring term
-is P + P.T) build the terms one by one; they serve the rung correlators and
-check the merged pattern.  The spin-operator decomposition of P + Pinv is
+its couplings, so each matvec is a single sparse product.  One row builder
+fills H's rows at any array of masks: the states of a plain Sz sector, or
+the orbit representatives from which a symmetry sector's rows are read.
+bond_matrix (a sum of S.S bonds in CSR form with its diagonal) builds the
+rung correlator's operator, and ring_matrix (the forward rotations of every
+plaquette stacked into one CSC matrix P, so the ring term is P + P.T) is the
+merged pattern's oracle.  The spin-operator decomposition of P + Pinv is
 kept alongside as an independent cross-check route and is not used in
 solves.
 """
@@ -203,73 +205,42 @@ class LadderTables:
     solves.
 
     On a SymmetrySector of a periodic ladder the rows are the sector's
-    states, read through their representative masks, and each entry also
-    carries a float factor (see SymmetrySector.couple), so its value is
-    lut[code] * factor; a target orbit with two states in the sector gives
-    two entries, and one row may hold several entries of one column, which
-    the sparse product sums.  A plain sector has factor None.
+    states, read through the rows that the same builder gives at their
+    representative masks, and each entry also carries a float factor (see
+    SymmetrySector.couple), so its value is lut[code] * factor; a target
+    orbit with two states in the sector gives two entries, and one row may
+    hold several entries of one column, which the sparse product sums.  A
+    plain sector has factor None.
     """
 
     def __init__(self, spec: LadderSpec, basis: SectorBasis | SymmetrySector):
         if basis.N != spec.N:
             raise ValueError(f"basis is for {basis.N} sites, ladder has {spec.N}")
-        self.spec = spec
         self.basis = basis
-        rung_bonds, leg_bonds, plaquettes = enumerate_terms(spec)
+        rung_bonds, leg_bonds, _ = enumerate_terms(spec)
         self.n_rung, self.n_leg = len(rung_bonds), len(leg_bonds)
         if isinstance(basis, SectorBasis):
-            up = [((basis.states >> s) & 1).astype(bool) for s in range(spec.N)]
-            self.anti_r, self.anti_l, self.fixed = _diagonal_counts(
-                up, rung_bonds, leg_bonds, plaquettes
-            )
+            (self.indptr, self.indices, self.code,
+             self.anti_r, self.anti_l, self.fixed) = _rows(spec, basis, basis.states)
             self.factor = None
-            self._fill_plain(up, rung_bonds, leg_bonds, plaquettes)
         else:
             if spec.bc != "periodic":
                 raise ValueError("symmetry sectors exist on periodic ladders only")
-            rows = _orbit_rows(spec, basis.group)
-            self.anti_r, self.anti_l, self.fixed = (c[basis.orbit] for c in rows.counts)
-            self._fill_sector(rows)
+            self._fill_sector(*_orbit_rows(spec, basis.group))
 
-    def _fill_plain(self, up, rung_bonds, leg_bonds, plaquettes):
-        basis, states = self.basis, self.basis.states
-        # two passes over the slots, so only one slot's arrays live at a time:
-        # count the entries of each row (one per antiparallel bond, the ring
-        # slots and the diagonal), then scatter them in place
-        row_len = 1 + self.anti_r.astype(np.int64) + self.anti_l
-        for on, _, _ in _plaquette_slots(up, plaquettes):
-            row_len += on
-        nnz = int(row_len.sum())
-        idx = scipy.sparse.get_index_dtype(maxval=max(nnz, basis.dim))
-        self.indptr = np.zeros(basis.dim + 1, dtype=idx)
-        np.cumsum(row_len, out=self.indptr[1:])
-        del row_len
-        self.indices = np.empty(nnz, dtype=idx)
-        self.code = np.zeros(nnz, dtype=np.int8)
-        pos = self.indptr[:-1].copy()
-        for on, flip, code in itertools.chain(
-            _bond_slots(up, rung_bonds, leg_bonds, plaquettes),
-            _plaquette_slots(up, plaquettes),
-        ):
-            rows = np.flatnonzero(on)
-            at = pos[rows]
-            self.indices[at] = basis.rank_many(states[rows] ^ flip)
-            self.code[at] = code
-            pos[rows] += 1
-        self.indices[pos] = np.arange(basis.dim)
-
-    def _fill_sector(self, rows: _OrbitRows):
-        # every sector state takes the plain entries of its orbit's
-        # representative, each landing in as many columns as the target's
-        # orbit has states in the sector (none, one or two); couple keeps
-        # them in row order, so entry j of row i goes to i + j, after the
-        # diagonals of the i rows before it
+    def _fill_sector(self, ptr, code, orbit, element, counts):
+        # every sector state takes the entries of its orbit's representative
+        # row but the diagonal last, each landing in as many columns as the
+        # target's orbit has states in the sector (none, one or two); couple
+        # keeps them in row order, so entry j of row i goes to i + j, after
+        # the diagonals of the i rows before it
         basis = self.basis
         o = basis.orbit
-        n = rows.ptr[o + 1] - rows.ptr[o]
+        self.anti_r, self.anti_l, self.fixed = (c[o] for c in counts)
+        n = ptr[o + 1] - ptr[o] - 1
         row = np.repeat(np.arange(basis.dim), n)
-        src = np.arange(len(row)) + np.repeat(rows.ptr[o] - (np.cumsum(n) - n), n)
-        pick, cols, factor = basis.couple(row, rows.orbit[src], rows.element[src])
+        src = np.arange(len(row)) + np.repeat(ptr[o] - (np.cumsum(n) - n), n)
+        pick, cols, factor = basis.couple(row, orbit[src], element[src])
         row, src = row[pick], src[pick]
         nnz = len(row) + basis.dim
         idx = scipy.sparse.get_index_dtype(maxval=max(nnz, basis.dim))
@@ -280,67 +251,67 @@ class LadderTables:
         self.indices[at] = cols
         self.indices[self.indptr[1:] - 1] = np.arange(basis.dim)
         self.code = np.zeros(nnz, dtype=np.int8)
-        self.code[at] = rows.code[src]
+        self.code[at] = code[src]
         self.factor = np.ones(nnz)
         self.factor[at] = factor
 
 
-def _diagonal_counts(up, rung_bonds, leg_bonds, plaquettes):
-    """Per state: the int8 counts of antiparallel rung and leg bonds, and
-    twice the number of uniform plaquettes."""
+def _rows(spec: LadderSpec, basis: SectorBasis, masks: np.ndarray):
+    """H's rows at an array of in-sector masks, in LadderTables' order.
+
+    Returns the CSR pointers, the basis rank of each entry's target mask
+    (each row's diagonal last, at the rank of the row's own mask), the int8
+    code of each entry and the per-row int8 counts anti_r, anti_l and fixed.
+    """
+    rung_bonds, leg_bonds, plaquettes = enumerate_terms(spec)
+    up = [((masks >> s) & 1).astype(bool) for s in range(spec.N)]
 
     def anti(bonds):
-        n = np.zeros(len(up[0]), dtype=np.int8)
+        n = np.zeros(len(masks), dtype=np.int8)
         for i, j in bonds:
             n += up[i] ^ up[j]
         return n
 
-    fixed = np.zeros(len(up[0]), dtype=np.int8)
+    anti_r, anti_l = anti(rung_bonds), anti(leg_bonds)
+    fixed = np.zeros(len(masks), dtype=np.int8)
     for p in plaquettes:
         mixed = (up[p.a] ^ up[p.b]) | (up[p.b] ^ up[p.c]) | (up[p.c] ^ up[p.d])
         fixed += np.int8(2) * ~mixed
-    return anti(rung_bonds), anti(leg_bonds), fixed
-
-
-@dataclass(frozen=True)
-class _OrbitRows:
-    """H's rows at the orbit representatives of a LadderOrbits: the
-    diagonal counts per orbit and, as CSR over orbits without the diagonal,
-    each entry's code, the orbit of its target mask and the group element
-    taking that mask to its representative."""
-
-    counts: tuple[np.ndarray, np.ndarray, np.ndarray]
-    ptr: np.ndarray
-    code: np.ndarray
-    orbit: np.ndarray
-    element: np.ndarray
-
-
-# every sector of a group reads the same rows and a sweep builds the
-# sectors of one group in turn, so only the last group's rows are kept
-@functools.lru_cache(maxsize=1)
-def _orbit_rows(spec: LadderSpec, group: LadderOrbits) -> _OrbitRows:
-    reps = group.reps
-    rung_bonds, leg_bonds, plaquettes = enumerate_terms(spec)
-    up = [((reps >> s) & 1).astype(bool) for s in range(spec.N)]
-    rows, masks, codes = [], [], []
-    for on, flip, code in itertools.chain(
+    # two passes over the slots, so only one slot's arrays live at a time:
+    # count the entries of each row (one per antiparallel bond, the ring
+    # slots and the diagonal), then scatter them in place
+    row_len = 1 + anti_r.astype(np.int64) + anti_l
+    for on, _, _ in _plaquette_slots(up, plaquettes):
+        row_len += on
+    nnz = int(row_len.sum())
+    idx = scipy.sparse.get_index_dtype(maxval=max(nnz, basis.dim))
+    indptr = np.zeros(len(masks) + 1, dtype=idx)
+    np.cumsum(row_len, out=indptr[1:])
+    del row_len
+    indices = np.empty(nnz, dtype=idx)
+    code = np.zeros(nnz, dtype=np.int8)
+    pos = indptr[:-1].copy()
+    for on, flip, c in itertools.chain(
         _bond_slots(up, rung_bonds, leg_bonds, plaquettes),
         _plaquette_slots(up, plaquettes),
     ):
-        r = np.flatnonzero(on)
-        rows.append(r)
-        masks.append(reps[r] ^ flip)
-        codes.append(np.broadcast_to(np.asarray(code, dtype=np.int8), r.shape))
-    rows = np.concatenate(rows)
-    order = np.argsort(rows, kind="stable")
-    ptr = np.zeros(len(reps) + 1, dtype=np.int64)
-    np.cumsum(np.bincount(rows, minlength=len(reps)), out=ptr[1:])
-    orbit, element = group.locate(np.concatenate(masks)[order])
-    return _OrbitRows(
-        _diagonal_counts(up, rung_bonds, leg_bonds, plaquettes),
-        ptr, np.concatenate(codes)[order], orbit, element,
-    )
+        rows = np.flatnonzero(on)
+        at = pos[rows]
+        indices[at] = basis.rank_many(masks[rows] ^ flip)
+        code[at] = c
+        pos[rows] += 1
+    indices[pos] = basis.rank_many(masks)
+    return indptr, indices, code, anti_r, anti_l, fixed
+
+
+# every sector of a group reads the same representative rows and a sweep
+# builds the sectors of one group in turn, so only the last group's rows
+# are kept: their pointers and codes, with the orbit of each entry's target
+# and the group element taking it to its representative
+@functools.lru_cache(maxsize=1)
+def _orbit_rows(spec: LadderSpec, group: LadderOrbits):
+    ptr, at, code, *counts = _rows(spec, group.basis, group.reps)
+    return ptr, code, group.orbit_of[at], group.element_of[at], counts
 
 
 class HamiltonianAction:

@@ -140,6 +140,8 @@ class SweepConfig:
             raise ValueError(f"seed must be a non-negative integer, got {self.seed}")
         if self.L == 1 and {"leg", "diag"} & set(self.pairs):
             raise ValueError("a one-rung ladder has no leg or diag pair; use --pairs rung")
+        for b in self.blocks:
+            block_sites(b.family, b.l, LadderSpec(self.L, self.bc))
 
     @staticmethod
     def check_pairs(pairs) -> tuple[str, ...]:

@@ -140,6 +140,8 @@ def test_config_file_rejects_unknown_keys(tmp_path, capsys):
     pytest.param(["gs", "--tol", "nan"], None, "tol", id="tol-nan"),
     pytest.param(["gs", "--tol", "inf"], None, "tol", id="tol-inf"),
     pytest.param(["gs", "--seed", "-1"], None, "seed", id="seed-negative"),
+    pytest.param(["gs", "--rungs", "4", "--blocks", "D:9"], None,
+                 "family D needs l in 1..4, got 9", id="block-too-long"),
 ])
 def test_bad_input_is_a_usage_error(argv, config, says, tmp_path, capsys):
     if config is not None:

@@ -1,7 +1,9 @@
 import csv
 import dataclasses
+import importlib
 import io
 import math
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -291,6 +293,9 @@ def test_sweep_config_validation():
         SweepConfig(L=3, thetas_over_pi=(0.1,), workers=0)
     with pytest.raises(ValueError, match="pair kind"):
         SweepConfig(L=3, thetas_over_pi=(0.1,), pairs=("rung", "cross"))
+    # a block that does not fit the ladder is refused before any solve
+    with pytest.raises(ValueError, match="family D needs l in 1..4, got 9"):
+        SweepConfig(L=4, thetas_over_pi=(0.0,), blocks=(BlockSpec("D", 9),))
 
 
 def test_negative_seed_refused_on_the_dense_route_too():
@@ -321,3 +326,28 @@ def test_extrema_plateau_midpoint():
 
 def test_extrema_endpoints_excluded():
     assert find_extrema([(0.0, 2.0), (1.0, 1.0), (2.0, 0.0)]) == []
+
+
+GOLDEN = Path(__file__).resolve().parent / "data"
+
+
+@pytest.mark.parametrize("name, L, bc, blocks", [
+    ("sweep_L6_periodic.csv", 6, "periodic", (("A", 4), ("C", 5), ("D", 6))),
+    ("sweep_L5_open.csv", 5, "open", (("A", 4), ("C", 5), ("D", 5))),
+])
+def test_sweep_csv_matches_golden_output(name, L, bc, blocks, tmp_path, monkeypatch):
+    # the CSV contract: tests/data holds the output of `ringladder sweep
+    # --rungs L --bc BC --theta-min -0.30 --theta-max 0.90 --theta-step 0.05
+    # --blocks ...`; every cell must agree within 1e-10, as
+    # tools/csv_diff.py --tol 1e-10 checks it, which allows last-digit
+    # differences between platforms
+    monkeypatch.syspath_prepend(str(Path(__file__).resolve().parents[1] / "tools"))
+    csv_diff = importlib.import_module("csv_diff")
+    out = tmp_path / name
+    run_sweep(SweepConfig(
+        L=L, thetas_over_pi=theta_grid(-0.30, 0.90, 0.05), bc=bc,
+        blocks=tuple(BlockSpec(f, l) for f, l in blocks), out=str(out),
+    ))
+    (_, [want]), (_, [got]) = csv_diff.read(str(GOLDEN / name)), csv_diff.read(str(out))
+    diffs = csv_diff.column_diffs(want, got, tol=1e-10)
+    assert not [d for d in diffs if d[3]], diffs
