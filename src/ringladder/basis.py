@@ -164,10 +164,8 @@ def build_sector(N: int, twoSz: int) -> SectorBasis:
 #
 #     w(a, u) = (1 / n_a) sum_j u_j P_1j |a>,
 #
-# whose amplitude on the mask x = h(a) is n_a (D(h)^T u)_1, and
-# H w(a, u) = sum over the entries h_ba of a's row of h_ba * sum over the
-# states w(b', u') of b's orbit of u'^T D(g_b) u * n_b' / n_a, where g_b
-# maps b to its representative b'.  Real irreps keep H real: the momenta
+# whose amplitude on the mask x = h(a) is n_a (D(h)^T u)_1; LadderTables
+# gives H's entries between them.  Real irreps keep H real: the momenta
 # k = 2 pi m / L with 0 < m < L / 2 pair with -k into two-dimensional
 # irreps, one of whose two rows is solved; the other row has the same
 # spectrum.
@@ -311,10 +309,6 @@ class LadderOrbits:
         norm = np.sqrt(d * stab / self.order)
         return SymmetrySector(self, irrep, D, orbit, vecs, first, rank, norm)
 
-    def sectors(self) -> list["SymmetrySector"]:
-        """Every non-empty sector, one per irrep."""
-        return [s for s in map(self.sector, self.irreps()) if s.dim]
-
 
 @dataclass(frozen=True, eq=False)
 class SymmetrySector:
@@ -322,7 +316,8 @@ class SymmetrySector:
 
     Sector state i is w(orbit[i], vecs[:, i]); the states of one orbit are
     adjacent, first[o] is the first of the count[o] states of orbit o, and
-    norm[o] its n_o.  D[i, j] holds D_ij over the group elements.
+    norm[o] its n_o.  D[i, j] holds D_ij over the group elements.  It only
+    describes and expands states; LadderTables computes H's entries.
     """
 
     group: LadderOrbits
@@ -347,30 +342,6 @@ class SymmetrySector:
         """Rows of the irrep, each with a copy of every level."""
         return self.irrep.dim
 
-    def couple(self, rows: np.ndarray, orbit: np.ndarray, element: np.ndarray):
-        """Entries of H's rows from plain entries h(rows[n], b_n), where the
-        mask b_n lies in orbit[n] and element[n] takes it to the orbit's
-        representative.
-
-        Returns (pick, cols, factors): plain entry pick[m] lands in column
-        cols[m] with its value times factors[m], once per state of its
-        target orbit in this sector (none, one or two).  pick ascends, so
-        entries keep the order of rows.
-        """
-        d = self.irrep.dim
-        count = self.count[orbit]
-        pick = np.repeat(np.arange(len(rows)), count)
-        t = np.arange(len(pick)) - np.repeat(np.cumsum(count) - count, count)
-        rows, orbit, element = rows[pick], orbit[pick], element[pick]
-        cols = self.first[orbit] + t
-        ratio = self.norm[orbit] / self.norm[self.orbit[rows]]
-        # u'^T D(g_b) u, with u the row's vector and u' the column's
-        factor = sum(
-            self.vecs[i][cols] * self.D[i, j][element] * self.vecs[j][rows]
-            for i in range(d) for j in range(d)
-        )
-        return pick, cols, factor * ratio
-
     def expand(self, amps: np.ndarray, row: int = 0) -> np.ndarray:
         """Amplitudes over the plain sector of the state sum_i amps[i] w_i.
 
@@ -392,4 +363,5 @@ def symmetry_sectors(basis: SectorBasis) -> list[SymmetrySector]:
     Summed with the irreps' dimensions as weights, their dimensions give
     basis.dim.
     """
-    return LadderOrbits(basis).sectors()
+    group = LadderOrbits(basis)
+    return [s for s in map(group.sector, group.irreps()) if s.dim]

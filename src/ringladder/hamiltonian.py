@@ -206,11 +206,12 @@ class LadderTables:
 
     On a SymmetrySector of a periodic ladder the rows are the sector's
     states, read through the rows that the same builder gives at their
-    representative masks, and each entry also carries a float factor (see
-    SymmetrySector.couple), so its value is lut[code] * factor; a target
-    orbit with two states in the sector gives two entries, and one row may
-    hold several entries of one column, which the sparse product sums.  A
-    plain sector has factor None.
+    representative masks, and each entry also carries a float factor that
+    the tables compute from the sector's vectors, irrep matrices and norms,
+    so its value is lut[code] * factor; a target orbit with two states in
+    the sector gives two entries, and one row may hold several entries of
+    one column, which the sparse product sums.  A plain sector has factor
+    None.
     """
 
     def __init__(self, spec: LadderSpec, basis: SectorBasis | SymmetrySector):
@@ -229,27 +230,33 @@ class LadderTables:
             self._fill_sector(*_orbit_rows(spec, basis.group))
 
     def _fill_sector(self, ptr, code, orbit, element, counts):
-        # every sector state takes the entries of its orbit's representative
-        # row but the diagonal last, each landing in as many columns as the
-        # target's orbit has states in the sector (none, one or two); couple
-        # keeps them in row order, so entry j of row i goes to i + j, after
-        # the diagonals of the i rows before it
-        basis = self.basis
-        o = basis.orbit
-        self.anti_r, self.anti_l, self.fixed = (c[o] for c in counts)
-        n = ptr[o + 1] - ptr[o] - 1
-        row = np.repeat(np.arange(basis.dim), n)
-        src = np.arange(len(row)) + np.repeat(ptr[o] - (np.cumsum(n) - n), n)
-        pick, cols, factor = basis.couple(row, orbit[src], element[src])
-        row, src = row[pick], src[pick]
-        nnz = len(row) + basis.dim
-        idx = scipy.sparse.get_index_dtype(maxval=max(nnz, basis.dim))
-        self.indptr = np.zeros(basis.dim + 1, dtype=idx)
-        np.cumsum(np.bincount(row, minlength=basis.dim) + 1, out=self.indptr[1:])
+        # H w(a, u) = sum over the entries h_ba of a's row of h_ba * sum over
+        # the states w(b', u') of b's orbit of u'^T D(g_b) u * n_b' / n_a,
+        # where g_b maps b to its representative b'.  Sector state i takes its
+        # representative's row but the diagonal last, each entry fanned out
+        # to the count[b] (none, one or two) states of b's orbit in row order,
+        # so entry j of row i goes to i + j, after the diagonals of rows < i
+        s = self.basis
+        a = s.orbit
+        self.anti_r, self.anti_l, self.fixed = (c[a] for c in counts)
+        n = ptr[a + 1] - ptr[a] - 1
+        row = np.repeat(np.arange(s.dim), n)
+        src = np.arange(len(row)) + np.repeat(ptr[a] - (np.cumsum(n) - n), n)
+        fan = s.count[orbit[src]]
+        row, src = np.repeat(row, fan), np.repeat(src, fan)
+        b, g = orbit[src], element[src]
+        cols = s.first[b] + np.arange(len(row)) - np.repeat(np.cumsum(fan) - fan, fan)
+        factor = sum(s.vecs[i][cols] * s.D[i, j][g] * s.vecs[j][row]
+                     for i, j in itertools.product(range(s.rows), repeat=2))
+        factor *= s.norm[b] / s.norm[a[row]]
+        nnz = len(row) + s.dim
+        idx = scipy.sparse.get_index_dtype(maxval=max(nnz, s.dim))
+        self.indptr = np.zeros(s.dim + 1, dtype=idx)
+        np.cumsum(np.bincount(row, minlength=s.dim) + 1, out=self.indptr[1:])
         at = np.arange(len(row)) + row
         self.indices = np.empty(nnz, dtype=idx)
         self.indices[at] = cols
-        self.indices[self.indptr[1:] - 1] = np.arange(basis.dim)
+        self.indices[self.indptr[1:] - 1] = np.arange(s.dim)
         self.code = np.zeros(nnz, dtype=np.int8)
         self.code[at] = code[src]
         self.factor = np.ones(nnz)

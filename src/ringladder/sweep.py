@@ -22,6 +22,7 @@ from __future__ import annotations
 import csv
 import functools
 import math
+import os
 import time
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field
@@ -130,8 +131,9 @@ class SweepConfig:
         object.__setattr__(self, "thetas_over_pi", tuple(float(t) for t in self.thetas_over_pi))
         object.__setattr__(self, "blocks", tuple(self.blocks))
         object.__setattr__(self, "pairs", self.check_pairs(self.pairs))
-        if not all(math.isfinite(t) for t in self.thetas_over_pi):
-            raise ValueError(f"theta must be finite, got {self.thetas_over_pi}")
+        # theta/pi = 1e308 is finite, but not in radians
+        if not all(math.isfinite(t * math.pi) for t in self.thetas_over_pi):
+            raise ValueError(f"theta must be finite in radians, got {self.thetas_over_pi}")
         if not (math.isfinite(self.tol) and self.tol > 0):
             raise ValueError(f"tol must be a positive finite number, got {self.tol}")
         if self.workers < 1:
@@ -142,6 +144,10 @@ class SweepConfig:
             raise ValueError("a one-rung ladder has no leg or diag pair; use --pairs rung")
         for b in self.blocks:
             block_sites(b.family, b.l, LadderSpec(self.L, self.bc))
+        # refused now, not after the solves it would hold
+        folder = os.path.dirname(self.out or "") or "."
+        if self.out is not None and (os.path.isdir(self.out) or not os.path.isdir(folder)):
+            raise ValueError(f"out must be a file in an existing directory, got {self.out!r}")
 
     @staticmethod
     def check_pairs(pairs) -> tuple[str, ...]:

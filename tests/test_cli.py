@@ -135,6 +135,8 @@ def test_config_file_rejects_unknown_keys(tmp_path, capsys):
     pytest.param(["blocks"], None, "", id="blocks-without-blocks"),
     pytest.param(["sweep", "--theta-step", "0"], None, "step", id="theta-step-0"),
     pytest.param(["gs", "--theta", "nan"], None, "theta", id="theta-nan"),
+    # finite as theta/pi, infinite in radians
+    pytest.param(["gs", "--theta", "1e308"], None, "theta", id="theta-overflow"),
     pytest.param(["gs", "--tol", "-1"], None, "tol", id="tol-negative"),
     # a NaN or infinite tol would switch the residual check off
     pytest.param(["gs", "--tol", "nan"], None, "tol", id="tol-nan"),

@@ -3,6 +3,7 @@ import dataclasses
 import importlib
 import io
 import math
+import re
 from pathlib import Path
 
 import numpy as np
@@ -288,7 +289,7 @@ def test_sweep_failure_names_theta(workers):
         run_sweep(cfg)
 
 
-def test_sweep_config_validation():
+def test_sweep_config_validation(tmp_path):
     with pytest.raises(ValueError, match="workers"):
         SweepConfig(L=3, thetas_over_pi=(0.1,), workers=0)
     with pytest.raises(ValueError, match="pair kind"):
@@ -296,6 +297,13 @@ def test_sweep_config_validation():
     # a block that does not fit the ladder is refused before any solve
     with pytest.raises(ValueError, match="family D needs l in 1..4, got 9"):
         SweepConfig(L=4, thetas_over_pi=(0.0,), blocks=(BlockSpec("D", 9),))
+    with pytest.raises(ValueError, match="theta"):
+        SweepConfig(L=3, thetas_over_pi=(0.1, 1e308))
+    # an output path that cannot be written is refused before any solve
+    for out in (tmp_path / "missing" / "x.csv", tmp_path):
+        with pytest.raises(ValueError, match=re.escape(str(out))):
+            SweepConfig(L=3, thetas_over_pi=(0.1,), out=str(out))
+    SweepConfig(L=3, thetas_over_pi=(0.1,), out=str(tmp_path / "x.csv"))
 
 
 def test_negative_seed_refused_on_the_dense_route_too():

@@ -38,7 +38,7 @@ LANCZOS_MISSES = {(5, 2, 0.75), (7, 2, 0.75)}
 
 def full_sector_solver(spec, basis):
     # the open-ladder production path: the whole Sz sector as _solve's lone
-    # sector, with no orbits, couple, expand or factors
+    # sector, with no orbits, sector states or factors
     return functools.partial(sweep._solve, basis, [LadderTables(spec, basis)])
 
 
@@ -78,7 +78,9 @@ def test_sector_dimensions_add_up_to_the_sz_sector(L, twoSz):
         assert len(sectors) == 32
 
 
-@pytest.mark.parametrize("L", (3, 4, 5))
+# L = 6 is the first ring with the k = pi/3 and 2 pi/3 irreps, whose D
+# entries are +-1/2 and +-sqrt(3)/2
+@pytest.mark.parametrize("L", (3, 4, 5, 6))
 @pytest.mark.parametrize("twoSz", (0, 2))
 def test_sector_states_are_orthonormal_and_block_diagonalize_h(L, twoSz):
     spec = LadderSpec(L=L)

@@ -1,11 +1,15 @@
-"""The BENCH file writer in tools/, run as a script on synthetic results."""
+"""The scripts in tools/, run on synthetic results or on the package itself."""
 
+import importlib.util
 import json
+import os
 import subprocess
 import sys
 from pathlib import Path
 
 import pytest
+
+from ringladder import LadderSpec, LadderTables, build_sector, symmetry_sectors
 
 SCRIPT = Path(__file__).resolve().parents[1] / "tools" / "bench_file.py"
 
@@ -185,3 +189,32 @@ def test_csv_diff_tol_accepts_numeric_moves_within_it(tmp_path):
     assert run("b.csv", "--tol", "1e-14").returncode == 1
     # a cell that is not a number on both sides is outside every tolerance
     assert run("c.csv", "--tol", "1").returncode == 1
+
+
+TABLE_DIGEST = SCRIPT.parent / "table_digest.py"
+
+
+def test_table_digest_is_stable_and_sees_one_code():
+    env = {**os.environ, "PYTHONPATH": str(SCRIPT.parents[1] / "src")}
+    runs = [
+        subprocess.run([sys.executable, str(TABLE_DIGEST), "--max-L", "4"],
+                       capture_output=True, text=True, env=env)
+        for _ in range(2)
+    ]
+    assert runs[0].returncode == 0, runs[0].stderr
+    assert runs[0].stdout == runs[1].stdout
+    lines = runs[0].stdout.splitlines()
+    # periodic L = 3 and 4 with their symmetry sectors, open L = 4 and 7
+    n = 4 + sum(1 + len(symmetry_sectors(build_sector(2 * L, twoSz)))
+                for L in (3, 4) for twoSz in (0, 2))
+    assert len(lines) == n + 1
+    assert lines[-1].startswith(f"total {n} tables ")
+
+    spec = importlib.util.spec_from_file_location("table_digest", TABLE_DIGEST)
+    tool = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(tool)
+    tables = LadderTables(LadderSpec(L=3), build_sector(6, 0))
+    line = f"periodic L=3 twoSz=0 [plain] dim=20 nnz={len(tables.indices)} "
+    assert line + tool.digest(tables) in lines
+    tables.code[0] += 1
+    assert line + tool.digest(tables) not in lines
