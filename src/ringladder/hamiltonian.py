@@ -5,17 +5,14 @@ The Hamiltonian is
     H = Jr * sum_i S1i.S2i + Jl * sum_bonds S.S + K * sum_i (P_i + Pinv_i)
 
 where P_i cyclically rotates the four spins of plaquette i clockwise.
-LadderTables holds one coupling-independent CSR pattern for all of H with an
-int8 code per entry, and HamiltonianAction turns the codes into values at
-its couplings, so each matvec is a single sparse product.  One row builder
-fills H's rows at any array of masks: the states of a plain Sz sector, or
-the orbit representatives from which a symmetry sector's rows are read.
-bond_matrix (a sum of S.S bonds in CSR form with its diagonal) builds the
-rung correlator's operator, and ring_matrix (the forward rotations of every
-plaquette stacked into one CSC matrix P, so the ring term is P + P.T) is the
-merged pattern's oracle.  The spin-operator decomposition of P + Pinv is
-kept alongside as an independent cross-check route and is not used in
-solves.
+LadderTables holds one coupling-independent CSR pattern for all of H with a
+small unsigned key per entry into a short list of (code, factor) pairs, and
+HamiltonianAction turns the pairs into values at its couplings, so each
+matvec is a single sparse product.  One row builder fills H's rows at any
+array of masks: the states of a plain Sz sector, or the orbit
+representatives from which a symmetry sector's rows are read.  bond_matrix
+builds the rung correlator's operator; ring_matrix and the spin-operator
+decomposition of P + Pinv are the merged pattern's oracles, unused in solves.
 """
 
 from __future__ import annotations
@@ -184,9 +181,9 @@ def _plaquette_slots(up, plaquettes):
 class LadderTables:
     """Coupling-independent sparsity pattern of H for one (geometry, sector) pair.
 
-    indptr and indices are one CSR pattern holding every term, and code
-    gives the int8 kind of each entry, so a coupling point only has to look
-    up its values.  P and Pinv of a plaquette (a, b, c, d) land
+    indptr and indices are one CSR pattern holding every term, and key
+    picks each entry's (pair_code, pair_factor), so a coupling point only
+    has to look up its values.  P and Pinv of a plaquette (a, b, c, d) land
 
       * on the diagonal when all four spins are equal (weight 2);
       * on an antiparallel edge of the plaquette, which is a rung or leg
@@ -204,14 +201,11 @@ class LadderTables:
     of a sweep.  Read-only after construction, safe to use from concurrent
     solves.
 
-    On a SymmetrySector of a periodic ladder the rows are the sector's
-    states, read through the rows that the same builder gives at their
-    representative masks, and each entry also carries a float factor that
-    the tables compute from the sector's vectors, irrep matrices and norms,
-    so its value is lut[code] * factor; a target orbit with two states in
-    the sector gives two entries, and one row may hold several entries of
-    one column, which the sparse product sums.  A plain sector has factor
-    None.
+    A plain sector's key is its code, with factor 1.  On a SymmetrySector of
+    a periodic ladder the rows are the sector's states, read through the
+    builder's rows at their representative masks, with factors from the
+    sector's vectors, irrep matrices and norms; a target orbit with two states
+    gives two entries, and a row may repeat a column, which the product sums.
     """
 
     def __init__(self, spec: LadderSpec, basis: SectorBasis | SymmetrySector):
@@ -221,34 +215,29 @@ class LadderTables:
         rung_bonds, leg_bonds, _ = enumerate_terms(spec)
         self.n_rung, self.n_leg = len(rung_bonds), len(leg_bonds)
         if isinstance(basis, SectorBasis):
-            (self.indptr, self.indices, self.code,
+            (self.indptr, self.indices, self.key,
              self.anti_r, self.anti_l, self.fixed) = _rows(spec, basis, basis.states)
-            self.factor = None
+            self.pair_code, self.pair_factor = np.arange(FOUR_FLIP + 1), np.ones(FOUR_FLIP + 1)
         else:
             if spec.bc != "periodic":
                 raise ValueError("symmetry sectors exist on periodic ladders only")
             self._fill_sector(*_orbit_rows(spec, basis.group))
 
-    def _fill_sector(self, ptr, code, orbit, element, counts):
+    def _fill_sector(self, ptr, kind, orbit, counts):
         # H w(a, u) = sum over the entries h_ba of a's row of h_ba * sum over
         # the states w(b', u') of b's orbit of u'^T D(g_b) u * n_b' / n_a,
         # where g_b maps b to its representative b'.  Sector state i takes its
         # representative's row but the diagonal last, each entry fanned out
         # to the count[b] (none, one or two) states of b's orbit in row order,
         # so entry j of row i goes to i + j, after the diagonals of rows < i
-        s = self.basis
-        a = s.orbit
+        s, a = self.basis, self.basis.orbit
         self.anti_r, self.anti_l, self.fixed = (c[a] for c in counts)
         n = ptr[a + 1] - ptr[a] - 1
         row = np.repeat(np.arange(s.dim), n)
         src = np.arange(len(row)) + np.repeat(ptr[a] - (np.cumsum(n) - n), n)
         fan = s.count[orbit[src]]
         row, src = np.repeat(row, fan), np.repeat(src, fan)
-        b, g = orbit[src], element[src]
-        cols = s.first[b] + np.arange(len(row)) - np.repeat(np.cumsum(fan) - fan, fan)
-        factor = sum(s.vecs[i][cols] * s.D[i, j][g] * s.vecs[j][row]
-                     for i, j in itertools.product(range(s.rows), repeat=2))
-        factor *= s.norm[b] / s.norm[a[row]]
+        cols = s.first[orbit[src]] + np.arange(len(row)) - np.repeat(np.cumsum(fan) - fan, fan)
         nnz = len(row) + s.dim
         idx = scipy.sparse.get_index_dtype(maxval=max(nnz, s.dim))
         self.indptr = np.zeros(s.dim + 1, dtype=idx)
@@ -257,17 +246,31 @@ class LadderTables:
         self.indices = np.empty(nnz, dtype=idx)
         self.indices[at] = cols
         self.indices[self.indptr[1:] - 1] = np.arange(s.dim)
-        self.code = np.zeros(nnz, dtype=np.int8)
-        self.code[at] = code[src]
-        self.factor = np.ones(nnz)
-        self.factor[at] = factor
+        # a factor depends only on its code, g and the bits of its row's and column's
+        # (vecs column, norm): one per combination, each (code, factor) kept once
+        state = np.vstack([s.vecs, s.norm[a]]).T.copy()
+        state, label = np.unique(state.view(f"V{state[0].nbytes}")[:, 0], return_inverse=True)
+        v = state.view(np.float64).reshape(len(state), -1).T  # vecs rows, then the norm
+        mark = np.zeros((FOUR_FLIP + 1, s.group.order, len(state), len(state)), dtype=bool)
+        combo = np.zeros(nnz, dtype=np.intp)  # the diagonal's, so its code 0 is key 0
+        combo[at] = (kind[src] * len(state) + label[row]) * len(state) + label[cols]
+        mark.reshape(-1)[combo] = True
+        c, g, lr, lc = np.unravel_index(np.flatnonzero(mark), mark.shape)
+        f = sum(v[i][lc] * s.D[i, j][g] * v[j][lr] for i in range(s.rows) for j in range(s.rows))
+        f *= v[-1][lc] / v[-1][lr]
+        fs, fl = np.unique(f.view(np.int64), return_inverse=True)
+        pairs, pair = np.unique(c * len(fs) + fl, return_inverse=True)  # code 0 first
+        self.pair_code, self.pair_factor = pairs // len(fs), fs.view(np.float64)[pairs % len(fs)]
+        lookup = np.zeros(mark.shape, dtype=np.min_scalar_type(len(pairs)))
+        lookup[mark] = pair
+        self.key = lookup.reshape(-1)[combo]
 
 
 def _rows(spec: LadderSpec, basis: SectorBasis, masks: np.ndarray):
     """H's rows at an array of in-sector masks, in LadderTables' order.
 
     Returns the CSR pointers, the basis rank of each entry's target mask
-    (each row's diagonal last, at the rank of the row's own mask), the int8
+    (each row's diagonal last, at the rank of the row's own mask), the uint8
     code of each entry and the per-row int8 counts anti_r, anti_l and fixed.
     """
     rung_bonds, leg_bonds, plaquettes = enumerate_terms(spec)
@@ -296,7 +299,7 @@ def _rows(spec: LadderSpec, basis: SectorBasis, masks: np.ndarray):
     np.cumsum(row_len, out=indptr[1:])
     del row_len
     indices = np.empty(nnz, dtype=idx)
-    code = np.zeros(nnz, dtype=np.int8)
+    code = np.zeros(nnz, dtype=np.uint8)
     pos = indptr[:-1].copy()
     for on, flip, c in itertools.chain(
         _bond_slots(up, rung_bonds, leg_bonds, plaquettes),
@@ -313,30 +316,27 @@ def _rows(spec: LadderSpec, basis: SectorBasis, masks: np.ndarray):
 
 # every sector of a group reads the same representative rows and a sweep
 # builds the sectors of one group in turn, so only the last group's rows
-# are kept: their pointers and codes, with the orbit of each entry's target
-# and the group element taking it to its representative
+# are kept: their pointers, each entry's kind code * order + g, with g the
+# element taking its target to its representative, and its target's orbit
 @functools.lru_cache(maxsize=1)
 def _orbit_rows(spec: LadderSpec, group: LadderOrbits):
     ptr, at, code, *counts = _rows(spec, group.basis, group.reps)
-    return ptr, code, group.orbit_of[at], group.element_of[at], counts
+    return ptr, code * np.intp(group.order) + group.element_of[at], group.orbit_of[at], counts
 
 
 class HamiltonianAction:
     """H bound to concrete couplings, exposing matvec on raw amplitude arrays.
 
-    H is one CSR matrix whose data is looked up from the tables' codes
-    (and multiplied by their factors on a symmetry sector); it shares
-    indices and indptr with the tables, so each coupling point adds
-    one float array of nnz entries.
+    H is one CSR matrix whose data is the tables' pair values at these
+    couplings, read at each entry's key; it shares indices and indptr with
+    the tables, so each coupling point adds one float array of nnz entries.
     """
 
     def __init__(self, tables: LadderTables, couplings: Couplings):
         self.tables = tables
         self.couplings = couplings
         t, Jr, Jl, K = tables, couplings.Jr, couplings.Jl, couplings.K
-        data = _coupling_lut(couplings)[t.code]
-        if t.factor is not None:
-            data *= t.factor
+        data = (_coupling_lut(couplings)[t.pair_code] * t.pair_factor)[t.key]
         data[t.indptr[1:] - 1] = (
             Jr * (0.25 * t.n_rung - 0.5 * t.anti_r)
             + Jl * (0.25 * t.n_leg - 0.5 * t.anti_l)

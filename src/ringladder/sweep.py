@@ -32,6 +32,7 @@ import numpy as np
 from .basis import build_sector, symmetry_sectors
 from .eigensolver import EigenResult, ground_band, lowest_eigenpairs
 from .entanglement import (
+    RDM_MAX_SITES,
     DensityMatrix,
     concurrence,
     expectation_T,
@@ -144,6 +145,8 @@ class SweepConfig:
             raise ValueError("a one-rung ladder has no leg or diag pair; use --pairs rung")
         for b in self.blocks:
             block_sites(b.family, b.l, LadderSpec(self.L, self.bc))
+            if b.l > RDM_MAX_SITES:
+                raise ValueError(f"block size capped at {RDM_MAX_SITES} sites, got {b.l}")
         # refused now, not after the solves it would hold
         folder = os.path.dirname(self.out or "") or "."
         if self.out is not None and (os.path.isdir(self.out) or not os.path.isdir(folder)):

@@ -33,6 +33,9 @@ def test_blocks_subcommand(capsys):
     assert "C:2 sites [0, 3]" in out
     assert "D:3 sites [0, 2, 4]" in out
     assert "(leg 2, rung 2)" in out
+    # only a solve builds a block's RDM, so its size cap does not apply here
+    assert main(["blocks", "--rungs", "16", "--blocks", "D:16"]) == 0
+    assert "D:16 sites [0, 2, 4," in capsys.readouterr().out
 
 
 def test_fm_oracle_subcommand(capsys):
@@ -47,6 +50,10 @@ def test_fm_oracle_subcommand(capsys):
     assert main(["fm-oracle", "--rungs", "500", "--blocks", "A:3"]) == 0
     out = capsys.readouterr().out.splitlines()
     assert out[3:] == ["3,1.81008604285,1.83740954041"]
+    # the closed form has no RDM size cap: --blocks tabulates any l up to N/2
+    assert main(["fm-oracle", "--rungs", "20", "--blocks", "A:20"]) == 0
+    out = capsys.readouterr().out.splitlines()
+    assert out[3].startswith("20,") and float(out[3].split(",")[1]) == pytest.approx(fm_entropy(40, 20))
 
 
 def test_gs_subcommand(capsys):
@@ -144,6 +151,9 @@ def test_config_file_rejects_unknown_keys(tmp_path, capsys):
     pytest.param(["gs", "--seed", "-1"], None, "seed", id="seed-negative"),
     pytest.param(["gs", "--rungs", "4", "--blocks", "D:9"], None,
                  "family D needs l in 1..4, got 9", id="block-too-long"),
+    # fits the ladder but not the block RDM: refused before the solve
+    pytest.param(["gs", "--rungs", "15", "--bc", "open", "--sector", "26", "--blocks", "D:15"],
+                 None, "block size capped at 14 sites, got 15", id="block-over-cap"),
 ])
 def test_bad_input_is_a_usage_error(argv, config, says, tmp_path, capsys):
     if config is not None:

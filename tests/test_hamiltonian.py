@@ -1,3 +1,4 @@
+import itertools
 import math
 
 import numpy as np
@@ -20,6 +21,7 @@ from ringladder import (
     enumerate_terms,
     ring_matrix,
     rung_correlator,
+    symmetry_sectors,
 )
 
 THETA_C = math.atan(0.5)
@@ -166,13 +168,32 @@ def test_merged_pattern_matches_term_sum(bc, twoSz):
 
 
 def test_tables_hold_no_float_entries():
-    # the pattern is coupling-independent: only an action holds values
-    _, _, tables = geometry(5)
-    floats = [
-        k for k, a in vars(tables).items() if isinstance(a, np.ndarray) and a.dtype.kind == "f"
-    ]
-    assert floats == []
-    assert tables.code.dtype == np.int8
+    # the pattern is coupling-independent: only an action holds values, and
+    # each entry holds an unsigned key into its table's short (code, factor)
+    # list, on a plain sector and on every symmetry sector alike
+    for L, twoSz in itertools.product((6, 8), (0, 2)):
+        spec, basis, plain = geometry(L, twoSz=twoSz)
+        sectors = [LadderTables(spec, s) for s in symmetry_sectors(basis)]
+        pairs = entries = 0
+        for tables in [plain, *sectors]:
+            nnz = len(tables.indices)
+            per_entry = {k: a for k, a in vars(tables).items()
+                         if isinstance(a, np.ndarray) and a.shape == (nnz,)}
+            assert "key" in per_entry
+            assert [k for k, a in per_entry.items() if a.dtype.kind == "f"] == []
+            assert tables.key.dtype.kind == "u"
+            assert tables.key.max() < len(tables.pair_code) == len(tables.pair_factor)
+            # key 0 is the diagonal's, which HamiltonianAction overwrites
+            assert tables.pair_code[0] == 0
+            assert (tables.key[tables.indptr[1:] - 1] == 0).all()
+            # each (code, factor bits) is kept once
+            kept = set(zip(tables.pair_code, tables.pair_factor.view(np.int64)))
+            assert len(kept) == len(tables.pair_code)
+            if tables is not plain:
+                assert len(tables.pair_code) < nnz, (L, twoSz, tables.basis.irrep.label)
+                pairs, entries = pairs + len(tables.pair_code), entries + nnz
+        # the pairs grow more slowly than the entries
+        assert L == 6 or 4 * pairs < entries, (L, twoSz)
 
 
 def test_decomposed_all_up_plaquette_gives_two():

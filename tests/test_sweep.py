@@ -297,6 +297,9 @@ def test_sweep_config_validation(tmp_path):
     # a block that does not fit the ladder is refused before any solve
     with pytest.raises(ValueError, match="family D needs l in 1..4, got 9"):
         SweepConfig(L=4, thetas_over_pi=(0.0,), blocks=(BlockSpec("D", 9),))
+    # and so is one that fits the ladder but exceeds the block RDM's cap
+    with pytest.raises(ValueError, match="block size capped at 14 sites, got 15"):
+        SweepConfig(L=15, bc="open", thetas_over_pi=(0.0,), blocks=(BlockSpec("D", 15),))
     with pytest.raises(ValueError, match="theta"):
         SweepConfig(L=3, thetas_over_pi=(0.1, 1e308))
     # an output path that cannot be written is refused before any solve

@@ -215,6 +215,9 @@ def test_table_digest_is_stable_and_sees_one_code():
     spec.loader.exec_module(tool)
     tables = LadderTables(LadderSpec(L=3), build_sector(6, 0))
     line = f"periodic L=3 twoSz=0 [plain] dim=20 nnz={len(tables.indices)} "
-    assert line + tool.digest(tables) in lines
-    tables.code[0] += 1
-    assert line + tool.digest(tables) not in lines
+    assert f"{line}{tool.digest(tables)} {tool.action_digest(tables)}" in lines
+    # one entry's key, so one off-diagonal value: both digests see it
+    assert tables.key[0] != 0
+    tables.key[0] += 1
+    table, action = tool.digest(tables), tool.action_digest(tables)
+    assert not any(table in ln or action in ln for ln in lines)

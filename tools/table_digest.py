@@ -1,4 +1,4 @@
-"""Print a sha256 digest of every LadderTables array, one line per table.
+"""Print sha256 digests of every LadderTables and its action, one line per table.
 
 Usage, from the repository root:
 
@@ -9,32 +9,54 @@ It imports ringladder from PYTHONPATH, so two checkouts' outputs can be
 compared line by line.  It covers the periodic ladders with L = 3 to --max-L
 rungs at twoSz 0 and 2, each with its plain sector and every symmetry sector,
 and the open ladders with L = 4 and 7 at the same twoSz.  Each line gives
-bc, L, twoSz, the sector label, dim, nnz and the sha256 over the name,
-dtype and bytes of indptr, indices, code, factor (or None), anti_r, anti_l
-and fixed; the last line gives a digest over all of them.
+bc, L, twoSz, the sector label, dim, nnz and two sha256 digests: the first
+over the name, dtype and bytes of indptr, indices, key, pair_code,
+pair_factor, anti_r, anti_l and fixed (tables that hold a code and a factor
+per entry instead digest key, pair_code and pair_factor as None), the
+second over the data, indices and indptr of HamiltonianAction's H at
+theta = 0.1 pi, (Jl, Jr, K) = (0, 1, 0) and (0, 0, 1).  The second compares
+what a matvec reads even across revisions whose table layouts differ.  The
+last line gives a digest over all lines.
 """
 
 from __future__ import annotations
 
 import argparse
 import hashlib
+import math
 import sys
 
-from ringladder import LadderSpec, LadderTables, build_sector, symmetry_sectors
+from ringladder import (Couplings, HamiltonianAction, LadderSpec, LadderTables,
+                        build_sector, couplings_from_theta, symmetry_sectors)
 
-ARRAYS = ("indptr", "indices", "code", "factor", "anti_r", "anti_l", "fixed")
+ARRAYS = ("indptr", "indices", "key", "pair_code", "pair_factor", "anti_r", "anti_l", "fixed")
+# tables that hold a code and a factor per entry lack these; every other
+# array must exist
+KEYED = ("key", "pair_code", "pair_factor")
+COUPLINGS = (couplings_from_theta(0.1 * math.pi), Couplings(Jl=0.0, Jr=1.0, K=0.0),
+             Couplings(Jl=0.0, Jr=0.0, K=1.0))
 
 
 def digest(tables: LadderTables) -> str:
     """sha256 over the name, dtype and bytes of each table array."""
     h = hashlib.sha256()
     for name in ARRAYS:
-        a = getattr(tables, name)
+        a = getattr(tables, name, None) if name in KEYED else getattr(tables, name)
         h.update(name.encode())
         if a is None:
             h.update(b"None")
         else:
             h.update(str(a.dtype).encode())
+            h.update(a.tobytes())
+    return h.hexdigest()
+
+
+def action_digest(tables: LadderTables) -> str:
+    """sha256 over the bytes of H's data, indices and indptr at COUPLINGS."""
+    h = hashlib.sha256()
+    for c in COUPLINGS:
+        H = HamiltonianAction(tables, c).H
+        for a in (H.data, H.indices, H.indptr):
             h.update(a.tobytes())
     return h.hexdigest()
 
@@ -53,7 +75,7 @@ def lines(max_L: int):
             for label, sector in sectors:
                 t = LadderTables(spec, sector)
                 yield (f"{bc} L={L} twoSz={twoSz} [{label}] dim={sector.dim} "
-                       f"nnz={len(t.indices)} {digest(t)}")
+                       f"nnz={len(t.indices)} {digest(t)} {action_digest(t)}")
 
 
 def main(argv=None) -> int:
