@@ -2,7 +2,8 @@
 
 Krylov iteration (implicitly restarted Lanczos) on a LinearOperator wrapper,
 with a deterministic seeded start vector, explicit residual verification and
-a dense brute-force oracle for small sectors.
+a dense brute-force oracle for small sectors; a loose pass of the same
+iteration gives a cheap lower bound on a sector's lowest level.
 """
 
 from __future__ import annotations
@@ -24,6 +25,11 @@ DENSE_ORACLE_MAX_DIM = 4096
 # sweep workers on two cores then took 11.1 s over the 41-point L = 8 grid
 # with the bound at 250, against 4.4 s at 64
 DENSE_MAX_DIM = 64
+
+# relative tolerance of ritz_bound's loose pass: at L = 10 it takes about
+# a third of the matvecs of a k = 1 solve to machine precision, and the
+# bound it gives lies above E_g in 30 of the 32 symmetry sectors
+SCREEN_TOL = 1e-3
 
 # levels closer than this, relative to max(1, |E0|), to E0 count as ground states
 DEGENERACY_RTOL = 1e-8
@@ -72,6 +78,20 @@ def _materialize(mv, dim: int) -> np.ndarray:
     return H
 
 
+def _lanczos(mv, dim: int, k: int, seed: int, tol: float):
+    """ARPACK's k lowest pairs of the operator mv, from a seeded start vector."""
+    v0 = np.random.default_rng(seed).uniform(-1.0, 1.0, dim)
+    op = scipy.sparse.linalg.LinearOperator((dim, dim), matvec=mv, dtype=np.float64)
+    # with a single sparse product per matvec, ARPACK's reorthogonalisation
+    # against the ncv Lanczos vectors weighs as much as the matvec, so the
+    # space is kept small: at L = 10, ncv = 40 needed 13 % fewer matvecs
+    # than ncv = 24 but took 5-9 % longer
+    ncv = min(dim, max(24, 4 * k + 2))
+    return scipy.sparse.linalg.eigsh(
+        op, k=k, which="SA", v0=v0 / np.linalg.norm(v0), ncv=ncv, tol=tol
+    )
+
+
 def lowest_eigenpairs(
     applyH,
     dim: int,
@@ -111,21 +131,8 @@ def lowest_eigenpairs(
             H = matrix.toarray() if scipy.sparse.issparse(matrix) else np.asarray(matrix)
         energies, vectors = scipy.linalg.eigh(H, subset_by_index=[0, k - 1])
     else:
-        rng = np.random.default_rng(seed)
-        v0 = rng.uniform(-1.0, 1.0, dim)
-        v0 /= np.linalg.norm(v0)
-        op = scipy.sparse.linalg.LinearOperator(
-            (dim, dim), matvec=counted, dtype=np.float64
-        )
-        # with a single sparse product per matvec, ARPACK's reorthogonalisation
-        # against the ncv Lanczos vectors weighs as much as the matvec, so the
-        # space is kept small: at L = 10, ncv = 40 needed 13 % fewer matvecs
-        # than ncv = 24 but took 5-9 % longer
-        ncv = min(dim, max(24, 4 * k + 2))
         try:
-            energies, vectors = scipy.sparse.linalg.eigsh(
-                op, k=k, which="SA", v0=v0, ncv=ncv, tol=0
-            )
+            energies, vectors = _lanczos(counted, dim, k, seed, tol=0)
         except scipy.sparse.linalg.ArpackNoConvergence as exc:
             got = len(exc.eigenvalues)
             best = np.inf
@@ -163,6 +170,32 @@ def lowest_eigenpairs(
         multiplicity=int(np.count_nonzero(energies - energies[0] < ground_band(energies[0]))),
         matvecs=matvecs,
     )
+
+
+def ritz_bound(applyH, dim: int, seed: int = 0) -> tuple[float, int]:
+    """theta - ||H v - theta v|| for the Ritz pair (theta, v) of one loose
+    k = 1 Lanczos pass at tol SCREEN_TOL, and the matvecs it took, the
+    residual's included.
+
+    Some eigenvalue lies within ||H v - theta v|| of theta, so the bound
+    lies at or below an eigenvalue; that this is the lowest one rests, as
+    for lowest_eigenpairs, on the Krylov space of one seeded start vector.
+    The start vector and ncv are those of lowest_eigenpairs at k = 1; a pass
+    that does not converge bounds nothing and gives -inf.
+    """
+    matvecs = 0
+
+    def counted(v):
+        nonlocal matvecs
+        matvecs += 1
+        return applyH(v)
+
+    try:
+        (theta,), v = _lanczos(counted, dim, 1, seed, tol=SCREEN_TOL)
+    except scipy.sparse.linalg.ArpackNoConvergence:
+        return -np.inf, matvecs
+    v = v[:, 0]
+    return float(theta - np.linalg.norm(counted(v) - theta * v)), matvecs
 
 
 def dense_oracle(applyH, dim: int) -> np.ndarray:

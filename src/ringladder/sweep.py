@@ -30,7 +30,13 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .basis import build_sector, symmetry_sectors
-from .eigensolver import EigenResult, ground_band, lowest_eigenpairs
+from .eigensolver import (
+    DENSE_MAX_DIM,
+    EigenResult,
+    ground_band,
+    lowest_eigenpairs,
+    ritz_bound,
+)
 from .entanglement import (
     RDM_MAX_SITES,
     DensityMatrix,
@@ -168,8 +174,9 @@ class SweepRecord:
     filled by central difference on interior points only.
 
     diagnostics describes how the point was computed and is not written to
-    the CSV: the number of sectors solved, the total matvecs and the largest
-    residual of all their solves, the ground multiplicity g, and the seconds
+    the CSV: the number of sectors, how many of them were settled by their
+    bound (screened), the total matvecs, bounds included, the largest
+    residual of the exact solves, the ground multiplicity g, and the seconds
     spent solving and measuring.
     """
 
@@ -211,14 +218,17 @@ def _manifold_rdm(states, sites) -> DensityMatrix:
 @dataclass
 class _Ground:
     """E0, the gap to the first level above the ground band, an orthonormal
-    basis of the ground manifold over the Sz sector, every solve made and
-    the number of sectors solved."""
+    basis of the ground manifold over the Sz sector, every exact solve made,
+    the number of sectors, the positions of those settled by their bound and
+    the matvecs of the bounds."""
 
     E0: float
     gap: float
     states: list[StateVector]
     solves: list[EigenResult]
     sectors: int
+    screened: list[int]
+    bound_matvecs: int
 
 
 def _solve(basis, sector_tables, couplings, cfg: SweepConfig) -> _Ground:
@@ -226,34 +236,59 @@ def _solve(basis, sector_tables, couplings, cfg: SweepConfig) -> _Ground:
     sectors that split it: the symmetry sectors of a periodic ladder, or
     basis alone.
 
-    Every sector is solved for its lowest level, by the dense route up to
-    DENSE_MAX_DIM states and by Lanczos above; a lone sector must hold E0,
-    so it starts at k = 2.  A sector whose lowest level lies in the ground
-    band of E0, the lowest over all sectors, is widened by doubling k until
-    a level above the band is returned.  The band and the first level above
-    it are then complete over all sectors.  A level of a two-dimensional
-    irrep counts twice: its partner is the same combination in the irrep's
-    second row.
+    Each sector first gets a bound: its lowest level, solved densely, up to
+    DENSE_MAX_DIM states, and the ritz_bound of one loose Lanczos pass above.
+    In ascending bound order, sectors are then solved for their lowest level
+    until a bound lies strictly above U, the lowest level solved so far that
+    lies at least ground_band(E0) above E0, the lowest one.  U is at or above
+    E_g, the first level above the band, so the sectors left out hold neither
+    a ground state nor E_g.  Like the solve, a bound comes from the Krylov
+    space of one seeded start vector: it lies below *an* eigenvalue of its
+    sector, taken to be the lowest.  Nothing is screened in a lone sector,
+    which must hold E0 and so starts at k = 2, nor in a set of dense
+    sectors, whose bounds cost as much as their solves.
+
+    A solved sector whose lowest level lies in the ground band is widened
+    by doubling k until a level above the band is returned.  The band and
+    the first level above it are then complete over all sectors.  A level of
+    a two-dimensional irrep counts twice: its partner is the same
+    combination in the irrep's second row.
     """
-    found = []
-    first_k = 1 if len(sector_tables) > 1 else 2
-    for tables in sector_tables:
-        dim = tables.basis.dim
-        action = HamiltonianAction(tables, couplings)
-        found.append([tables.basis, action, [lowest_eigenpairs(
-            action.matvec, dim, k=min(first_k, dim), seed=cfg.seed, tol=cfg.tol,
-            matrix=action.H)]])
-    E0 = min(solves[-1].energies[0] for _, _, solves in found)
+    actions = [HamiltonianAction(tables, couplings) for tables in sector_tables]
+    first_k = 1 if len(actions) > 1 else 2
+
+    def exact(action, k):
+        return lowest_eigenpairs(action.matvec, action.dim, k=min(k, action.dim),
+                                 seed=cfg.seed, tol=cfg.tol, matrix=action.H)
+
+    # a dense sector's bound is its exact lowest level, and that solve is kept
+    bounds, dense, bound_matvecs = [-np.inf] * len(actions), {}, 0
+    if first_k == 1 and any(a.dim > DENSE_MAX_DIM for a in actions):
+        for i, action in enumerate(actions):
+            if action.dim <= DENSE_MAX_DIM:
+                dense[i] = exact(action, 1)
+                bounds[i] = dense[i].energies[0]
+            else:
+                bounds[i], matvecs = ritz_bound(action.matvec, action.dim, cfg.seed)
+                bound_matvecs += matvecs
+    found, upper = {}, np.inf
+    for i in sorted(range(len(actions)), key=bounds.__getitem__):
+        if bounds[i] > upper:
+            break
+        found[i] = [dense.pop(i) if i in dense else exact(actions[i], first_k)]
+        levels = np.concatenate([solves[0].energies for solves in found.values()])
+        upper = levels[levels - levels.min() >= ground_band(levels.min())].min(initial=np.inf)
+    found = dict(sorted(found.items()))  # sector order, as when every sector is solved
+
+    E0 = min(solves[-1].energies[0] for solves in found.values())
     band = ground_band(E0)
-    for sector, action, solves in found:
-        while solves[-1].energies[-1] - E0 < band and len(solves[-1].energies) < sector.dim:
-            k = min(2 * len(solves[-1].energies), sector.dim)
-            solves.append(lowest_eigenpairs(action.matvec, sector.dim, k=k, seed=cfg.seed,
-                                            tol=cfg.tol, matrix=action.H))
-    E0 = float(min(solves[-1].energies[0] for _, _, solves in found))
+    for i, solves in found.items():
+        while solves[-1].energies[-1] - E0 < band and len(solves[-1].energies) < actions[i].dim:
+            solves.append(exact(actions[i], 2 * len(solves[-1].energies)))
+    E0 = float(min(solves[-1].energies[0] for solves in found.values()))
     states, above = [], []
-    for sector, _, solves in found:
-        res = solves[-1]
+    for i, solves in found.items():
+        sector, res = sector_tables[i].basis, solves[-1]
         n = int(np.count_nonzero(res.energies - E0 < band))
         above += res.energies[n:n + 1].tolist()
         states += [
@@ -261,7 +296,9 @@ def _solve(basis, sector_tables, couplings, cfg: SweepConfig) -> _Ground:
             for c in range(n) for row in range(sector.rows)
         ]
     gap = min(above) - E0 if above else float("nan")
-    return _Ground(E0, gap, states, [r for *_, solves in found for r in solves], len(found))
+    exact_solves = [r for solves in found.values() for r in solves] + list(dense.values())
+    screened = [i for i in range(len(actions)) if i not in found]
+    return _Ground(E0, gap, states, exact_solves, len(actions), screened, bound_matvecs)
 
 
 def _solver(spec, basis):
@@ -308,7 +345,8 @@ def _measure(spec, solve, cfg: SweepConfig, t_over_pi: float) -> SweepRecord:
     )
     rec.diagnostics = {
         "sectors": ground.sectors,
-        "matvecs": sum(res.matvecs for res in ground.solves),
+        "screened": len(ground.screened),
+        "matvecs": ground.bound_matvecs + sum(res.matvecs for res in ground.solves),
         "residual_max": max(float(np.max(res.residuals)) for res in ground.solves),
         "g": len(states),
         "solve_s": solved - start,

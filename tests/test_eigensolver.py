@@ -2,6 +2,7 @@ import math
 
 import numpy as np
 import pytest
+import scipy.sparse.linalg
 
 from conftest import geometry, solve
 from ringladder import (
@@ -16,6 +17,7 @@ from ringladder import (
     enumerate_terms,
     lowest_eigenpairs,
 )
+from ringladder.eigensolver import ritz_bound
 
 
 def action_at(L, theta_over_pi, bc="periodic", twoSz=0):
@@ -184,3 +186,33 @@ def test_matrix_route_up_to_dense_max_dim(L, dense, k):
     if dense:  # a dense matrix serves as well as a sparse one
         again = lowest_eigenpairs(act.matvec, act.dim, k=k, matrix=act.H.toarray())
         assert np.array_equal(res.energies, again.energies)
+
+
+@pytest.mark.parametrize("L, theta_over_pi", [(4, 0.1), (5, -0.3), (5, 0.75)])
+def test_ritz_bound_lies_at_or_below_the_lowest_level(L, theta_over_pi):
+    # one loose pass, the residual check counted; the bound lies within the
+    # loose tolerance of the lowest level, and below it
+    act = action_at(L, theta_over_pi)
+    calls = 0
+
+    def counting(v):
+        nonlocal calls
+        calls += 1
+        return act.matvec(v)
+
+    bound, matvecs = ritz_bound(counting, act.dim, seed=3)
+    lowest = dense_oracle(act.matvec, act.dim)[0]
+    assert matvecs == calls
+    assert lowest - 1e-2 * abs(lowest) < bound <= lowest
+    assert matvecs < lowest_eigenpairs(act.matvec, act.dim, k=1, seed=3).matvecs
+
+
+def test_ritz_bound_without_convergence_bounds_nothing(monkeypatch):
+    # a pass that stops short gives -inf, so its sector is always solved
+    def stalled(op, k, **kwargs):
+        op.matvec(np.ones(op.shape[0]))
+        raise scipy.sparse.linalg.ArpackNoConvergence("stalled", np.empty(0), np.empty((0, 0)))
+
+    monkeypatch.setattr(scipy.sparse.linalg, "eigsh", stalled)
+    act = action_at(4, 0.2)
+    assert ritz_bound(act.matvec, act.dim) == (-np.inf, 1)

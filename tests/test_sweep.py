@@ -231,7 +231,9 @@ def test_diagnostics_count_every_solve_and_leave_the_csv_alone(monkeypatch, bc, 
         (rec,) = run_sweep(SweepConfig(L=4, thetas_over_pi=(t,), bc=bc, blocks=blocks))
         mine = solves[done:]
         d = rec.diagnostics
-        assert set(d) == {"sectors", "matvecs", "residual_max", "g", "solve_s", "measure_s"}
+        assert set(d) == {
+            "sectors", "screened", "matvecs", "residual_max", "g", "solve_s", "measure_s",
+        }
         assert d["sectors"] == sectors and len(mine) >= sectors
         assert d["matvecs"] == sum(res.matvecs for res in mine)
         assert d["residual_max"] == max(float(res.residuals.max()) for res in mine)
@@ -247,6 +249,54 @@ def test_diagnostics_count_every_solve_and_leave_the_csv_alone(monkeypatch, bc, 
     write_csv(plain, blocks, b)
     assert a.getvalue() == b.getvalue()
     assert "diag" not in a.getvalue().splitlines()[0].replace("C_diag", "")
+
+
+def test_screened_sectors_count_every_matvec(monkeypatch):
+    # at periodic L = 8 most sectors are settled by their Ritz bound; the
+    # matvecs of those loose passes count, as a wrapper on the action sees
+    # them, but their 1e-3 residuals stay out of residual_max
+    calls = 0
+    matvec = HamiltonianAction.matvec
+
+    def counting(self, v):
+        nonlocal calls
+        calls += 1
+        return matvec(self, v)
+
+    monkeypatch.setattr(HamiltonianAction, "matvec", counting)
+    for t in (0.1, 0.5):
+        done = calls
+        (rec,) = run_sweep(SweepConfig(L=8, thetas_over_pi=(t,), blocks=(BlockSpec("A", 2),)))
+        d = rec.diagnostics
+        assert 0 < d["screened"] < d["sectors"]
+        assert d["matvecs"] == calls - done
+        assert d["residual_max"] < 1e-10
+
+
+def test_sector_without_a_bound_is_solved(monkeypatch):
+    # a loose pass that does not converge bounds its sector at -inf, so the
+    # sector is solved to machine precision; with no bound at all every
+    # sector is solved, and the record is the screened run's to the bit.  At
+    # L = 7, twoSz = 2 every sector holds more than DENSE_MAX_DIM states
+    cfg = SweepConfig(L=7, thetas_over_pi=(0.3,), twoSz=2, blocks=(BlockSpec("D", 4),))
+    (screened,) = run_sweep(cfg)
+    monkeypatch.setattr(sweep, "ritz_bound", lambda applyH, dim, seed: (-np.inf, 0))
+    (solved,) = run_sweep(cfg)
+    assert screened.diagnostics["screened"] > 0 == solved.diagnostics["screened"]
+    assert solved == screened
+
+
+@pytest.mark.parametrize("L, bc, matvecs", [
+    (6, "periodic", [26, 26, 26, 26]),
+    (4, "open", [91, 113, 92, 135]),
+])
+def test_nothing_to_screen_costs_no_matvec(L, bc, matvecs):
+    # the sectors of periodic L = 6 are all dense (at most 48 states) and an
+    # open ladder is one lone sector, so neither takes a loose pass: the
+    # matvecs are those of the solves alone, as counted before screening
+    recs = run_sweep(SweepConfig(L=L, bc=bc, thetas_over_pi=(-0.3, 0.1, 0.5, 0.9)))
+    assert [r.diagnostics["screened"] for r in recs] == [0, 0, 0, 0]
+    assert [r.diagnostics["matvecs"] for r in recs] == matvecs
 
 
 def test_lone_sector_starts_at_k_2():
@@ -340,15 +390,19 @@ def test_extrema_endpoints_excluded():
 
 
 GOLDEN = Path(__file__).resolve().parent / "data"
+# theta step of each golden file other than 0.05; at L = 8 most symmetry
+# sectors hold more than DENSE_MAX_DIM states, so their screening is covered
+GOLDEN_STEP = {"sweep_L8_periodic.csv": 0.15}
 
 
 @pytest.mark.parametrize("name, L, bc, blocks", [
     ("sweep_L6_periodic.csv", 6, "periodic", (("A", 4), ("C", 5), ("D", 6))),
     ("sweep_L5_open.csv", 5, "open", (("A", 4), ("C", 5), ("D", 5))),
+    ("sweep_L8_periodic.csv", 8, "periodic", (("A", 8), ("C", 8), ("D", 8))),
 ])
 def test_sweep_csv_matches_golden_output(name, L, bc, blocks, tmp_path, monkeypatch):
     # the CSV contract: tests/data holds the output of `ringladder sweep
-    # --rungs L --bc BC --theta-min -0.30 --theta-max 0.90 --theta-step 0.05
+    # --rungs L --bc BC --theta-min -0.30 --theta-max 0.90 --theta-step STEP
     # --blocks ...`; every cell must agree within 1e-10, as
     # tools/csv_diff.py --tol 1e-10 checks it, which allows last-digit
     # differences between platforms
@@ -356,7 +410,7 @@ def test_sweep_csv_matches_golden_output(name, L, bc, blocks, tmp_path, monkeypa
     csv_diff = importlib.import_module("csv_diff")
     out = tmp_path / name
     run_sweep(SweepConfig(
-        L=L, thetas_over_pi=theta_grid(-0.30, 0.90, 0.05), bc=bc,
+        L=L, thetas_over_pi=theta_grid(-0.30, 0.90, GOLDEN_STEP.get(name, 0.05)), bc=bc,
         blocks=tuple(BlockSpec(f, l) for f, l in blocks), out=str(out),
     ))
     (_, [want]), (_, [got]) = csv_diff.read(str(GOLDEN / name)), csv_diff.read(str(out))

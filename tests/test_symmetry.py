@@ -176,6 +176,26 @@ def test_symmetric_path_matches_full_sector_path(monkeypatch, L, twoSz):
         assert_rows_match(a, b, BLOCKS, skip=("dEr_dtheta",) if near_miss else ())
 
 
+@pytest.mark.parametrize("L", (7, 8))
+@pytest.mark.parametrize("twoSz", (0, 2))
+def test_screened_sectors_hold_no_level_below_the_gap(L, twoSz):
+    # a sector settled by its bound takes no part in E0, the gap or the
+    # ground manifold, so its dense spectrum must start at or above
+    # E0 + gap.  At L = 7, twoSz = 2, theta = 0.75 pi the ground level is a
+    # two-dimensional irrep
+    spec = LadderSpec(L=L)
+    basis = build_sector(spec.N, twoSz)
+    tables = [LadderTables(spec, sector) for sector in symmetry_sectors(basis)]
+    cfg = SweepConfig(L=L, thetas_over_pi=(0.0,), twoSz=twoSz)
+    for t in (-0.3, 0.0, THETA_C_OVER_PI, 0.5, 0.75, 0.9):
+        couplings = couplings_from_theta(t * math.pi)
+        ground = sweep._solve(basis, tables, couplings, cfg)
+        assert ground.screened
+        for i in ground.screened:
+            action = HamiltonianAction(tables[i], couplings)
+            assert dense_oracle(action.matvec, action.dim)[0] >= ground.E0 + ground.gap
+
+
 @pytest.mark.parametrize("L, seeds", [(5, range(5)), (9, range(3))])
 def test_two_dimensional_ground_level(monkeypatch, L, seeds):
     # at twoSz = 2, theta = 0 the ground level lies in the k = 2 pi m / L
