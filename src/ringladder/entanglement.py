@@ -249,7 +249,9 @@ def expectation_T(state: StateVector) -> float:
     Per rung bond (2r, 2r + 1) with amplitudes a over masks m: SzSz gives
     1/4 sum a^2 - 1/2 sum_anti a^2 and the flip-flop gives
     1/2 sum_anti a_k a[rank(m_k ^ (3 << 2r))], the sums running over the
-    masks antiparallel on that bond.  No operator matrix is built.
+    masks antiparallel on that bond.  No operator matrix is built, and each
+    rung's antiparallel mask is combined in place in uint8, so a rung holds
+    at most one int64 array over the whole basis.
     """
     basis = state.basis
     a = state.amps
@@ -257,8 +259,12 @@ def expectation_T(state: StateVector) -> float:
     norm2 = float(a2.sum())
     total = 0.0
     for r in range(basis.N // 2):
-        pair = basis.states >> (2 * r)
-        anti = np.nonzero((pair ^ (pair >> 1)) & 1)[0]
-        flipped = basis.rank_many(basis.states[anti] ^ (3 << (2 * r)))
+        pair = (basis.states >> (2 * r)).astype(np.uint8)
+        pair ^= pair >> 1
+        pair &= 1
+        anti = np.flatnonzero(pair)
+        flipped = basis.states[anti]
+        flipped ^= 3 << (2 * r)
+        flipped = basis.rank_many(flipped)
         total += 0.25 * norm2 - 0.5 * a2[anti].sum() + 0.5 * (a[anti] @ a[flipped])
     return float(total)

@@ -23,6 +23,7 @@ import csv
 import functools
 import math
 import os
+import resource
 import time
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field
@@ -45,7 +46,7 @@ from .entanglement import (
     reduced_density_matrix,
     von_neumann_entropy,
 )
-from .hamiltonian import HamiltonianAction, LadderTables, StateVector
+from .hamiltonian import HamiltonianAction, LadderTables, StateVector, _orbit_rows
 from .lattice import LadderSpec, couplings_from_theta
 
 __all__ = [
@@ -176,8 +177,9 @@ class SweepRecord:
     diagnostics describes how the point was computed and is not written to
     the CSV: the number of sectors, how many of them were settled by their
     bound (screened), the total matvecs, bounds included, the largest
-    residual of the exact solves, the ground multiplicity g, and the seconds
-    spent solving and measuring.
+    residual of the exact solves, the ground multiplicity g, the seconds
+    spent solving and measuring, and the process's peak resident memory so
+    far, in MB (peak_rss_mb).
     """
 
     thetaOverPi: float
@@ -253,29 +255,50 @@ def _solve(basis, sector_tables, couplings, cfg: SweepConfig) -> _Ground:
     the first level above it are then complete over all sectors.  A level of
     a two-dimensional irrep counts twice: its partner is the same
     combination in the irrep's second row.
+
+    A sector's HamiltonianAction, nnz floats, lives only as long as a step
+    needs it: a bound's action dies when its pass returns, and a solved
+    sector's is built again and kept until the widening ends.  With nothing
+    to screen, every sector is solved and each action is built once.  A
+    point thus holds the values of the solved sectors and of at most one
+    more.
     """
-    actions = [HamiltonianAction(tables, couplings) for tables in sector_tables]
-    first_k = 1 if len(actions) > 1 else 2
+    dims = [tables.basis.dim for tables in sector_tables]
+    first_k = 1 if len(dims) > 1 else 2
+    screen = first_k == 1 and max(dims) > DENSE_MAX_DIM
+    # the actions of the sectors solved, kept for their widening; with
+    # nothing to screen, building them back to back took 10 % less time at
+    # L = 6 than building each before its solve
+    actions = {} if screen else {
+        i: HamiltonianAction(tables, couplings) for i, tables in enumerate(sector_tables)
+    }
+
+    def held(i):
+        if i not in actions:
+            actions[i] = HamiltonianAction(sector_tables[i], couplings)
+        return actions[i]
 
     def exact(action, k):
         return lowest_eigenpairs(action.matvec, action.dim, k=min(k, action.dim),
                                  seed=cfg.seed, tol=cfg.tol, matrix=action.H)
 
     # a dense sector's bound is its exact lowest level, and that solve is kept
-    bounds, dense, bound_matvecs = [-np.inf] * len(actions), {}, 0
-    if first_k == 1 and any(a.dim > DENSE_MAX_DIM for a in actions):
-        for i, action in enumerate(actions):
-            if action.dim <= DENSE_MAX_DIM:
-                dense[i] = exact(action, 1)
+    bounds, dense, bound_matvecs = [-np.inf] * len(dims), {}, 0
+    if screen:
+        for i, tables in enumerate(sector_tables):
+            bounding = HamiltonianAction(tables, couplings)
+            if bounding.dim <= DENSE_MAX_DIM:
+                dense[i] = exact(bounding, 1)
                 bounds[i] = dense[i].energies[0]
             else:
-                bounds[i], matvecs = ritz_bound(action.matvec, action.dim, cfg.seed)
+                bounds[i], matvecs = ritz_bound(bounding.matvec, bounding.dim, cfg.seed)
                 bound_matvecs += matvecs
+            del bounding  # before the next sector's values are allocated
     found, upper = {}, np.inf
-    for i in sorted(range(len(actions)), key=bounds.__getitem__):
+    for i in sorted(range(len(dims)), key=bounds.__getitem__):
         if bounds[i] > upper:
             break
-        found[i] = [dense.pop(i) if i in dense else exact(actions[i], first_k)]
+        found[i] = [dense.pop(i) if i in dense else exact(held(i), first_k)]
         levels = np.concatenate([solves[0].energies for solves in found.values()])
         upper = levels[levels - levels.min() >= ground_band(levels.min())].min(initial=np.inf)
     found = dict(sorted(found.items()))  # sector order, as when every sector is solved
@@ -283,8 +306,9 @@ def _solve(basis, sector_tables, couplings, cfg: SweepConfig) -> _Ground:
     E0 = min(solves[-1].energies[0] for solves in found.values())
     band = ground_band(E0)
     for i, solves in found.items():
-        while solves[-1].energies[-1] - E0 < band and len(solves[-1].energies) < actions[i].dim:
-            solves.append(exact(actions[i], 2 * len(solves[-1].energies)))
+        while solves[-1].energies[-1] - E0 < band and len(solves[-1].energies) < dims[i]:
+            solves.append(exact(held(i), 2 * len(solves[-1].energies)))
+    actions.clear()
     E0 = float(min(solves[-1].energies[0] for solves in found.values()))
     states, above = [], []
     for i, solves in found.items():
@@ -297,8 +321,8 @@ def _solve(basis, sector_tables, couplings, cfg: SweepConfig) -> _Ground:
         ]
     gap = min(above) - E0 if above else float("nan")
     exact_solves = [r for solves in found.values() for r in solves] + list(dense.values())
-    screened = [i for i in range(len(actions)) if i not in found]
-    return _Ground(E0, gap, states, exact_solves, len(actions), screened, bound_matvecs)
+    screened = [i for i in range(len(dims)) if i not in found]
+    return _Ground(E0, gap, states, exact_solves, len(dims), screened, bound_matvecs)
 
 
 def _solver(spec, basis):
@@ -306,7 +330,9 @@ def _solver(spec, basis):
     grid points: _solve over the symmetry sectors on periodic ladders and
     over the whole Sz sector on open ones."""
     sectors = symmetry_sectors(basis) if spec.bc == "periodic" else [basis]
-    return functools.partial(_solve, basis, [LadderTables(spec, s) for s in sectors])
+    tables = [LadderTables(spec, s) for s in sectors]
+    _orbit_rows.cache_clear()  # read only while the tables are built
+    return functools.partial(_solve, basis, tables)
 
 
 def _measure(spec, solve, cfg: SweepConfig, t_over_pi: float) -> SweepRecord:
@@ -351,6 +377,7 @@ def _measure(spec, solve, cfg: SweepConfig, t_over_pi: float) -> SweepRecord:
         "g": len(states),
         "solve_s": solved - start,
         "measure_s": time.perf_counter() - solved,
+        "peak_rss_mb": resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024.0,
     }
     return rec
 

@@ -1,9 +1,13 @@
+import collections
 import csv
 import dataclasses
+import gc
 import importlib
 import io
 import math
 import re
+import tracemalloc
+import weakref
 from pathlib import Path
 
 import numpy as np
@@ -16,6 +20,7 @@ from ringladder import (
     LadderSpec,
     SweepConfig,
     block_sites,
+    build_sector,
     concurrence,
     couplings_from_theta,
     enumerate_terms,
@@ -233,12 +238,14 @@ def test_diagnostics_count_every_solve_and_leave_the_csv_alone(monkeypatch, bc, 
         d = rec.diagnostics
         assert set(d) == {
             "sectors", "screened", "matvecs", "residual_max", "g", "solve_s", "measure_s",
+            "peak_rss_mb",
         }
         assert d["sectors"] == sectors and len(mine) >= sectors
         assert d["matvecs"] == sum(res.matvecs for res in mine)
         assert d["residual_max"] == max(float(res.residuals.max()) for res in mine)
         assert d["g"] == 1 and not rec.degenerate
         assert d["solve_s"] > 0 and d["measure_s"] > 0
+        assert d["peak_rss_mb"] > 0
         recs.append(rec)
 
     # the CSV holds no trace of the diagnostics
@@ -311,6 +318,70 @@ def test_lone_sector_starts_at_k_2():
     assert rec.diagnostics["sectors"] == 1
     assert rec.diagnostics["matvecs"] == direct.matvecs
     assert rec.E0 == direct.energies[0]
+
+
+@pytest.mark.parametrize("L, t", [(8, -0.3), (8, 0.1), (8, 0.5), (8, 0.9), (6, 0.1)])
+def test_solve_holds_few_actions(monkeypatch, L, t):
+    # a bound's action dies with its loose pass, and a solved sector's is
+    # built again for its solve and kept until the widening ends, so at most
+    # one action beyond the solved sectors' is alive.  At L = 6 every sector
+    # is dense and none is bounded, so each action is built once
+    live = most = 0
+    builds = collections.Counter()
+    build = sweep.HamiltonianAction
+
+    def dead():
+        nonlocal live
+        live -= 1
+
+    def counting(tables, couplings):
+        nonlocal live, most
+        action = build(tables, couplings)
+        weakref.finalize(action, dead)
+        live += 1
+        most = max(most, live)
+        builds[id(tables)] += 1
+        return action
+
+    monkeypatch.setattr(sweep, "HamiltonianAction", counting)
+    (rec,) = run_sweep(SweepConfig(L=L, thetas_over_pi=(t,)))
+    d = rec.diagnostics
+    assert most <= d["sectors"] - d["screened"] + 1
+    assert live == 0 and len(builds) == d["sectors"]
+    assert set(builds.values()) == ({1, 2} if L == 8 else {1})
+
+
+def test_solve_memory_stays_near_its_states():
+    # one L = 9 point holds the values of its solved sectors and of one
+    # bounded sector at a time, not those of all 30 sectors (8.6 MB)
+    spec = LadderSpec(L=9)
+    basis = build_sector(spec.N, 0)
+    solve = sweep._solver(spec, basis)
+    tracemalloc.start()
+    try:
+        ground = solve(couplings_from_theta(0.1 * math.pi), SweepConfig(L=9, thetas_over_pi=(0.1,)))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert ground.screened
+    assert peak < 4 * 2**20
+
+
+def test_sweep_keeps_no_orbits(monkeypatch):
+    # the representative rows that every sector's tables read are released
+    # once the tables are built, so nothing holds the group after the sweep
+    groups = []
+    sectors = sweep.symmetry_sectors
+
+    def recording(basis):
+        found = sectors(basis)
+        groups.append(weakref.ref(found[0].group))
+        return found
+
+    monkeypatch.setattr(sweep, "symmetry_sectors", recording)
+    run_sweep(SweepConfig(L=4, thetas_over_pi=(0.1,)))
+    gc.collect()
+    assert len(groups) == 1 and groups[0]() is None
 
 
 def test_sweep_deterministic():

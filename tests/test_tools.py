@@ -221,3 +221,51 @@ def test_table_digest_is_stable_and_sees_one_code():
     tables.key[0] += 1
     table, action = tool.digest(tables), tool.action_digest(tables)
     assert not any(table in ln or action in ln for ln in lines)
+
+
+POINT_COST = SCRIPT.parent / "point_cost.py"
+
+
+def test_point_cost_alternates_trees_and_feeds_bench_file(tmp_path):
+    src = str(SCRIPT.parents[1] / "src")
+    proc = subprocess.run(
+        [sys.executable, str(POINT_COST), "--before", src, "--after", src, "--pairs", "2",
+         "--", "gs", "--rungs", "4", "--theta", "0.1"],
+        capture_output=True, text=True,
+    )
+    assert proc.returncode == 0, proc.stderr
+    lines = proc.stdout.splitlines()
+    runs = [line.split() for line in lines[1:5]]
+    assert [(r[0], r[1]) for r in runs] == [
+        ("before", "0"), ("after", "0"), ("after", "1"), ("before", "1"),
+    ]
+    assert len({r[4] for r in runs}) == 1  # one tree, so one output
+    assert lines[5].startswith("before  median wall_s ")
+    assert lines[7].startswith("after/before wall_s ")
+    record = json.loads(lines[-1])
+    assert record["command"] == ["gs", "--rungs", "4", "--theta", "0.1"]
+    assert all(r["wall_s"] > 0 and r["peak_rss_mb"] > 0 for r in record["runs"])
+
+    saved = tmp_path / "points.txt"
+    saved.write_text(proc.stdout)
+    before = [result(tmp_path / "b.json", "observe", 0, {"measure_s": (4.0, "s")})]
+    after = [result(tmp_path / "a.json", "observe", 0, {"measure_s": (1.6, "s")})]
+    out = tmp_path / "BENCH_1.json"
+    bench = subprocess.run(
+        [sys.executable, str(SCRIPT), "--before", *before, "--after", *after,
+         "--points", str(saved), "--out", str(out)],
+        capture_output=True, text=True,
+    )
+    assert bench.returncode == 0, bench.stderr
+    assert json.loads(out.read_text())["points"] == [record]
+
+
+def test_point_cost_reports_a_failed_run():
+    src = str(SCRIPT.parents[1] / "src")
+    proc = subprocess.run(
+        [sys.executable, str(POINT_COST), "--before", src, "--after", src,
+         "--", "gs", "--rungs", "0"],
+        capture_output=True, text=True,
+    )
+    assert proc.returncode == 1
+    assert proc.stderr.startswith("point_cost: ") and "exit status 2" in proc.stderr

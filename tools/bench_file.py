@@ -11,7 +11,9 @@ Each input is one `perfbench/out/result-<workload>-seed<n>-trace<0|1>.json`.
 For every workload and metric the output holds, on each side, the median,
 the quartiles and the number of runs that reported the metric.  It also
 holds the machine record, which must be the same in every input apart from
-the seed, and the counters that do not depend on the machine.
+the seed, and the counters that do not depend on the machine.  Each
+--points file is the saved output of tools/point_cost.py; its last line,
+the command and its runs, is copied into the output's "points" list.
 """
 
 from __future__ import annotations
@@ -82,15 +84,27 @@ def bench_file(before: list[str], after: list[str]) -> dict:
     }
 
 
+def points(paths: list[str]) -> list[dict]:
+    """The JSON last line of each tools/point_cost.py output."""
+    out = []
+    for path in paths:
+        with open(path) as fh:
+            out.append(json.loads(fh.read().splitlines()[-1]))
+    return out
+
+
 def main(argv=None) -> int:
     ap = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
     ap.add_argument("--before", nargs="+", required=True, help="result files of the parent")
     ap.add_argument("--after", nargs="+", required=True, help="result files of the change")
+    ap.add_argument("--points", nargs="+", default=[],
+                    help="saved outputs of tools/point_cost.py")
     ap.add_argument("--out", required=True, help="BENCH_<n>.json to write")
     args = ap.parse_args(argv)
     try:
         bench = bench_file(args.before, args.after)
-    except (OSError, ValueError, KeyError) as exc:
+        bench["points"] = points(args.points)
+    except (OSError, ValueError, KeyError, IndexError) as exc:
         ap.error(str(exc))
     with open(args.out, "w") as fh:
         json.dump(bench, fh, indent=1)
