@@ -107,10 +107,10 @@ def lowest_eigenpairs(
     takes dim <= max(16, 4 k + 4), and every dim up to DENSE_MAX_DIM when
     matrix is given; it reads matrix when given and applies applyH to every
     unit vector when not.  Lanczos takes the rest.  Deterministic for a
-    fixed seed.  Each
-    returned pair satisfies ||H v - E v|| <= tol * max(1, |E|), checked
-    through applyH, tol a positive finite number; failure to converge raises
-    EigensolverError carrying the best residual reached.
+    fixed seed.  Each returned pair satisfies ||H v - E v|| <= tol *
+    max(1, |E|), checked through applyH, tol a positive finite number;
+    failure to converge raises EigensolverError carrying the best residual
+    reached.
     """
     if not 1 <= k <= dim:
         raise ValueError(f"need 1 <= k <= dim, got k={k}, dim={dim}")

@@ -17,8 +17,8 @@ decomposition of P + Pinv are the merged pattern's oracles, unused in solves.
 
 from __future__ import annotations
 
-import functools
 import itertools
+import weakref
 from dataclasses import dataclass
 
 import numpy as np
@@ -329,15 +329,21 @@ def _rows(spec: LadderSpec, basis: SectorBasis, masks: np.ndarray):
     return indptr, indices, code, anti_r, anti_l, fixed
 
 
-# every sector of a group reads the same representative rows and a sweep
-# builds the sectors of one group in turn, so only the last group's rows
-# are kept, until a caller clears them, as a sweep does once its tables are
-# built: their pointers, each entry's kind code * order + g, with g the
-# element taking its target to its representative, and its target's orbit
-@functools.lru_cache(maxsize=1)
+# every sector of a group reads the same representative rows, so each group's
+# rows are built once and live as long as the group does
+_group_rows = weakref.WeakKeyDictionary()
+
+
 def _orbit_rows(spec: LadderSpec, group: LadderOrbits):
-    ptr, at, code, *counts = _rows(spec, group.basis, group.reps)
-    return ptr, code * np.intp(group.order) + group.element_of[at], group.orbit_of[at], counts
+    """The group's representative rows: their pointers, each entry's kind
+    code * order + g, with g the element taking its target to its
+    representative, its target's orbit and the per-row counts."""
+    if group not in _group_rows:
+        ptr, at, code, *counts = _rows(spec, group.basis, group.reps)
+        _group_rows[group] = (
+            ptr, code * np.intp(group.order) + group.element_of[at], group.orbit_of[at], counts
+        )
+    return _group_rows[group]
 
 
 class HamiltonianAction:

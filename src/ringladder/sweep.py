@@ -46,7 +46,7 @@ from .entanglement import (
     reduced_density_matrix,
     von_neumann_entropy,
 )
-from .hamiltonian import HamiltonianAction, LadderTables, StateVector, _orbit_rows
+from .hamiltonian import HamiltonianAction, LadderTables, StateVector
 from .lattice import LadderSpec, couplings_from_theta
 
 __all__ = [
@@ -175,11 +175,12 @@ class SweepRecord:
     filled by central difference on interior points only.
 
     diagnostics describes how the point was computed and is not written to
-    the CSV: the number of sectors, how many of them were settled by their
-    bound (screened), the total matvecs, bounds included, the largest
-    residual of the exact solves, the ground multiplicity g, the seconds
-    spent solving and measuring, and the process's peak resident memory so
-    far, in MB (peak_rss_mb).
+    the CSV: the number of sectors, how many of them were left unsolved by
+    the bound of their loose Lanczos pass (screened; a sector of at most
+    DENSE_MAX_DIM states has no bound, so it is never screened), the total
+    matvecs, bounds included, the largest residual of the exact solves, the
+    ground multiplicity g, the seconds spent solving and measuring, and the
+    process's peak resident memory so far, in MB (peak_rss_mb).
     """
 
     thetaOverPi: float
@@ -238,17 +239,17 @@ def _solve(basis, sector_tables, couplings, cfg: SweepConfig) -> _Ground:
     sectors that split it: the symmetry sectors of a periodic ladder, or
     basis alone.
 
-    Each sector first gets a bound: its lowest level, solved densely, up to
-    DENSE_MAX_DIM states, and the ritz_bound of one loose Lanczos pass above.
-    In ascending bound order, sectors are then solved for their lowest level
-    until a bound lies strictly above U, the lowest level solved so far that
-    lies at least ground_band(E0) above E0, the lowest one.  U is at or above
-    E_g, the first level above the band, so the sectors left out hold neither
-    a ground state nor E_g.  Like the solve, a bound comes from the Krylov
+    When the point has more than one sector, each sector of more than
+    DENSE_MAX_DIM states is bounded by the ritz_bound of one loose Lanczos
+    pass; every other sector is solved, with no bound.  In ascending bound
+    order, sectors are solved for their lowest level until a bound lies
+    strictly above U, the lowest level solved so far that lies at least
+    ground_band(E0) above E0, the lowest one.  U is at or above E_g, the
+    first level above the band, so the sectors left out hold neither a
+    ground state nor E_g.  Like the solve, a bound comes from the Krylov
     space of one seeded start vector: it lies below *an* eigenvalue of its
-    sector, taken to be the lowest.  Nothing is screened in a lone sector,
-    which must hold E0 and so starts at k = 2, nor in a set of dense
-    sectors, whose bounds cost as much as their solves.
+    sector, taken to be the lowest.  A lone sector must hold E0 and so
+    starts at k = 2.
 
     A solved sector whose lowest level lies in the ground band is widened
     by doubling k until a level above the band is returned.  The band and
@@ -257,48 +258,40 @@ def _solve(basis, sector_tables, couplings, cfg: SweepConfig) -> _Ground:
     combination in the irrep's second row.
 
     A sector's HamiltonianAction, nnz floats, lives only as long as a step
-    needs it: a bound's action dies when its pass returns, and a solved
-    sector's is built again and kept until the widening ends.  With nothing
-    to screen, every sector is solved and each action is built once.  A
-    point thus holds the values of the solved sectors and of at most one
-    more.
+    needs it.  An unbounded sector's is built up front and a bounded one's
+    dies when its pass returns and is built again on its first solve; a
+    solved sector's is kept until the widening ends.  A point thus holds the
+    values of the solved sectors and of at most one more.
     """
     dims = [tables.basis.dim for tables in sector_tables]
     first_k = 1 if len(dims) > 1 else 2
-    screen = first_k == 1 and max(dims) > DENSE_MAX_DIM
-    # the actions of the sectors solved, kept for their widening; with
-    # nothing to screen, building them back to back took 10 % less time at
-    # L = 6 than building each before its solve
-    actions = {} if screen else {
-        i: HamiltonianAction(tables, couplings) for i, tables in enumerate(sector_tables)
+    bounded = [i for i, dim in enumerate(dims) if first_k == 1 and dim > DENSE_MAX_DIM]
+    # the actions of the sectors solved, kept for their widening; building the
+    # unbounded ones back to back took 10 % less time at L = 6 than building
+    # each before its solve
+    actions = {
+        i: HamiltonianAction(tables, couplings)
+        for i, tables in enumerate(sector_tables) if i not in bounded
     }
 
-    def held(i):
+    def exact(i, k):
         if i not in actions:
             actions[i] = HamiltonianAction(sector_tables[i], couplings)
-        return actions[i]
-
-    def exact(action, k):
+        action = actions[i]
         return lowest_eigenpairs(action.matvec, action.dim, k=min(k, action.dim),
                                  seed=cfg.seed, tol=cfg.tol, matrix=action.H)
 
-    # a dense sector's bound is its exact lowest level, and that solve is kept
-    bounds, dense, bound_matvecs = [-np.inf] * len(dims), {}, 0
-    if screen:
-        for i, tables in enumerate(sector_tables):
-            bounding = HamiltonianAction(tables, couplings)
-            if bounding.dim <= DENSE_MAX_DIM:
-                dense[i] = exact(bounding, 1)
-                bounds[i] = dense[i].energies[0]
-            else:
-                bounds[i], matvecs = ritz_bound(bounding.matvec, bounding.dim, cfg.seed)
-                bound_matvecs += matvecs
-            del bounding  # before the next sector's values are allocated
+    bounds, bound_matvecs = [-np.inf] * len(dims), 0
+    for i in bounded:
+        bounding = HamiltonianAction(sector_tables[i], couplings)
+        bounds[i], matvecs = ritz_bound(bounding.matvec, bounding.dim, cfg.seed)
+        bound_matvecs += matvecs
+        del bounding  # before the next sector's values are allocated
     found, upper = {}, np.inf
     for i in sorted(range(len(dims)), key=bounds.__getitem__):
         if bounds[i] > upper:
             break
-        found[i] = [dense.pop(i) if i in dense else exact(held(i), first_k)]
+        found[i] = [exact(i, first_k)]
         levels = np.concatenate([solves[0].energies for solves in found.values()])
         upper = levels[levels - levels.min() >= ground_band(levels.min())].min(initial=np.inf)
     found = dict(sorted(found.items()))  # sector order, as when every sector is solved
@@ -307,7 +300,7 @@ def _solve(basis, sector_tables, couplings, cfg: SweepConfig) -> _Ground:
     band = ground_band(E0)
     for i, solves in found.items():
         while solves[-1].energies[-1] - E0 < band and len(solves[-1].energies) < dims[i]:
-            solves.append(exact(held(i), 2 * len(solves[-1].energies)))
+            solves.append(exact(i, 2 * len(solves[-1].energies)))
     actions.clear()
     E0 = float(min(solves[-1].energies[0] for solves in found.values()))
     states, above = [], []
@@ -320,7 +313,7 @@ def _solve(basis, sector_tables, couplings, cfg: SweepConfig) -> _Ground:
             for c in range(n) for row in range(sector.rows)
         ]
     gap = min(above) - E0 if above else float("nan")
-    exact_solves = [r for solves in found.values() for r in solves] + list(dense.values())
+    exact_solves = [r for solves in found.values() for r in solves]
     screened = [i for i in range(len(dims)) if i not in found]
     return _Ground(E0, gap, states, exact_solves, len(dims), screened, bound_matvecs)
 
@@ -330,9 +323,7 @@ def _solver(spec, basis):
     grid points: _solve over the symmetry sectors on periodic ladders and
     over the whole Sz sector on open ones."""
     sectors = symmetry_sectors(basis) if spec.bc == "periodic" else [basis]
-    tables = [LadderTables(spec, s) for s in sectors]
-    _orbit_rows.cache_clear()  # read only while the tables are built
-    return functools.partial(_solve, basis, tables)
+    return functools.partial(_solve, basis, [LadderTables(spec, s) for s in sectors])
 
 
 def _measure(spec, solve, cfg: SweepConfig, t_over_pi: float) -> SweepRecord:

@@ -48,7 +48,6 @@ from ringladder import (
 )
 
 THETA_C_OVER_PI = math.atan(0.5) / math.pi  # 0.147584...
-WORKERS = 4
 LOW_GRID = theta_grid(0.00, 0.24, 0.01)
 HIGH_GRID = theta_grid(0.75, 0.94, 0.01)
 
@@ -67,7 +66,6 @@ def low_sweep():
         blocks=(BlockSpec("B", 8), BlockSpec("C", 8), BlockSpec("D", 8)),
         pairs=("rung", "leg", "diag"),
         seed=0,
-        workers=WORKERS,
     )
     return run_sweep(cfg)
 
@@ -81,7 +79,6 @@ def high_sweep():
         blocks=(),
         pairs=("diag",),
         seed=0,
-        workers=WORKERS,
     )
     return run_sweep(cfg)
 
@@ -95,7 +92,6 @@ def test_criterion_01_zero_crossing_common_point():
             blocks=(),
             pairs=(),
             seed=0,
-            workers=WORKERS,
         )
         recs = run_sweep(cfg)
         series = [

@@ -284,13 +284,18 @@ def test_sector_without_a_bound_is_solved(monkeypatch):
     # a loose pass that does not converge bounds its sector at -inf, so the
     # sector is solved to machine precision; with no bound at all every
     # sector is solved, and the record is the screened run's to the bit.  At
-    # L = 7, twoSz = 2 every sector holds more than DENSE_MAX_DIM states
-    cfg = SweepConfig(L=7, thetas_over_pi=(0.3,), twoSz=2, blocks=(BlockSpec("D", 4),))
-    (screened,) = run_sweep(cfg)
+    # L = 7, twoSz = 2 every sector holds more than DENSE_MAX_DIM states; at
+    # twoSz = 0 some hold fewer, and those are solved in both runs
+    configs = [
+        SweepConfig(L=7, thetas_over_pi=(0.3,), twoSz=twoSz, blocks=(BlockSpec("D", 4),))
+        for twoSz in (2, 0)
+    ]
+    screened = [run_sweep(cfg)[0] for cfg in configs]
     monkeypatch.setattr(sweep, "ritz_bound", lambda applyH, dim, seed: (-np.inf, 0))
-    (solved,) = run_sweep(cfg)
-    assert screened.diagnostics["screened"] > 0 == solved.diagnostics["screened"]
-    assert solved == screened
+    for cfg, bounded in zip(configs, screened):
+        (solved,) = run_sweep(cfg)
+        assert bounded.diagnostics["screened"] > 0 == solved.diagnostics["screened"]
+        assert solved == bounded
 
 
 @pytest.mark.parametrize("L, bc, matvecs", [
@@ -320,12 +325,13 @@ def test_lone_sector_starts_at_k_2():
     assert rec.E0 == direct.energies[0]
 
 
-@pytest.mark.parametrize("L, t", [(8, -0.3), (8, 0.1), (8, 0.5), (8, 0.9), (6, 0.1)])
+@pytest.mark.parametrize("L, t", [(8, -0.3), (8, 0.1), (8, 0.5), (8, 0.9), (6, 0.1), (7, 0.1)])
 def test_solve_holds_few_actions(monkeypatch, L, t):
     # a bound's action dies with its loose pass, and a solved sector's is
     # built again for its solve and kept until the widening ends, so at most
-    # one action beyond the solved sectors' is alive.  At L = 6 every sector
-    # is dense and none is bounded, so each action is built once
+    # one action beyond the solved sectors' is alive.  A dense sector is not
+    # bounded, so its action is built once: at L = 6 every sector is dense,
+    # at L = 7 some are and the rest are bounded
     live = most = 0
     builds = collections.Counter()
     build = sweep.HamiltonianAction
@@ -348,7 +354,7 @@ def test_solve_holds_few_actions(monkeypatch, L, t):
     d = rec.diagnostics
     assert most <= d["sectors"] - d["screened"] + 1
     assert live == 0 and len(builds) == d["sectors"]
-    assert set(builds.values()) == ({1, 2} if L == 8 else {1})
+    assert set(builds.values()) == ({1} if L == 6 else {1, 2})
 
 
 def test_solve_memory_stays_near_its_states():
@@ -368,8 +374,8 @@ def test_solve_memory_stays_near_its_states():
 
 
 def test_sweep_keeps_no_orbits(monkeypatch):
-    # the representative rows that every sector's tables read are released
-    # once the tables are built, so nothing holds the group after the sweep
+    # the representative rows that every sector's tables read live with
+    # their group, so nothing holds the group after the sweep
     groups = []
     sectors = sweep.symmetry_sectors
 

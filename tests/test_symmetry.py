@@ -1,7 +1,9 @@
 """Symmetry sectors of periodic ladders against the whole Sz sector."""
 
 import functools
+import gc
 import math
+import weakref
 from math import comb
 
 import numpy as np
@@ -17,13 +19,14 @@ from ringladder import (
     build_sector,
     couplings_from_theta,
     dense_oracle,
+    hamiltonian,
     lowest_eigenpairs,
     run_sweep,
     sweep,
     symmetry_sectors,
 )
 from ringladder.basis import LadderOrbits
-from ringladder.eigensolver import ground_band
+from ringladder.eigensolver import DENSE_MAX_DIM, ground_band
 
 THETA_C_OVER_PI = math.atan(0.5) / math.pi
 GRID = (-0.5, 0.0, 0.1, THETA_C_OVER_PI, 0.5, 0.75, 1.0)  # 1.0: the FM point
@@ -194,6 +197,45 @@ def test_screened_sectors_hold_no_level_below_the_gap(L, twoSz):
         for i in ground.screened:
             action = HamiltonianAction(tables[i], couplings)
             assert dense_oracle(action.matvec, action.dim)[0] >= ground.E0 + ground.gap
+
+
+@pytest.mark.parametrize("L, twoSz", [(7, 0), (6, 2)])
+def test_dense_sector_is_never_screened(L, twoSz):
+    # a sector of at most DENSE_MAX_DIM states has no bound and is always
+    # solved; on these ladders it shares the point with bounded sectors,
+    # some of which are screened
+    spec = LadderSpec(L=L)
+    basis = build_sector(spec.N, twoSz)
+    solve = sweep._solver(spec, basis)
+    dims = [tables.basis.dim for tables in solve.args[1]]
+    assert min(dims) <= DENSE_MAX_DIM < max(dims)
+    cfg = SweepConfig(L=L, thetas_over_pi=(0.0,), twoSz=twoSz)
+    for t in (-0.3, 0.0, 0.1, 0.5, 0.75, 0.9):
+        ground = solve(couplings_from_theta(t * math.pi), cfg)
+        assert ground.screened
+        assert all(dims[i] > DENSE_MAX_DIM for i in ground.screened)
+
+
+def test_representative_rows_live_with_their_group(monkeypatch):
+    # every sector's tables read the group's rows, built by one row pass;
+    # once the tables and the sectors are gone, nothing holds the group
+    passes = 0
+    rows = hamiltonian._rows
+
+    def counting(*args):
+        nonlocal passes
+        passes += 1
+        return rows(*args)
+
+    monkeypatch.setattr(hamiltonian, "_rows", counting)
+    spec = LadderSpec(L=4)
+    sectors = symmetry_sectors(build_sector(spec.N, 0))
+    group = weakref.ref(sectors[0].group)
+    tables = [LadderTables(spec, sector) for sector in sectors]
+    assert passes == 1 and len(tables) > 1
+    del tables, sectors
+    gc.collect()
+    assert group() is None
 
 
 @pytest.mark.parametrize("L, seeds", [(5, range(5)), (9, range(3))])
