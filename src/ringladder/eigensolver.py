@@ -178,9 +178,12 @@ def ritz_bound(applyH, dim: int, seed: int = 0) -> tuple[float, int]:
     residual's included.
 
     Some eigenvalue lies within ||H v - theta v|| of theta, so the bound
-    lies at or below an eigenvalue; that this is the lowest one rests, as
+    lies at or below *an* eigenvalue; that this is the lowest one rests, as
     for lowest_eigenpairs, on the Krylov space of one seeded start vector.
-    The start vector and ncv are those of lowest_eigenpairs at k = 1; a pass
+    With two close low levels that eigenvalue can be the second: at
+    periodic L = 8, twoSz = 0, theta = 0.12 pi the 392-state sector
+    k1 Q-1 Z+1 has levels -7.41232773 and -7.41194654, and the bound at
+    seed 1 is -7.41224656, above the lowest.  The start vector and ncv are those of lowest_eigenpairs at k = 1; a pass
     that does not converge bounds nothing and gives -inf.
     """
     matvecs = 0

@@ -252,7 +252,7 @@ class LadderTables:
         del fan, fanned
         combo = kind[src]
         del src
-        combo *= len(state)
+        combo = np.multiply(combo, len(state), dtype=np.int64)  # widened once src is gone
         combo += np.repeat(label, per_row)
         combo *= len(state)
         combo += label[cols]
@@ -335,14 +335,16 @@ _group_rows = weakref.WeakKeyDictionary()
 
 
 def _orbit_rows(spec: LadderSpec, group: LadderOrbits):
-    """The group's representative rows: their pointers, each entry's kind
-    code * order + g, with g the element taking its target to its
-    representative, its target's orbit and the per-row counts."""
+    """The group's representative rows: their pointers, each entry's uint16
+    kind code * order + g, with g the element taking its target to its
+    representative (below 9 * 8L), its target's int32 orbit and the per-row
+    counts."""
     if group not in _group_rows:
         ptr, at, code, *counts = _rows(spec, group.basis, group.reps)
-        _group_rows[group] = (
-            ptr, code * np.intp(group.order) + group.element_of[at], group.orbit_of[at], counts
-        )
+        kind = code.astype(np.uint16)
+        kind *= group.order
+        kind += group.element_of[at]
+        _group_rows[group] = (ptr, kind, group.orbit_of[at].astype(np.int32), counts)
     return _group_rows[group]
 
 

@@ -19,8 +19,10 @@ level above the manifold.
 
 from __future__ import annotations
 
+import collections
 import csv
 import functools
+import heapq
 import math
 import os
 import resource
@@ -175,12 +177,14 @@ class SweepRecord:
     filled by central difference on interior points only.
 
     diagnostics describes how the point was computed and is not written to
-    the CSV: the number of sectors, how many of them were left unsolved by
-    the bound of their loose Lanczos pass (screened; a sector of at most
-    DENSE_MAX_DIM states has no bound, so it is never screened), the total
-    matvecs, bounds included, the largest residual of the exact solves, the
-    ground multiplicity g, the seconds spent solving and measuring, and the
-    process's peak resident memory so far, in MB (peak_rss_mb).
+    the CSV: the number of sectors, how many of them took a loose Lanczos
+    pass (bounded), how many were left unsolved by the bound of that pass or
+    by the chord of their bounds at the two grid points around this one
+    (screened; a sector of at most DENSE_MAX_DIM states is never bounded or
+    screened), the total matvecs, loose passes included, the largest
+    residual of the exact solves, the ground multiplicity g, the seconds
+    spent solving and measuring, and the process's peak resident memory so
+    far, in MB (peak_rss_mb).
     """
 
     thetaOverPi: float
@@ -222,8 +226,9 @@ def _manifold_rdm(states, sites) -> DensityMatrix:
 class _Ground:
     """E0, the gap to the first level above the ground band, an orthonormal
     basis of the ground manifold over the Sz sector, every exact solve made,
-    the number of sectors, the positions of those settled by their bound and
-    the matvecs of the bounds."""
+    the number of sectors, the positions of those left unsolved, the number
+    of loose passes and their matvecs, and a lower bound on each sector's
+    lowest level."""
 
     E0: float
     gap: float
@@ -231,31 +236,41 @@ class _Ground:
     solves: list[EigenResult]
     sectors: int
     screened: list[int]
+    bounded: int
     bound_matvecs: int
+    lower: list[float]
 
 
-def _solve(basis, sector_tables, couplings, cfg: SweepConfig) -> _Ground:
+def _solve(basis, sector_tables, couplings, cfg: SweepConfig, floor=None) -> _Ground:
     """E0, the gap and the ground manifold of the Sz sector basis, from the
     sectors that split it: the symmetry sectors of a periodic ladder, or
     basis alone.
 
-    When the point has more than one sector, each sector of more than
-    DENSE_MAX_DIM states is bounded by the ritz_bound of one loose Lanczos
-    pass; every other sector is solved, with no bound.  In ascending bound
-    order, sectors are solved for their lowest level until a bound lies
-    strictly above U, the lowest level solved so far that lies at least
-    ground_band(E0) above E0, the lowest one.  U is at or above E_g, the
-    first level above the band, so the sectors left out hold neither a
-    ground state nor E_g.  Like the solve, a bound comes from the Krylov
-    space of one seeded start vector: it lies below *an* eigenvalue of its
-    sector, taken to be the lowest.  A lone sector must hold E0 and so
-    starts at k = 2.
+    A sector is bounded when the point has more than one sector and the
+    sector holds more than DENSE_MAX_DIM states; every other sector is
+    solved, with bound -inf.  A bounded sector's bound starts at its floor,
+    a known lower bound on its lowest level (floor None: -inf for every
+    sector).  U is the lowest level solved so far that lies at least
+    ground_band(E0) above E0, the lowest one.  Until the lowest bound of the
+    sectors not yet solved lies strictly above U, the first sector holding
+    it is given its loose pass if it is bounded and has had none, its bound
+    becoming the larger of its floor and the ritz_bound of one loose Lanczos
+    pass, and is solved for its lowest level otherwise.  With every floor
+    at -inf this runs every loose pass and solves in ascending bound order.
+    U is at or above E_g, the first level above the band, so the sectors
+    left out hold neither a ground state nor E_g.  Like the solve, a loose
+    pass comes from the Krylov space of one seeded start vector: its bound
+    lies within its residual of *an* eigenvalue, taken to be the lowest, and
+    with two close low levels it can lie above the lowest.  A lone sector
+    must hold E0 and so starts at k = 2.
 
     A solved sector whose lowest level lies in the ground band is widened
     by doubling k until a level above the band is returned.  The band and
     the first level above it are then complete over all sectors.  A level of
     a two-dimensional irrep counts twice: its partner is the same
-    combination in the irrep's second row.
+    combination in the irrep's second row.  The lower bound returned for a
+    solved sector is E - r - ground_band(E) for the lowest pair (E, r) of
+    its last solve, the band's margin covering rounding in a later chord.
 
     A sector's HamiltonianAction, nnz floats, lives only as long as a step
     needs it.  An unbounded sector's is built up front and a bounded one's
@@ -265,13 +280,13 @@ def _solve(basis, sector_tables, couplings, cfg: SweepConfig) -> _Ground:
     """
     dims = [tables.basis.dim for tables in sector_tables]
     first_k = 1 if len(dims) > 1 else 2
-    bounded = [i for i, dim in enumerate(dims) if first_k == 1 and dim > DENSE_MAX_DIM]
+    to_bound = {i for i, dim in enumerate(dims) if first_k == 1 and dim > DENSE_MAX_DIM}
     # the actions of the sectors solved, kept for their widening; building the
     # unbounded ones back to back took 10 % less time at L = 6 than building
     # each before its solve
     actions = {
         i: HamiltonianAction(tables, couplings)
-        for i, tables in enumerate(sector_tables) if i not in bounded
+        for i, tables in enumerate(sector_tables) if i not in to_bound
     }
 
     def exact(i, k):
@@ -281,16 +296,26 @@ def _solve(basis, sector_tables, couplings, cfg: SweepConfig) -> _Ground:
         return lowest_eigenpairs(action.matvec, action.dim, k=min(k, action.dim),
                                  seed=cfg.seed, tol=cfg.tol, matrix=action.H)
 
-    bounds, bound_matvecs = [-np.inf] * len(dims), 0
-    for i in bounded:
-        bounding = HamiltonianAction(sector_tables[i], couplings)
-        bounds[i], matvecs = ritz_bound(bounding.matvec, bounding.dim, cfg.seed)
-        bound_matvecs += matvecs
-        del bounding  # before the next sector's values are allocated
+    lower = [
+        -np.inf if floor is None or i not in to_bound else float(floor[i])
+        for i in range(len(dims))
+    ]
+    pending = [(bound, i) for i, bound in enumerate(lower)]  # lowest bound first
+    heapq.heapify(pending)
     found, upper = {}, np.inf
-    for i in sorted(range(len(dims)), key=bounds.__getitem__):
-        if bounds[i] > upper:
-            break
+    bounded = bound_matvecs = 0
+    while pending and pending[0][0] <= upper:
+        _, i = heapq.heappop(pending)
+        if i in to_bound:
+            to_bound.remove(i)
+            bounding = HamiltonianAction(sector_tables[i], couplings)
+            bound, matvecs = ritz_bound(bounding.matvec, bounding.dim, cfg.seed)
+            del bounding  # before the next sector's values are allocated
+            lower[i] = max(lower[i], bound)
+            heapq.heappush(pending, (lower[i], i))
+            bounded += 1
+            bound_matvecs += matvecs
+            continue
         found[i] = [exact(i, first_k)]
         levels = np.concatenate([solves[0].energies for solves in found.values()])
         upper = levels[levels - levels.min() >= ground_band(levels.min())].min(initial=np.inf)
@@ -312,10 +337,50 @@ def _solve(basis, sector_tables, couplings, cfg: SweepConfig) -> _Ground:
             StateVector(basis, sector.expand(res.vectors[:, c], row))
             for c in range(n) for row in range(sector.rows)
         ]
+        E = float(res.energies[0])
+        lower[i] = E - float(res.residuals[0]) - ground_band(E)
     gap = min(above) - E0 if above else float("nan")
     exact_solves = [r for solves in found.values() for r in solves]
-    screened = [i for i in range(len(dims)) if i not in found]
-    return _Ground(E0, gap, states, exact_solves, len(dims), screened, bound_matvecs)
+    return _Ground(E0, gap, states, exact_solves, len(dims), sorted(i for _, i in pending),
+                   bounded, bound_matvecs, lower)
+
+
+def _chord(theta, left, right) -> np.ndarray:
+    """Lower bounds on each sector's lowest level at theta (radians) from
+    those at two visited points, left and right, each (theta, bounds).
+
+    H(theta) = cos(theta) (H_rung + H_leg) + sin(theta) H_ring on every
+    sector, and with a = sin(t2 - theta) / sin(t2 - t1) and b = sin(theta -
+    t1) / sin(t2 - t1), (cos theta, sin theta) = a (cos t1, sin t1) + b (cos
+    t2, sin t2), so H(theta) = a H(t1) + b H(t2).  When a > 0 and b > 0,
+    Weyl's inequality puts the lowest level at theta at or above a
+    lower(t1) + b lower(t2).  Otherwise, as for spans of pi or more,
+    repeated theta and theta outside (t1, t2), the floor is -inf.
+    """
+    (t1, lower1), (t2, lower2) = left, right
+    span = math.sin(t2 - t1)
+    if span:
+        a, b = math.sin(t2 - theta) / span, math.sin(theta - t1) / span
+        if a > 0 and b > 0:
+            return a * np.asarray(lower1) + b * np.asarray(lower2)
+    return np.full(len(lower1), -np.inf)
+
+
+def _bisection(n: int):
+    """Grid positions 0..n-1 in bisection order: the first, the last, then
+    the midpoints of the visited intervals breadth-first, each midpoint with
+    the ends of its interval (None for the first and the last)."""
+    if n > 0:
+        yield 0, None
+    if n > 1:
+        yield n - 1, None
+    intervals = collections.deque([(0, n - 1)])
+    while intervals:
+        lo, hi = intervals.popleft()
+        if hi - lo > 1:
+            mid = (lo + hi) // 2
+            yield mid, (lo, hi)
+            intervals += [(lo, mid), (mid, hi)]
 
 
 def _solver(spec, basis):
@@ -326,9 +391,11 @@ def _solver(spec, basis):
     return functools.partial(_solve, basis, [LadderTables(spec, s) for s in sectors])
 
 
-def _measure(spec, solve, cfg: SweepConfig, t_over_pi: float) -> SweepRecord:
+def _measure(spec, solve, cfg: SweepConfig, t_over_pi: float, floor):
+    """The record of one grid point, solved from floor, and the lower bound
+    on each sector's lowest level there."""
     start = time.perf_counter()
-    ground = solve(couplings_from_theta(t_over_pi * math.pi), cfg)
+    ground = solve(couplings_from_theta(t_over_pi * math.pi), cfg, floor=floor)
     solved = time.perf_counter()
     states = ground.states
 
@@ -362,6 +429,7 @@ def _measure(spec, solve, cfg: SweepConfig, t_over_pi: float) -> SweepRecord:
     )
     rec.diagnostics = {
         "sectors": ground.sectors,
+        "bounded": ground.bounded,
         "screened": len(ground.screened),
         "matvecs": ground.bound_matvecs + sum(res.matvecs for res in ground.solves),
         "residual_max": max(float(np.max(res.residuals)) for res in ground.solves),
@@ -370,22 +438,28 @@ def _measure(spec, solve, cfg: SweepConfig, t_over_pi: float) -> SweepRecord:
         "measure_s": time.perf_counter() - solved,
         "peak_rss_mb": resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024.0,
     }
-    return rec
+    return rec, ground.lower
 
 
 def _sweep_chunk(config: SweepConfig, thetas) -> list[SweepRecord]:
     """Records of the given grid points; geometry, basis and tables are built
-    once for all of them."""
+    once for all of them.  The points are visited in bisection order, and a
+    midpoint's floor is the chord of the lower bounds at the ends of its
+    interval, so a dense grid leaves most loose passes out."""
     spec = LadderSpec(L=config.L, bc=config.bc)
     basis = build_sector(spec.N, config.twoSz)
     solve = _solver(spec, basis)
-    records = []
-    for t in thetas:
+    records, lower = {}, {}
+    for i, ends in _bisection(len(thetas)):
+        t = thetas[i]
+        floor = None if ends is None else _chord(
+            t * math.pi, *((thetas[j] * math.pi, lower[j]) for j in ends)
+        )
         try:
-            records.append(_measure(spec, solve, config, t))
+            records[i], lower[i] = _measure(spec, solve, config, t, floor)
         except Exception as exc:
             raise RuntimeError(f"sweep failed at theta = {t}*pi: {exc}") from exc
-    return records
+    return [records[i] for i in range(len(thetas))]
 
 
 def run_sweep(config: SweepConfig) -> list[SweepRecord]:

@@ -2,6 +2,7 @@ import math
 
 import numpy as np
 import pytest
+import scipy.linalg
 import scipy.sparse.linalg
 
 from conftest import geometry, solve
@@ -16,6 +17,7 @@ from ringladder import (
     dense_oracle,
     enumerate_terms,
     lowest_eigenpairs,
+    symmetry_sectors,
 )
 from ringladder.eigensolver import ritz_bound
 
@@ -205,6 +207,21 @@ def test_ritz_bound_lies_at_or_below_the_lowest_level(L, theta_over_pi):
     assert matvecs == calls
     assert lowest - 1e-2 * abs(lowest) < bound <= lowest
     assert matvecs < lowest_eigenpairs(act.matvec, act.dim, k=1, seed=3).matvecs
+
+
+def test_ritz_bound_lies_below_the_second_of_two_close_levels():
+    # the bound lies within the pass's residual of *an* eigenvalue: in this
+    # 392-state sector the two lowest levels lie 3.8e-4 apart, and the loose
+    # pass from seed 1 gives a bound 8.1e-5 above the lowest, below the second
+    spec = LadderSpec(L=8)
+    (sector,) = [
+        s for s in symmetry_sectors(build_sector(spec.N, 0)) if s.irrep.label == "k1 Q-1 Z+1"
+    ]
+    act = HamiltonianAction(LadderTables(spec, sector), couplings_from_theta(0.12 * math.pi))
+    first, second = scipy.linalg.eigvalsh(act.H.toarray(), subset_by_index=[0, 1])
+    bound, _ = ritz_bound(act.matvec, act.dim, seed=1)
+    assert act.dim == 392
+    assert first < bound <= second
 
 
 def test_ritz_bound_without_convergence_bounds_nothing(monkeypatch):

@@ -237,10 +237,11 @@ def test_diagnostics_count_every_solve_and_leave_the_csv_alone(monkeypatch, bc, 
         mine = solves[done:]
         d = rec.diagnostics
         assert set(d) == {
-            "sectors", "screened", "matvecs", "residual_max", "g", "solve_s", "measure_s",
-            "peak_rss_mb",
+            "sectors", "bounded", "screened", "matvecs", "residual_max", "g", "solve_s",
+            "measure_s", "peak_rss_mb",
         }
         assert d["sectors"] == sectors and len(mine) >= sectors
+        assert d["bounded"] == d["screened"] == 0  # every sector is dense or alone
         assert d["matvecs"] == sum(res.matvecs for res in mine)
         assert d["residual_max"] == max(float(res.residuals.max()) for res in mine)
         assert d["g"] == 1 and not rec.degenerate
@@ -296,6 +297,49 @@ def test_sector_without_a_bound_is_solved(monkeypatch):
         (solved,) = run_sweep(cfg)
         assert bounded.diagnostics["screened"] > 0 == solved.diagnostics["screened"]
         assert solved == bounded
+
+
+@pytest.mark.parametrize("L, twoSz, thetas, workers", [
+    (8, 0, theta_grid(0.14, 0.16, 0.001), 1),  # criterion 1's grid
+    (7, 0, theta_grid(-0.3, 0.9, 0.02), 1),  # dense and bounded sectors
+    (7, 2, theta_grid(-0.3, 0.9, 0.02), 1),  # bounded sectors only
+    (7, 0, theta_grid(0.9, -0.3, -0.1), 1),  # descending
+    (7, 2, (0.1, 0.1, 0.15, 0.2, 0.2, 0.3), 1),  # repeated theta
+    (7, 0, theta_grid(-1.0, 0.9, 0.1), 1),  # spans more than pi
+    (7, 2, theta_grid(-0.3, 0.9, 0.1), 2),  # one visiting order per chunk
+], ids=["L8-criterion-1", "L7-mixed", "L7-bounded", "descending", "repeated", "over-pi",
+        "workers-2"])
+def test_chords_change_no_output(monkeypatch, L, twoSz, thetas, workers):
+    # a chord only settles sectors that hold no ground state and not E_g,
+    # so the records equal those of every point solved with no floor, to
+    # the bit, while most loose passes are left out
+    blocks = (BlockSpec("D", 3),)
+    cfg = SweepConfig(L=L, thetas_over_pi=thetas, twoSz=twoSz, blocks=blocks, workers=workers)
+    chords = run_sweep(cfg)
+    monkeypatch.setattr(sweep, "_bisection", lambda n: ((i, None) for i in range(n)))
+    alone = run_sweep(dataclasses.replace(cfg, workers=1))
+    assert chords == alone
+    assert [sweep.record_row(r, blocks) for r in chords] == [
+        sweep.record_row(r, blocks) for r in alone
+    ]
+    bounded = [sum(r.diagnostics["bounded"] for r in recs) for recs in (chords, alone)]
+    assert bounded[0] < bounded[1]
+    if L == 8:  # at most a quarter of the 28 loose passes per point
+        assert bounded[0] <= len(thetas) * 28 / 4
+
+
+def test_chord_floor_reaches_only_between_its_ends():
+    # the first and the last point have no floor; a midpoint's ends are
+    # those of its interval, visited before it
+    order = list(sweep._bisection(9))
+    assert order[:3] == [(0, None), (8, None), (4, (0, 8))]
+    assert sorted(i for i, _ in order) == list(range(9))
+    seen = set()
+    for i, ends in order:
+        assert ends is None or (set(ends) <= seen and min(ends) < i < max(ends))
+        seen.add(i)
+    assert list(sweep._bisection(1)) == [(0, None)]
+    assert list(sweep._bisection(2)) == [(0, None), (1, None)]
 
 
 @pytest.mark.parametrize("L, bc, matvecs", [

@@ -8,6 +8,7 @@ from math import comb
 
 import numpy as np
 import pytest
+import scipy.linalg
 
 from conftest import geometry
 from ringladder import (
@@ -199,6 +200,41 @@ def test_screened_sectors_hold_no_level_below_the_gap(L, twoSz):
             assert dense_oracle(action.matvec, action.dim)[0] >= ground.E0 + ground.gap
 
 
+@pytest.mark.parametrize("L", (4, 5))
+def test_chord_is_a_weyl_lower_bound(L):
+    # H(theta) is linear in (cos theta, sin theta), so on every sector
+    # H(theta) = a H(t1) + b H(t2); when a, b > 0 Weyl's inequality puts the
+    # lowest level at theta at or above the chord a E(t1) + b E(t2), and
+    # otherwise the sweep's chord is -inf.  The spans of these seeded triples
+    # wrap past +-pi, and some exceed pi
+    spec = LadderSpec(L=L)
+    tables = [LadderTables(spec, s) for s in symmetry_sectors(build_sector(spec.N, 0))]
+    rng = np.random.default_rng(L)
+    chords = []
+    for _ in range(16):
+        t1 = rng.uniform(-math.pi, math.pi)
+        t2 = t1 + rng.uniform(-1.5, 1.5) * math.pi
+        theta = t1 + rng.uniform(-0.2, 1.2) * (t2 - t1)
+        a = math.sin(t2 - theta) / math.sin(t2 - t1)
+        b = math.sin(theta - t1) / math.sin(t2 - t1)
+        lowest = []
+        for t in tables:
+            h, h1, h2 = (
+                HamiltonianAction(t, couplings_from_theta(x)).H.toarray() for x in (theta, t1, t2)
+            )
+            assert np.abs(h - (a * h1 + b * h2)).max() <= 1e-13
+            lowest.append([scipy.linalg.eigvalsh(m, subset_by_index=[0, 0])[0] for m in (h, h1, h2)])
+        E, E1, E2 = np.array(lowest).T
+        floor = sweep._chord(theta, (t1, E1), (t2, E2))
+        chords.append(a > 0 and b > 0)
+        if chords[-1]:
+            assert np.array_equal(floor, a * E1 + b * E2)
+            assert np.all(E >= floor - 1e-12)
+        else:
+            assert np.all(floor == -np.inf)
+    assert any(chords) and not all(chords)
+
+
 @pytest.mark.parametrize("L, twoSz", [(7, 0), (6, 2)])
 def test_dense_sector_is_never_screened(L, twoSz):
     # a sector of at most DENSE_MAX_DIM states has no bound and is always
@@ -217,8 +253,9 @@ def test_dense_sector_is_never_screened(L, twoSz):
 
 
 def test_representative_rows_live_with_their_group(monkeypatch):
-    # every sector's tables read the group's rows, built by one row pass;
-    # once the tables and the sectors are gone, nothing holds the group
+    # every sector's tables read the group's rows, built by one row pass,
+    # with a uint16 kind and an int32 orbit per entry; once the tables and
+    # the sectors are gone, nothing holds the group
     passes = 0
     rows = hamiltonian._rows
 
@@ -232,7 +269,10 @@ def test_representative_rows_live_with_their_group(monkeypatch):
     sectors = symmetry_sectors(build_sector(spec.N, 0))
     group = weakref.ref(sectors[0].group)
     tables = [LadderTables(spec, sector) for sector in sectors]
+    _, kind, orbit, _ = hamiltonian._orbit_rows(spec, sectors[0].group)
+    assert (kind.dtype, orbit.dtype) == (np.uint16, np.int32)
     assert passes == 1 and len(tables) > 1
+    del kind, orbit
     del tables, sectors
     gc.collect()
     assert group() is None
