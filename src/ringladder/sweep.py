@@ -35,7 +35,6 @@ import numpy as np
 from .basis import build_sector, symmetry_sectors
 from .eigensolver import (
     DENSE_MAX_DIM,
-    EigenResult,
     ground_band,
     lowest_eigenpairs,
     ritz_bound,
@@ -174,17 +173,18 @@ class SweepConfig:
 @dataclass
 class SweepRecord:
     """Observables at one grid point.  dEr_dtheta (with theta in radians) is
-    filled by central difference on interior points only.
+    filled by central difference on interior points whose two neighbours
+    differ in theta, and is None (an empty CSV cell) elsewhere.
 
     diagnostics describes how the point was computed and is not written to
     the CSV: the number of sectors, how many of them took a loose Lanczos
     pass (bounded), how many were left unsolved by the bound of that pass or
     by the chord of their bounds at the two grid points around this one
-    (screened; a sector of at most DENSE_MAX_DIM states is never bounded or
-    screened), the total matvecs, loose passes included, the largest
-    residual of the exact solves, the ground multiplicity g, the seconds
-    spent solving and measuring, and the process's peak resident memory so
-    far, in MB (peak_rss_mb).
+    (screened; a sector of at most DENSE_MAX_DIM states is never bounded,
+    and screened only by a chord), the total matvecs, loose passes
+    included, the largest residual of the exact solves, the ground
+    multiplicity g, the seconds spent solving and measuring, and the
+    process's peak resident memory so far, in MB (peak_rss_mb).
     """
 
     thetaOverPi: float
@@ -225,19 +225,19 @@ def _manifold_rdm(states, sites) -> DensityMatrix:
 @dataclass
 class _Ground:
     """E0, the gap to the first level above the ground band, an orthonormal
-    basis of the ground manifold over the Sz sector, every exact solve made,
-    the number of sectors, the positions of those left unsolved, the number
-    of loose passes and their matvecs, and a lower bound on each sector's
-    lowest level."""
+    basis of the ground manifold over the Sz sector, the number of sectors,
+    the positions of those left unsolved, the number of loose passes, the
+    matvecs of every loose pass and exact solve, the largest residual of the
+    exact solves, and a lower bound on each sector's lowest level."""
 
     E0: float
     gap: float
     states: list[StateVector]
-    solves: list[EigenResult]
     sectors: int
     screened: list[int]
     bounded: int
-    bound_matvecs: int
+    matvecs: int
+    residual_max: float
     lower: list[float]
 
 
@@ -246,11 +246,12 @@ def _solve(basis, sector_tables, couplings, cfg: SweepConfig, floor=None) -> _Gr
     sectors that split it: the symmetry sectors of a periodic ladder, or
     basis alone.
 
-    A sector is bounded when the point has more than one sector and the
-    sector holds more than DENSE_MAX_DIM states; every other sector is
-    solved, with bound -inf.  A bounded sector's bound starts at its floor,
-    a known lower bound on its lowest level (floor None: -inf for every
-    sector).  U is the lowest level solved so far that lies at least
+    Every sector's bound starts at its floor, a known lower bound on its
+    lowest level (floor None: -inf for every sector).  A sector is bounded
+    when the point has more than one sector and the sector holds more than
+    DENSE_MAX_DIM states; a sector of at most DENSE_MAX_DIM states is never
+    bounded, and screened only by a chord, of bounds from exact solves
+    alone.  U is the lowest level solved so far that lies at least
     ground_band(E0) above E0, the lowest one.  Until the lowest bound of the
     sectors not yet solved lies strictly above U, the first sector holding
     it is given its loose pass if it is bounded and has had none, its bound
@@ -272,65 +273,58 @@ def _solve(basis, sector_tables, couplings, cfg: SweepConfig, floor=None) -> _Gr
     solved sector is E - r - ground_band(E) for the lowest pair (E, r) of
     its last solve, the band's margin covering rounding in a later chord.
 
-    A sector's HamiltonianAction, nnz floats, lives only as long as a step
-    needs it.  An unbounded sector's is built up front and a bounded one's
-    dies when its pass returns and is built again on its first solve; a
-    solved sector's is kept until the widening ends.  A point thus holds the
-    values of the solved sectors and of at most one more.
+    Each loose pass and each exact solve builds its sector's
+    HamiltonianAction, nnz floats, and drops it when it returns, so a point
+    holds one action at a time.
     """
     dims = [tables.basis.dim for tables in sector_tables]
     first_k = 1 if len(dims) > 1 else 2
     to_bound = {i for i, dim in enumerate(dims) if first_k == 1 and dim > DENSE_MAX_DIM}
-    # the actions of the sectors solved, kept for their widening; building the
-    # unbounded ones back to back took 10 % less time at L = 6 than building
-    # each before its solve
-    actions = {
-        i: HamiltonianAction(tables, couplings)
-        for i, tables in enumerate(sector_tables) if i not in to_bound
-    }
+    lower = [-np.inf] * len(dims) if floor is None else [float(f) for f in floor]
+    matvecs, residual_max = 0, 0.0
+
+    def loose(i):
+        nonlocal matvecs
+        action = HamiltonianAction(sector_tables[i], couplings)
+        bound, n = ritz_bound(action.matvec, action.dim, cfg.seed)
+        matvecs += n
+        return bound
 
     def exact(i, k):
-        if i not in actions:
-            actions[i] = HamiltonianAction(sector_tables[i], couplings)
-        action = actions[i]
-        return lowest_eigenpairs(action.matvec, action.dim, k=min(k, action.dim),
-                                 seed=cfg.seed, tol=cfg.tol, matrix=action.H)
+        nonlocal matvecs, residual_max
+        action = HamiltonianAction(sector_tables[i], couplings)
+        res = lowest_eigenpairs(action.matvec, action.dim, k=min(k, action.dim),
+                                seed=cfg.seed, tol=cfg.tol, matrix=action.H)
+        matvecs += res.matvecs
+        residual_max = max(residual_max, float(np.max(res.residuals)))
+        return res
 
-    lower = [
-        -np.inf if floor is None or i not in to_bound else float(floor[i])
-        for i in range(len(dims))
-    ]
     pending = [(bound, i) for i, bound in enumerate(lower)]  # lowest bound first
     heapq.heapify(pending)
     found, upper = {}, np.inf
-    bounded = bound_matvecs = 0
+    bounded = 0
     while pending and pending[0][0] <= upper:
         _, i = heapq.heappop(pending)
         if i in to_bound:
             to_bound.remove(i)
-            bounding = HamiltonianAction(sector_tables[i], couplings)
-            bound, matvecs = ritz_bound(bounding.matvec, bounding.dim, cfg.seed)
-            del bounding  # before the next sector's values are allocated
-            lower[i] = max(lower[i], bound)
+            lower[i] = max(lower[i], loose(i))
             heapq.heappush(pending, (lower[i], i))
             bounded += 1
-            bound_matvecs += matvecs
             continue
-        found[i] = [exact(i, first_k)]
-        levels = np.concatenate([solves[0].energies for solves in found.values()])
+        found[i] = exact(i, first_k)
+        levels = np.concatenate([res.energies for res in found.values()])
         upper = levels[levels - levels.min() >= ground_band(levels.min())].min(initial=np.inf)
     found = dict(sorted(found.items()))  # sector order, as when every sector is solved
 
-    E0 = min(solves[-1].energies[0] for solves in found.values())
+    E0 = min(res.energies[0] for res in found.values())
     band = ground_band(E0)
-    for i, solves in found.items():
-        while solves[-1].energies[-1] - E0 < band and len(solves[-1].energies) < dims[i]:
-            solves.append(exact(i, 2 * len(solves[-1].energies)))
-    actions.clear()
-    E0 = float(min(solves[-1].energies[0] for solves in found.values()))
+    for i, res in found.items():
+        while res.energies[-1] - E0 < band and len(res.energies) < dims[i]:
+            res = found[i] = exact(i, 2 * len(res.energies))
+    E0 = float(min(res.energies[0] for res in found.values()))
     states, above = [], []
-    for i, solves in found.items():
-        sector, res = sector_tables[i].basis, solves[-1]
+    for i, res in found.items():
+        sector = sector_tables[i].basis
         n = int(np.count_nonzero(res.energies - E0 < band))
         above += res.energies[n:n + 1].tolist()
         states += [
@@ -340,9 +334,8 @@ def _solve(basis, sector_tables, couplings, cfg: SweepConfig, floor=None) -> _Gr
         E = float(res.energies[0])
         lower[i] = E - float(res.residuals[0]) - ground_band(E)
     gap = min(above) - E0 if above else float("nan")
-    exact_solves = [r for solves in found.values() for r in solves]
-    return _Ground(E0, gap, states, exact_solves, len(dims), sorted(i for _, i in pending),
-                   bounded, bound_matvecs, lower)
+    return _Ground(E0, gap, states, len(dims), sorted(i for _, i in pending),
+                   bounded, matvecs, residual_max, lower)
 
 
 def _chord(theta, left, right) -> np.ndarray:
@@ -431,8 +424,8 @@ def _measure(spec, solve, cfg: SweepConfig, t_over_pi: float, floor):
         "sectors": ground.sectors,
         "bounded": ground.bounded,
         "screened": len(ground.screened),
-        "matvecs": ground.bound_matvecs + sum(res.matvecs for res in ground.solves),
-        "residual_max": max(float(np.max(res.residuals)) for res in ground.solves),
+        "matvecs": ground.matvecs,
+        "residual_max": ground.residual_max,
         "g": len(states),
         "solve_s": solved - start,
         "measure_s": time.perf_counter() - solved,
@@ -480,9 +473,10 @@ def run_sweep(config: SweepConfig) -> list[SweepRecord]:
 
     for i in range(1, len(records) - 1):
         dtheta = (records[i + 1].thetaOverPi - records[i - 1].thetaOverPi) * math.pi
-        records[i].dEr_dtheta = (
-            records[i + 1].E_rung2site - records[i - 1].E_rung2site
-        ) / dtheta
+        if dtheta:
+            records[i].dEr_dtheta = (
+                records[i + 1].E_rung2site - records[i - 1].E_rung2site
+            ) / dtheta
 
     if config.out is not None:
         write_csv(records, config.blocks, config.out)

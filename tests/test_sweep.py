@@ -135,6 +135,16 @@ def test_sweep_records_and_derivative():
         assert math.isfinite(r.T_expect)
 
 
+def test_derivative_is_empty_where_the_neighbours_share_theta(tmp_path):
+    # the neighbours of index 2 both sit at 0.2 pi, so there is no central
+    # difference there: the cell is left empty, as at the end points
+    out = tmp_path / "sweep.csv"
+    recs = run_sweep(SweepConfig(L=3, thetas_over_pi=(0.1, 0.2, 0.3, 0.2), out=str(out)))
+    assert [r.dEr_dtheta is None for r in recs] == [True, False, True, True]
+    rows = list(csv.reader(out.open()))
+    assert [row[7] for row in rows[1:]] == ["", format(recs[1].dEr_dtheta, ".12g"), "", ""]
+
+
 def test_open_ladder_pairs_are_bulk():
     # open ladders anchor the pairs at the middle rung ceil(L/2), not at the
     # edge, where C_leg is 0.029 at this point against 0.081 in the bulk
@@ -301,18 +311,20 @@ def test_sector_without_a_bound_is_solved(monkeypatch):
 
 @pytest.mark.parametrize("L, twoSz, thetas, workers", [
     (8, 0, theta_grid(0.14, 0.16, 0.001), 1),  # criterion 1's grid
+    (6, 0, theta_grid(-0.3, 0.9, 0.03), 1),  # dense sectors only
     (7, 0, theta_grid(-0.3, 0.9, 0.02), 1),  # dense and bounded sectors
     (7, 2, theta_grid(-0.3, 0.9, 0.02), 1),  # bounded sectors only
     (7, 0, theta_grid(0.9, -0.3, -0.1), 1),  # descending
     (7, 2, (0.1, 0.1, 0.15, 0.2, 0.2, 0.3), 1),  # repeated theta
     (7, 0, theta_grid(-1.0, 0.9, 0.1), 1),  # spans more than pi
     (7, 2, theta_grid(-0.3, 0.9, 0.1), 2),  # one visiting order per chunk
-], ids=["L8-criterion-1", "L7-mixed", "L7-bounded", "descending", "repeated", "over-pi",
-        "workers-2"])
+], ids=["L8-criterion-1", "L6-dense", "L7-mixed", "L7-bounded", "descending", "repeated",
+        "over-pi", "workers-2"])
 def test_chords_change_no_output(monkeypatch, L, twoSz, thetas, workers):
     # a chord only settles sectors that hold no ground state and not E_g,
     # so the records equal those of every point solved with no floor, to
-    # the bit, while most loose passes are left out
+    # the bit, while most loose passes are left out.  At L = 6 every sector
+    # is dense and takes no loose pass, so only a chord screens it
     blocks = (BlockSpec("D", 3),)
     cfg = SweepConfig(L=L, thetas_over_pi=thetas, twoSz=twoSz, blocks=blocks, workers=workers)
     chords = run_sweep(cfg)
@@ -323,7 +335,11 @@ def test_chords_change_no_output(monkeypatch, L, twoSz, thetas, workers):
         sweep.record_row(r, blocks) for r in alone
     ]
     bounded = [sum(r.diagnostics["bounded"] for r in recs) for recs in (chords, alone)]
-    assert bounded[0] < bounded[1]
+    screened = [sum(r.diagnostics["screened"] for r in recs) for recs in (chords, alone)]
+    if L == 6:
+        assert bounded == [0, 0] and screened[0] > 0 == screened[1]
+    else:
+        assert bounded[0] < bounded[1]
     if L == 8:  # at most a quarter of the 28 loose passes per point
         assert bounded[0] <= len(thetas) * 28 / 4
 
@@ -343,15 +359,18 @@ def test_chord_floor_reaches_only_between_its_ends():
 
 
 @pytest.mark.parametrize("L, bc, matvecs", [
-    (6, "periodic", [26, 26, 26, 26]),
+    (6, "periodic", [26, 26, 17, 26]),
     (4, "open", [91, 113, 92, 135]),
 ])
 def test_nothing_to_screen_costs_no_matvec(L, bc, matvecs):
     # the sectors of periodic L = 6 are all dense (at most 48 states) and an
     # open ladder is one lone sector, so neither takes a loose pass: the
-    # matvecs are those of the solves alone, as counted before screening
+    # matvecs are those of the solves alone.  Only the point at 0.5 pi has a
+    # chord, from 0.1 pi and 0.9 pi (that of 0.1 pi spans more than pi); at
+    # L = 6 it leaves 9 dense sectors unsolved
     recs = run_sweep(SweepConfig(L=L, bc=bc, thetas_over_pi=(-0.3, 0.1, 0.5, 0.9)))
-    assert [r.diagnostics["screened"] for r in recs] == [0, 0, 0, 0]
+    screened = [0, 0, 9, 0] if bc == "periodic" else [0, 0, 0, 0]
+    assert [r.diagnostics["screened"] for r in recs] == screened
     assert [r.diagnostics["matvecs"] for r in recs] == matvecs
 
 
@@ -371,14 +390,16 @@ def test_lone_sector_starts_at_k_2():
 
 @pytest.mark.parametrize("L, t", [(8, -0.3), (8, 0.1), (8, 0.5), (8, 0.9), (6, 0.1), (7, 0.1)])
 def test_solve_holds_few_actions(monkeypatch, L, t):
-    # a bound's action dies with its loose pass, and a solved sector's is
-    # built again for its solve and kept until the widening ends, so at most
-    # one action beyond the solved sectors' is alive.  A dense sector is not
-    # bounded, so its action is built once: at L = 6 every sector is dense,
-    # at L = 7 some are and the rest are bounded
-    live = most = 0
+    # each loose pass and each exact solve builds its sector's action and
+    # drops it when it returns, so one action at a time is alive.  Every
+    # sector is built once for its loose pass or its first solve; the one
+    # holding E0 is built again for its widening and, when bounded, for its
+    # first solve.  At L = 6 every sector is dense, at L = 7 some are and
+    # the rest are bounded, and at L = 8 all are bounded
+    live = most = exact = 0
     builds = collections.Counter()
     build = sweep.HamiltonianAction
+    solve = sweep.lowest_eigenpairs
 
     def dead():
         nonlocal live
@@ -393,17 +414,24 @@ def test_solve_holds_few_actions(monkeypatch, L, t):
         builds[id(tables)] += 1
         return action
 
+    def solving(*args, **kwargs):
+        nonlocal exact
+        exact += 1
+        return solve(*args, **kwargs)
+
     monkeypatch.setattr(sweep, "HamiltonianAction", counting)
+    monkeypatch.setattr(sweep, "lowest_eigenpairs", solving)
     (rec,) = run_sweep(SweepConfig(L=L, thetas_over_pi=(t,)))
     d = rec.diagnostics
-    assert most <= d["sectors"] - d["screened"] + 1
+    assert most == 1
     assert live == 0 and len(builds) == d["sectors"]
-    assert set(builds.values()) == ({1} if L == 6 else {1, 2})
+    assert sum(builds.values()) == d["bounded"] + exact
+    assert set(builds.values()) == ({1, 2} if L == 6 else {1, 2, 3})
 
 
 def test_solve_memory_stays_near_its_states():
-    # one L = 9 point holds the values of its solved sectors and of one
-    # bounded sector at a time, not those of all 30 sectors (8.6 MB)
+    # one L = 9 point holds the values of one sector at a time, not those
+    # of all 30 sectors (8.6 MB)
     spec = LadderSpec(L=9)
     basis = build_sector(spec.N, 0)
     solve = sweep._solver(spec, basis)
