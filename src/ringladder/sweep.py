@@ -19,9 +19,8 @@ level above the manifold.
 
 from __future__ import annotations
 
-import collections
+import bisect
 import csv
-import functools
 import heapq
 import math
 import os
@@ -179,7 +178,7 @@ class SweepRecord:
     diagnostics describes how the point was computed and is not written to
     the CSV: the number of sectors, how many of them took a loose Lanczos
     pass (bounded), how many were left unsolved by the bound of that pass or
-    by the chord of their bounds at the two grid points around this one
+    by the chord of their bounds at the nearest solved points on each side
     (screened; a sector of at most DENSE_MAX_DIM states is never bounded,
     and screened only by a chord), the total matvecs, loose passes
     included, the largest residual of the exact solves, the ground
@@ -359,36 +358,42 @@ def _chord(theta, left, right) -> np.ndarray:
     return np.full(len(lower1), -np.inf)
 
 
-def _bisection(n: int):
+def _bisection(n: int) -> list[int]:
     """Grid positions 0..n-1 in bisection order: the first, the last, then
-    the midpoints of the visited intervals breadth-first, each midpoint with
-    the ends of its interval (None for the first and the last)."""
-    if n > 0:
-        yield 0, None
-    if n > 1:
-        yield n - 1, None
-    intervals = collections.deque([(0, n - 1)])
-    while intervals:
-        lo, hi = intervals.popleft()
+    the midpoints of the visited intervals, breadth first."""
+    order, intervals = [0, n - 1][:n], [(0, n - 1)]
+    for lo, hi in intervals:
         if hi - lo > 1:
-            mid = (lo + hi) // 2
-            yield mid, (lo, hi)
-            intervals += [(lo, mid), (mid, hi)]
+            order.append((lo + hi) // 2)
+            intervals += [(lo, order[-1]), (order[-1], hi)]
+    return order
 
 
 def _solver(spec, basis):
-    """The ground-state solver of one sweep chunk, built once for all its
-    grid points: _solve over the symmetry sectors on periodic ladders and
-    over the whole Sz sector on open ones."""
+    """solve(theta, cfg), theta in radians: _solve over the symmetry sectors
+    on periodic ladders and the whole Sz sector on open ones, tables built
+    once for a sweep chunk.  It keeps the (theta, lower bounds) of every
+    theta solved, sorted by theta, and starts a new theta from the chord of
+    the nearest solved theta on each side (-inf with a side empty, or at a
+    theta solved before), so it serves any order of theta."""
     sectors = symmetry_sectors(basis) if spec.bc == "periodic" else [basis]
-    return functools.partial(_solve, basis, [LadderTables(spec, s) for s in sectors])
+    tables = [LadderTables(spec, s) for s in sectors]
+    solved = []
+
+    def solve(theta, cfg):
+        i = bisect.bisect_left(solved, theta, key=lambda point: point[0])
+        floor = _chord(theta, solved[i - 1], solved[i]) if 0 < i < len(solved) else None
+        ground = _solve(basis, tables, couplings_from_theta(theta), cfg, floor)
+        solved.insert(i, (theta, ground.lower))
+        return ground
+
+    return solve
 
 
-def _measure(spec, solve, cfg: SweepConfig, t_over_pi: float, floor):
-    """The record of one grid point, solved from floor, and the lower bound
-    on each sector's lowest level there."""
+def _measure(spec, solve, cfg: SweepConfig, t_over_pi: float) -> SweepRecord:
+    """The record of one grid point, solved by solve."""
     start = time.perf_counter()
-    ground = solve(couplings_from_theta(t_over_pi * math.pi), cfg, floor=floor)
+    ground = solve(t_over_pi * math.pi, cfg)
     solved = time.perf_counter()
     states = ground.states
 
@@ -431,27 +436,22 @@ def _measure(spec, solve, cfg: SweepConfig, t_over_pi: float, floor):
         "measure_s": time.perf_counter() - solved,
         "peak_rss_mb": resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024.0,
     }
-    return rec, ground.lower
+    return rec
 
 
 def _sweep_chunk(config: SweepConfig, thetas) -> list[SweepRecord]:
-    """Records of the given grid points; geometry, basis and tables are built
-    once for all of them.  The points are visited in bisection order, and a
-    midpoint's floor is the chord of the lower bounds at the ends of its
-    interval, so a dense grid leaves most loose passes out."""
+    """Records of the given grid points from one _solver.  In bisection
+    order the nearest solved points around a midpoint are the ends of its
+    interval, whose chord floors it, so a dense grid skips most loose passes."""
     spec = LadderSpec(L=config.L, bc=config.bc)
     basis = build_sector(spec.N, config.twoSz)
     solve = _solver(spec, basis)
-    records, lower = {}, {}
-    for i, ends in _bisection(len(thetas)):
-        t = thetas[i]
-        floor = None if ends is None else _chord(
-            t * math.pi, *((thetas[j] * math.pi, lower[j]) for j in ends)
-        )
+    records = {}
+    for i in _bisection(len(thetas)):
         try:
-            records[i], lower[i] = _measure(spec, solve, config, t, floor)
+            records[i] = _measure(spec, solve, config, thetas[i])
         except Exception as exc:
-            raise RuntimeError(f"sweep failed at theta = {t}*pi: {exc}") from exc
+            raise RuntimeError(f"sweep failed at theta = {thetas[i]}*pi: {exc}") from exc
     return [records[i] for i in range(len(thetas))]
 
 

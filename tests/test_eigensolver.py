@@ -7,16 +7,20 @@ import scipy.sparse.linalg
 
 from conftest import geometry, solve
 from ringladder import (
+    BlockSpec,
     Couplings,
     HamiltonianAction,
     LadderSpec,
     LadderTables,
+    SweepConfig,
     apply_ring_permutation,
     build_sector,
     couplings_from_theta,
     dense_oracle,
     enumerate_terms,
     lowest_eigenpairs,
+    run_sweep,
+    sweep,
     symmetry_sectors,
 )
 from ringladder.eigensolver import ritz_bound
@@ -222,6 +226,37 @@ def test_ritz_bound_lies_below_the_second_of_two_close_levels():
     bound, _ = ritz_bound(act.matvec, act.dim, seed=1)
     assert act.dim == 392
     assert first < bound <= second
+
+
+def test_ritz_bound_overshoots_the_lowest_level_by_0_6(monkeypatch):
+    # the worst overshoot found: the seed-0 start of this 127-state sector
+    # barely overlaps its lowest eigenvector, so the loose pass converges to
+    # the second level, 0.600 above the lowest; seed 1 finds the lowest.  The
+    # sweep still screens the sector rightly, but only because E0 = -14.158
+    # lies far below both levels.  A loose pass that cannot miss the lowest
+    # level fails the seed-0 bound here
+    spec = LadderSpec(L=7)
+    basis = build_sector(spec.N, 0)
+    sectors = symmetry_sectors(basis)
+    (i,) = [i for i, s in enumerate(sectors) if s.irrep.label == "k1 Q-1 Z-1"]
+    couplings = couplings_from_theta(-0.51 * math.pi)
+    tables = [LadderTables(spec, s) for s in sectors]
+    act = HamiltonianAction(tables[i], couplings)
+    first, second = scipy.linalg.eigvalsh(act.H.toarray(), subset_by_index=[0, 1])
+    bound, matvecs = ritz_bound(act.matvec, act.dim, seed=0)
+    assert act.dim == 127 and matvecs == 26
+    assert (first, second, bound) == pytest.approx((-9.36409, -8.75940, -8.76392), abs=1e-5)
+    assert bound - first == pytest.approx(0.600, abs=5e-4) and abs(bound - second) < 5e-3
+    bound, _ = ritz_bound(act.matvec, act.dim, seed=1)
+    assert bound == pytest.approx(-9.36576, abs=1e-5) and bound < first
+
+    cfg = SweepConfig(L=7, thetas_over_pi=(-0.51,), blocks=(BlockSpec("D", 3),))
+    ground = sweep._solve(basis, tables, couplings, cfg)
+    assert i in ground.screened and ground.E0 == pytest.approx(-14.158, abs=5e-4)
+    (screened,) = run_sweep(cfg)
+    monkeypatch.setattr(sweep, "ritz_bound", lambda applyH, dim, seed: (-np.inf, 0))
+    (solved,) = run_sweep(cfg)
+    assert screened == solved
 
 
 def test_ritz_bound_without_convergence_bounds_nothing(monkeypatch):

@@ -12,6 +12,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+import scipy.optimize
 
 from conftest import geometry, ground_state, solve
 from ringladder import (
@@ -328,7 +329,8 @@ def test_chords_change_no_output(monkeypatch, L, twoSz, thetas, workers):
     blocks = (BlockSpec("D", 3),)
     cfg = SweepConfig(L=L, thetas_over_pi=thetas, twoSz=twoSz, blocks=blocks, workers=workers)
     chords = run_sweep(cfg)
-    monkeypatch.setattr(sweep, "_bisection", lambda n: ((i, None) for i in range(n)))
+    # in grid order no point of these grids lies between two solved ones
+    monkeypatch.setattr(sweep, "_bisection", lambda n: list(range(n)))
     alone = run_sweep(dataclasses.replace(cfg, workers=1))
     assert chords == alone
     assert [sweep.record_row(r, blocks) for r in chords] == [
@@ -345,17 +347,72 @@ def test_chords_change_no_output(monkeypatch, L, twoSz, thetas, workers):
 
 
 def test_chord_floor_reaches_only_between_its_ends():
-    # the first and the last point have no floor; a midpoint's ends are
-    # those of its interval, visited before it
-    order = list(sweep._bisection(9))
-    assert order[:3] == [(0, None), (8, None), (4, (0, 8))]
-    assert sorted(i for i, _ in order) == list(range(9))
-    seen = set()
-    for i, ends in order:
-        assert ends is None or (set(ends) <= seen and min(ends) < i < max(ends))
-        seen.add(i)
-    assert list(sweep._bisection(1)) == [(0, None)]
-    assert list(sweep._bisection(2)) == [(0, None), (1, None)]
+    # the first and the last point have a solved point on one side at most;
+    # every later point is the midpoint of the nearest points visited before
+    # it on each side, the ends of its interval
+    assert sweep._bisection(9) == [0, 8, 4, 2, 6, 1, 3, 5, 7]
+    for n in range(12):
+        order = sweep._bisection(n)
+        assert sorted(order) == list(range(n)) and order[:2] == [0, n - 1][:n]
+        for k, i in enumerate(order[2:], 2):
+            left = max(j for j in order[:k] if j < i)
+            right = min(j for j in order[:k] if j > i)
+            assert i == (left + right) // 2
+
+
+def test_solver_chords_from_the_nearest_solved_points(monkeypatch):
+    # in any order of theta, a point starts from the chord of the nearest
+    # solved point on each side; the floors leave loose passes out and
+    # change no level
+    spec = LadderSpec(L=7)
+    basis = build_sector(spec.N, 2)
+    cfg = SweepConfig(L=7, thetas_over_pi=(0.1,), twoSz=2)
+    chords = []
+    chord = sweep._chord
+
+    def recording(theta, left, right):
+        chords.append(tuple(round(t / math.pi, 12) for t in (theta, left[0], right[0])))
+        return chord(theta, left, right)
+
+    monkeypatch.setattr(sweep, "_chord", recording)
+    solve = sweep._solver(spec, basis)
+    bounded = []
+    for t in (0.1, 0.9, 0.5, 0.3, 0.7):
+        ground = solve(t * math.pi, cfg)
+        fresh = sweep._solver(spec, basis)(t * math.pi, cfg)  # solves nothing before
+        assert (ground.E0, ground.gap) == (fresh.E0, fresh.gap)
+        bounded.append((ground.bounded, fresh.bounded))
+    assert chords == [(0.5, 0.1, 0.9), (0.3, 0.1, 0.5), (0.7, 0.5, 0.9)]
+    assert bounded == [(10, 10)] * 3 + [(3, 10), (4, 10)]
+
+
+@pytest.mark.parametrize("L", (6, 8))
+def test_solver_memory_serves_a_root_finder(L):
+    # a bounded minimize_scalar places theta freely and finds the extremum
+    # of E_rung2site at theta_c = arctan(1/2), a maximum at L = 6 and a
+    # minimum at L = 8; the solver's memory floors each iterate from those
+    # before it, which takes fewer matvecs and moves no iterate
+    spec = LadderSpec(L=L)
+    basis = build_sector(spec.N, 0)
+    cfg = SweepConfig(L=L, thetas_over_pi=(0.15,), pairs=("rung",))
+    sign = -1 if L == 6 else 1
+    found, matvecs = [], []
+    for memory in (True, False):
+        solve, records = sweep._solver(spec, basis), []
+
+        def entropy(t):
+            rec = sweep._measure(spec, solve if memory else sweep._solver(spec, basis), cfg, t)
+            records.append(rec)
+            return sign * rec.E_rung2site
+
+        res = scipy.optimize.minimize_scalar(
+            entropy, method="bounded", bounds=(0.14, 0.16), options={"xatol": 1e-10}
+        )
+        found.append(res.x)
+        matvecs.append(sum(r.diagnostics["matvecs"] for r in records))
+    assert abs(found[0] - math.atan(0.5) / math.pi) <= 1e-8
+    assert found[0] == found[1]
+    assert matvecs[0] < matvecs[1]
 
 
 @pytest.mark.parametrize("L, bc, matvecs", [
@@ -437,7 +494,7 @@ def test_solve_memory_stays_near_its_states():
     solve = sweep._solver(spec, basis)
     tracemalloc.start()
     try:
-        ground = solve(couplings_from_theta(0.1 * math.pi), SweepConfig(L=9, thetas_over_pi=(0.1,)))
+        ground = solve(0.1 * math.pi, SweepConfig(L=9, thetas_over_pi=(0.1,)))
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()

@@ -1,6 +1,5 @@
 """Symmetry sectors of periodic ladders against the whole Sz sector."""
 
-import functools
 import gc
 import math
 import weakref
@@ -42,8 +41,10 @@ LANCZOS_MISSES = {(5, 2, 0.75), (7, 2, 0.75)}
 
 def full_sector_solver(spec, basis):
     # the open-ladder production path: the whole Sz sector as _solve's lone
-    # sector, with no orbits, sector states or factors
-    return functools.partial(sweep._solve, basis, [LadderTables(spec, basis)])
+    # sector, with no orbits, sector states or factors; a lone sector is
+    # always solved, so it needs no floor
+    tables = [LadderTables(spec, basis)]
+    return lambda theta, cfg: sweep._solve(basis, tables, couplings_from_theta(theta), cfg)
 
 
 def both_paths(monkeypatch, cfg):
@@ -132,7 +133,7 @@ def test_expanded_manifold_is_orthonormal_and_ground(L, twoSz, theta, g):
     basis = build_sector(spec.N, twoSz)
     couplings = couplings_from_theta(theta * math.pi)
     solve = sweep._solver(spec, basis)
-    ground = solve(couplings, SweepConfig(L=L, thetas_over_pi=(theta,), twoSz=twoSz))
+    ground = solve(theta * math.pi, SweepConfig(L=L, thetas_over_pi=(theta,), twoSz=twoSz))
     V = np.column_stack([psi.amps for psi in ground.states])
     assert V.shape[1] == g
     assert np.abs(V.T @ V - np.eye(g)).max() <= 1e-12
@@ -243,11 +244,11 @@ def test_dense_sector_is_never_screened(L, twoSz):
     spec = LadderSpec(L=L)
     basis = build_sector(spec.N, twoSz)
     solve = sweep._solver(spec, basis)
-    dims = [tables.basis.dim for tables in solve.args[1]]
+    dims = [sector.dim for sector in symmetry_sectors(basis)]
     assert min(dims) <= DENSE_MAX_DIM < max(dims)
     cfg = SweepConfig(L=L, thetas_over_pi=(0.0,), twoSz=twoSz)
     for t in (-0.3, 0.0, 0.1, 0.5, 0.75, 0.9):
-        ground = solve(couplings_from_theta(t * math.pi), cfg)
+        ground = solve(t * math.pi, cfg)
         assert ground.screened
         assert all(dims[i] > DENSE_MAX_DIM for i in ground.screened)
 
