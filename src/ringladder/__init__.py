@@ -10,6 +10,7 @@ from .eigensolver import (
     lowest_eigenpairs,
 )
 from .entanglement import (
+    BlockLayout,
     DensityMatrix,
     RungRdmParams,
     concurrence,
@@ -79,6 +80,7 @@ __all__ = [
     "EigensolverError",
     "lowest_eigenpairs",
     "dense_oracle",
+    "BlockLayout",
     "DensityMatrix",
     "RungRdmParams",
     "reduced_density_matrix",

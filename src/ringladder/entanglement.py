@@ -18,6 +18,7 @@ from .basis import SectorBasis
 from .hamiltonian import StateVector, bond_matrix
 
 __all__ = [
+    "BlockLayout",
     "DensityMatrix",
     "RungRdmParams",
     "reduced_density_matrix",
@@ -70,10 +71,13 @@ class DensityMatrix:
         return rho
 
     def eigenvalues(self) -> np.ndarray:
-        """Full spectrum, computed block by block, descending."""
+        """Full spectrum, computed block by block, descending.  A 1 x 1
+        block's eigenvalue is its entry, as dsyevr's N = 1 quick return gives."""
         l = self.n_sites
         lam = [
-            scipy.linalg.eigvalsh(self.blocks[u]) if u in self.blocks else np.zeros(comb(l, u))
+            np.zeros(comb(l, u)) if u not in self.blocks
+            else self.blocks[u][0] if len(self.blocks[u]) == 1
+            else scipy.linalg.eigvalsh(self.blocks[u])
             for u in range(l + 1)
         ]
         return np.sort(np.concatenate(lam))[::-1]
@@ -90,60 +94,82 @@ class RungRdmParams:
     z: float
 
 
+class BlockLayout:
+    """The part of a block's RDM that no state enters: the validated sites,
+    their basis and the order that lays the basis out by block pattern
+    (see reduced_density_matrix).  len(layout) is the block size, so a
+    layout stands in for its sites."""
+
+    def __init__(self, basis: SectorBasis, sites):
+        sites = tuple(int(s) for s in sites)
+        N, l = basis.N, len(sites)
+        if len(set(sites)) != l:
+            raise ValueError("block sites must be distinct")
+        if any(s < 0 or s >= N for s in sites):
+            raise ValueError(f"block sites must lie in 0..{N - 1}")
+        if l == 0:
+            raise ValueError("block needs at least one site")
+        if l > RDM_MAX_SITES:
+            raise ValueError(f"block size capped at {RDM_MAX_SITES} sites, got {l}")
+        self.sites, self.basis = sites, basis
+        # l <= RDM_MAX_SITES = 14, so patterns and their positions fit in
+        # uint16, for which numpy's stable sort is an O(dim) radix sort
+        b = N // 2
+        hi_pattern = np.zeros(1 << (N - b), dtype=np.uint16)
+        lo_pattern = np.zeros(1 << b, dtype=np.uint16)
+        for t, s in enumerate(sites):
+            table, bit = (hi_pattern, s - b) if s >= b else (lo_pattern, s)
+            table |= ((np.arange(len(table)) >> bit) & 1).astype(np.uint16) << (l - 1 - t)
+        position = np.empty(2**l, dtype=np.uint16)
+        position[np.concatenate(DensityMatrix(sites, {}).sz_sectors())] = np.arange(2**l)
+        key = position[hi_pattern[basis.states >> b] | lo_pattern[basis.states & ((1 << b) - 1)]]
+        self.order = np.argsort(key, kind="stable")
+        # (u, C(l, u), C(N - l, n_up - u)) of each run of M_u, in layout order
+        self.runs = [
+            (u, comb(l, u), comb(N - l, basis.n_up - u))
+            for u in range(l + 1) if 0 <= basis.n_up - u <= N - l
+        ]
+
+    def __len__(self) -> int:
+        return len(self.sites)
+
+    def compact(self) -> BlockLayout:
+        """This layout with its order as int32, half of argsort's int64, to be
+        kept for many states; a one-off RDM keeps int64, whose gather is faster."""
+        self.order = self.order.astype(np.int32)
+        return self
+
+
 def reduced_density_matrix(state: StateVector, sites) -> DensityMatrix:
     """Trace out everything but the given sites of a pure sector state.
 
-    Each mask's block pattern (its block bits, sites[0] highest) is read
-    from two small tables, one over the high and one over the low half of
-    the mask (split at b = N // 2, as in Lin's tables), with one gather
-    each.  The masks of one pattern differ only in their environment bits,
-    so their ascending basis order is the ascending order of their
-    environments.  A stable sort on each pattern's position in
-    (up-count, pattern) order therefore lays the state out with each
-    pattern owning one contiguous run of its C(N - l, n_up - u)
-    environments, u the pattern's up-count, in the same order for every
-    pattern, and the C(l, u) runs of one u next to each other.  M_u, those
-    runs stacked as rows, is then a reshape of one slice, and the block of
-    rho at up-count u is the dense product M_u M_u^T: O(dim) integer work
-    and one BLAS product per u instead of a 4^l full trace.  A block of
-    all N sites has one environment per pattern, so rho is |psi><psi| over
-    the patterns.
+    sites is the block's site list, or a BlockLayout of them built on
+    state.basis (one built on another basis is refused).  Each mask's
+    block pattern (its block bits, sites[0] highest) is read from two
+    small tables, one over the high and one over the low half of the mask
+    (split at b = N // 2, as in Lin's tables), with one gather each.  The
+    masks of one pattern differ only in their environment bits, so their
+    ascending basis order is the ascending order of their environments.  A
+    stable sort on each pattern's position in (up-count, pattern) order
+    therefore lays the state out with each pattern owning one contiguous
+    run of its C(N - l, n_up - u) environments, u the pattern's up-count,
+    in the same order for every pattern, and the C(l, u) runs of one u
+    next to each other.  That order is the layout.  M_u, those runs
+    stacked as rows, is then a reshape of one slice of the gathered state,
+    and the block of rho at up-count u is the dense product M_u M_u^T:
+    O(dim) integer work, once per layout, and per state one gather and
+    one BLAS product per u instead of a 4^l full trace.  A block of all N
+    sites has one environment per pattern, so rho is |psi><psi| over the
+    patterns.
     """
-    sites = tuple(int(s) for s in sites)
-    basis = state.basis
-    N = basis.N
-    l = len(sites)
-    if len(set(sites)) != l:
-        raise ValueError("block sites must be distinct")
-    if any(s < 0 or s >= N for s in sites):
-        raise ValueError(f"block sites must lie in 0..{N - 1}")
-    if l == 0:
-        raise ValueError("block needs at least one site")
-    if l > RDM_MAX_SITES:
-        raise ValueError(f"block size capped at {RDM_MAX_SITES} sites, got {l}")
-
-    # l <= RDM_MAX_SITES = 14, so patterns and their positions fit in
-    # uint16, for which numpy's stable sort is an O(dim) radix sort
-    b = N // 2
-    hi_pattern = np.zeros(1 << (N - b), dtype=np.uint16)
-    lo_pattern = np.zeros(1 << b, dtype=np.uint16)
-    for t, s in enumerate(sites):
-        table, bit = (hi_pattern, s - b) if s >= b else (lo_pattern, s)
-        table |= ((np.arange(len(table)) >> bit) & 1).astype(np.uint16) << (l - 1 - t)
-    rho = DensityMatrix(sites=sites, blocks={})
-    position = np.empty(2**l, dtype=np.uint16)
-    position[np.concatenate(rho.sz_sectors())] = np.arange(2**l)
-    key = position[hi_pattern[basis.states >> b] | lo_pattern[basis.states & ((1 << b) - 1)]]
-    ordered = state.amps[np.argsort(key, kind="stable")]
-    del key
-
-    n_env = N - l
+    layout = sites if isinstance(sites, BlockLayout) else BlockLayout(state.basis, sites)
+    if layout.basis is not state.basis:
+        raise ValueError("block layout was built on another basis than the state's")
+    rho = DensityMatrix(sites=layout.sites, blocks={})
+    runs, ordered = layout.runs, state.amps[layout.order]
+    del layout  # a layout built here frees its order before the products
     at = 0
-    for u in range(l + 1):
-        env_up = basis.n_up - u
-        if not 0 <= env_up <= n_env:
-            continue
-        rows, cols = comb(l, u), comb(n_env, env_up)
+    for u, rows, cols in runs:
         M = ordered[at:at + rows * cols].reshape(rows, cols)
         at += rows * cols
         rho.blocks[u] = M @ M.T
@@ -190,8 +216,15 @@ def rung_rdm_params(rho) -> RungRdmParams:
 
     The matrix must be symmetric to 1e-10, and the only entries allowed are
     the four populations and the single <ud|rho|du> coherence; anything else
-    signals a state that does not conserve Sz and is rejected.
+    signals a state that does not conserve Sz and is rejected.  A two-site
+    DensityMatrix is read from its blocks, which hold no other entry.
     """
+    if isinstance(rho, DensityMatrix) and rho.n_sites == 2:
+        dd, mid, uu = (rho.blocks.get(u, np.zeros((n, n))) for u, n in ((0, 1), (1, 2), (2, 1)))
+        if abs(mid[0, 1] - mid[1, 0]) > 1e-10:
+            raise ValueError("two-site density matrix is not symmetric")
+        return RungRdmParams(uPlus=float(dd[0, 0]), w1=float(mid[0, 0]), w2=float(mid[1, 1]),
+                             uMinus=float(uu[0, 0]), z=float(mid[1, 0]))
     if isinstance(rho, DensityMatrix):
         rho = rho.rho
     rho = np.asarray(rho, dtype=np.float64)

@@ -40,6 +40,7 @@ from .eigensolver import (
 )
 from .entanglement import (
     RDM_MAX_SITES,
+    BlockLayout,
     DensityMatrix,
     concurrence,
     expectation_T,
@@ -182,8 +183,10 @@ class SweepRecord:
     (screened; a sector of at most DENSE_MAX_DIM states is never bounded,
     and screened only by a chord), the total matvecs, loose passes
     included, the largest residual of the exact solves, the ground
-    multiplicity g, the seconds spent solving and measuring, and the
-    process's peak resident memory so far, in MB (peak_rss_mb).
+    multiplicity g, the seconds spent solving and measuring, the number of
+    block layouts built for the point (layouts; 0 after a sweep chunk's
+    first point unless the point measures new sites), and the process's
+    peak resident memory so far, in MB (peak_rss_mb).
     """
 
     thetaOverPi: float
@@ -210,10 +213,10 @@ def theta_grid(start: float, stop: float, step: float) -> tuple[float, ...]:
     return tuple(start + i * step for i in range(n + 1))
 
 
-def _manifold_rdm(states, sites) -> DensityMatrix:
-    """RDM of the equal mixture of the given states, averaged block by block
-    in place in the first state's RDM."""
-    first, *rest = [reduced_density_matrix(psi, sites) for psi in states]
+def _manifold_rdm(states, layout: BlockLayout) -> DensityMatrix:
+    """RDM of the equal mixture of the given states, each read through one
+    layout, averaged block by block in place in the first state's RDM."""
+    first, *rest = [reduced_density_matrix(psi, layout) for psi in states]
     for u, block in first.blocks.items():
         for rho in rest:
             block += rho.blocks[u]
@@ -390,26 +393,37 @@ def _solver(spec, basis):
     return solve
 
 
-def _measure(spec, solve, cfg: SweepConfig, t_over_pi: float) -> SweepRecord:
-    """The record of one grid point, solved by solve."""
+def _measure(spec, solve, cfg: SweepConfig, t_over_pi: float, layouts) -> SweepRecord:
+    """The record of one grid point, solved by solve.  layouts maps the
+    sites of each block measured before to its BlockLayout; a block not in
+    it gets one built and added, so a chunk builds each layout once.  With
+    layouts None a layout lives for its one block's RDM only, so a lone
+    point holds one layout at a time."""
     start = time.perf_counter()
     ground = solve(t_over_pi * math.pi, cfg)
     solved = time.perf_counter()
     states = ground.states
+    built = 0
+
+    def rdm(sites) -> DensityMatrix:
+        nonlocal built
+        kept = {} if layouts is None else layouts
+        sites = tuple(sites)
+        if sites not in kept:
+            kept[sites], built = BlockLayout(states[0].basis, sites).compact(), built + 1
+        return _manifold_rdm(states, kept[sites])
 
     r = 1 if spec.bc == "periodic" else math.ceil(spec.L / 2)
     # (leg, rung) of the second site of the other pairs; the first is (1, r)
     partner = {"leg": (1, r + 1), "diag": (2, r + 1)}
-    rho_rung = _manifold_rdm(states, (spec.site(1, r), spec.site(2, r)))
+    rho_rung = rdm((spec.site(1, r), spec.site(2, r)))
     conc: dict[str, float | None] = dict.fromkeys(PAIR_KINDS)
     for name in cfg.pairs:
-        rho = rho_rung if name == "rung" else _manifold_rdm(
-            states, (spec.site(1, r), spec.site(*partner[name]))
-        )
+        rho = rho_rung if name == "rung" else rdm((spec.site(1, r), spec.site(*partner[name])))
         conc[name] = concurrence(rho)
 
     ev = {
-        b.label: von_neumann_entropy(_manifold_rdm(states, block_sites(b.family, b.l, spec)))
+        b.label: von_neumann_entropy(rdm(block_sites(b.family, b.l, spec)))
         for b in cfg.blocks
     }
     rec = SweepRecord(
@@ -432,6 +446,7 @@ def _measure(spec, solve, cfg: SweepConfig, t_over_pi: float) -> SweepRecord:
         "matvecs": ground.matvecs,
         "residual_max": ground.residual_max,
         "g": len(states),
+        "layouts": built,
         "solve_s": solved - start,
         "measure_s": time.perf_counter() - solved,
         "peak_rss_mb": resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024.0,
@@ -440,16 +455,18 @@ def _measure(spec, solve, cfg: SweepConfig, t_over_pi: float) -> SweepRecord:
 
 
 def _sweep_chunk(config: SweepConfig, thetas) -> list[SweepRecord]:
-    """Records of the given grid points from one _solver.  In bisection
-    order the nearest solved points around a midpoint are the ends of its
-    interval, whose chord floors it, so a dense grid skips most loose passes."""
+    """Records of the given grid points from one _solver and (for more than
+    one point) one dict of block layouts, dropped with the chunk.  In
+    bisection order the nearest solved points around a midpoint are the ends
+    of its interval, whose chord floors it, so a dense grid skips most loose
+    passes."""
     spec = LadderSpec(L=config.L, bc=config.bc)
     basis = build_sector(spec.N, config.twoSz)
-    solve = _solver(spec, basis)
+    solve, layouts = _solver(spec, basis), ({} if len(thetas) > 1 else None)
     records = {}
     for i in _bisection(len(thetas)):
         try:
-            records[i] = _measure(spec, solve, config, thetas[i])
+            records[i] = _measure(spec, solve, config, thetas[i], layouts)
         except Exception as exc:
             raise RuntimeError(f"sweep failed at theta = {thetas[i]}*pi: {exc}") from exc
     return [records[i] for i in range(len(thetas))]

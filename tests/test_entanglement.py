@@ -7,7 +7,11 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from conftest import geometry, ground_state
+import scipy.linalg
+
 from ringladder import (
+    BlockLayout,
+    DensityMatrix,
     LadderSpec,
     StateVector,
     bond_matrix,
@@ -212,6 +216,66 @@ def test_rdm_pattern_tables_match_dense_oracle(N, half):
         for sites in blocks:
             rho = reduced_density_matrix(psi, sites).rho
             assert np.max(np.abs(rho - dense_rdm(psi, sites))) <= 1e-13, (twoSz, sites)
+
+
+@pytest.mark.parametrize("N", [2, 4, 6, 8, 10, 12])
+def test_layout_stands_in_for_its_sites(N):
+    # a layout built once gives every state's RDM to the bit, kept as
+    # int32 or not; a 1 x 1 block's eigenvalue is its entry and the rung
+    # parameters are read from the blocks, both as from the dense routes
+    rng = np.random.default_rng(N)
+    for twoSz in (-2, 0, 2):
+        basis = build_sector(N, twoSz)
+        states = [random_state(basis, rng) for _ in range(3)]
+        for l in range(1, N + 1):
+            sites = tuple(int(s) for s in rng.permutation(N)[:l])
+            layouts = (BlockLayout(basis, sites), BlockLayout(basis, sites).compact())
+            assert [len(layout) for layout in layouts] == [l, l]
+            for psi in states:
+                want = reduced_density_matrix(psi, sites)
+                for got in (reduced_density_matrix(psi, layout) for layout in layouts):
+                    assert got.sites == want.sites and got.blocks.keys() == want.blocks.keys()
+                    assert all(np.array_equal(got.blocks[u], want.blocks[u]) for u in want.blocks)
+                if l > 6:  # large blocks add eigvalsh time, not cases
+                    continue
+                lam = np.sort(np.concatenate(
+                    [scipy.linalg.eigvalsh(block) for block in want.blocks.values()]
+                    + [np.zeros(math.comb(l, u)) for u in range(l + 1) if u not in want.blocks]
+                ))[::-1]
+                assert np.array_equal(want.eigenvalues(), lam)
+                if l == 2:
+                    assert rung_rdm_params(want) == rung_rdm_params(want.rho)
+
+
+def test_layout_on_another_basis_is_refused():
+    psi = random_state(build_sector(6, 0), np.random.default_rng(0))
+    for basis in (build_sector(6, 0), build_sector(6, 2), build_sector(8, 0)):
+        with pytest.raises(ValueError, match="another basis"):
+            reduced_density_matrix(psi, BlockLayout(basis, (0, 1)))
+    with pytest.raises(ValueError, match="block sites must be distinct"):
+        BlockLayout(psi.basis, (0, 0))
+
+
+def test_rung_params_refuse_an_asymmetric_two_site_density_matrix():
+    rho = DensityMatrix(sites=(0, 1), blocks={1: np.array([[0.5, -0.5], [-0.1, 0.5]])})
+    with pytest.raises(ValueError, match="not symmetric"):
+        rung_rdm_params(rho)
+
+
+def test_one_off_rdm_holds_two_state_long_arrays_at_most():
+    # building the layout inside the call frees the block patterns before
+    # the gather and the order before the products: at most the order and
+    # the gathered state, 16 bytes per basis state, live at once
+    basis = build_sector(16, 0)
+    psi = random_state(basis, np.random.default_rng(1))
+    for sites in ((0, 1), (3, 15, 0, 5, 7), tuple(range(8))):
+        tracemalloc.start()
+        try:
+            reduced_density_matrix(psi, sites)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 16 * basis.dim + 8192, sites
 
 
 def test_block_entropy_keeps_only_the_blocks():

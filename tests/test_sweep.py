@@ -248,8 +248,8 @@ def test_diagnostics_count_every_solve_and_leave_the_csv_alone(monkeypatch, bc, 
         mine = solves[done:]
         d = rec.diagnostics
         assert set(d) == {
-            "sectors", "bounded", "screened", "matvecs", "residual_max", "g", "solve_s",
-            "measure_s", "peak_rss_mb",
+            "sectors", "bounded", "screened", "matvecs", "residual_max", "g", "layouts",
+            "solve_s", "measure_s", "peak_rss_mb",
         }
         assert d["sectors"] == sectors and len(mine) >= sectors
         assert d["bounded"] == d["screened"] == 0  # every sector is dense or alone
@@ -346,6 +346,70 @@ def test_chords_change_no_output(monkeypatch, L, twoSz, thetas, workers):
         assert bounded[0] <= len(thetas) * 28 / 4
 
 
+@pytest.mark.parametrize("L, bc, twoSz, thetas, workers", [
+    (6, "periodic", 0, theta_grid(-0.3, 0.9, 0.3), 1),
+    (6, "periodic", 2, theta_grid(-0.3, 0.9, 0.3), 1),
+    (7, "periodic", 0, theta_grid(-0.3, 0.9, 0.3), 1),
+    (7, "periodic", 2, theta_grid(-0.3, 0.9, 0.3), 1),
+    (8, "periodic", 0, theta_grid(-0.3, 0.9, 0.3), 1),
+    (8, "periodic", 2, theta_grid(-0.3, 0.9, 0.3), 1),
+    (5, "open", 0, theta_grid(-0.3, 0.9, 0.3), 1),
+    (3, "periodic", 0, (0.1, 0.1), 1),  # g = 3
+    (7, "periodic", 2, (0.75, 0.75), 1),  # g = 2, a k, -k pair
+    (7, "periodic", 2, (0.75,), 1),  # a lone point keeps no layout
+    (7, "periodic", 0, theta_grid(-0.3, 0.9, 0.1), 2),
+], ids=["L6-0", "L6-2", "L7-0", "L7-2", "L8-0", "L8-2", "open-L5", "g3", "g2", "lone",
+        "workers-2"])
+def test_chunk_layouts_change_no_output(monkeypatch, L, bc, twoSz, thetas, workers):
+    # every state of every point reads its RDMs through the layouts its
+    # chunk built at its first point, to the bit of a layout built per call
+    blocks = (BlockSpec("A", 2), BlockSpec("B", 4), BlockSpec("C", 3), BlockSpec("D", 3))
+    cfg = SweepConfig(L=L, thetas_over_pi=thetas, bc=bc, twoSz=twoSz, blocks=blocks,
+                      workers=workers)
+    kept = run_sweep(cfg)
+    rdm = sweep.reduced_density_matrix
+    monkeypatch.setattr(sweep, "reduced_density_matrix", lambda psi, layout: rdm(psi, layout.sites))
+    fresh = run_sweep(dataclasses.replace(cfg, workers=1))
+    assert kept == fresh
+    assert [sweep.record_row(r, blocks) for r in kept] == [
+        sweep.record_row(r, blocks) for r in fresh
+    ]
+    # the rung, leg, diag, B4, C3 and D3 sites, and A2 unless it is the
+    # rung; a lone point builds one layout per RDM
+    distinct = 6 if bc == "periodic" and len(thetas) > 1 else 7
+    built = sorted((r.diagnostics["layouts"] for r in kept), reverse=True)
+    assert built == [distinct] * workers + [0] * (len(thetas) - workers)
+    assert kept[-1].degenerate == (thetas in {(0.1, 0.1), (0.75, 0.75), (0.75,)})
+
+
+@pytest.mark.parametrize("thetas, live", [
+    ((0.1,), [1] * 7),
+    ((0.1, 0.2), [1, 2, 3, 3, 4, 5, 6] + [6] * 7),  # A2 is the rung pair
+])
+def test_a_lone_point_holds_one_layout_at_a_time(monkeypatch, thetas, live):
+    # a chunk of more than one point keeps every layout it built; a lone
+    # point, as `gs` runs, drops each with its RDM
+    layouts = weakref.WeakSet()
+
+    class Counted(sweep.BlockLayout):
+        def __init__(self, basis, sites):
+            super().__init__(basis, sites)
+            layouts.add(self)
+
+    seen = []
+    manifold_rdm = sweep._manifold_rdm
+
+    def counting(states, layout):
+        seen.append(len(layouts))
+        return manifold_rdm(states, layout)
+
+    monkeypatch.setattr(sweep, "BlockLayout", Counted)
+    monkeypatch.setattr(sweep, "_manifold_rdm", counting)
+    blocks = (BlockSpec("A", 2), BlockSpec("B", 4), BlockSpec("C", 3), BlockSpec("D", 3))
+    run_sweep(SweepConfig(L=5, thetas_over_pi=thetas, blocks=blocks))
+    assert seen == live
+
+
 def test_chord_floor_reaches_only_between_its_ends():
     # the first and the last point have a solved point on one side at most;
     # every later point is the midpoint of the nearest points visited before
@@ -396,12 +460,13 @@ def test_solver_memory_serves_a_root_finder(L):
     basis = build_sector(spec.N, 0)
     cfg = SweepConfig(L=L, thetas_over_pi=(0.15,), pairs=("rung",))
     sign = -1 if L == 6 else 1
-    found, matvecs = [], []
+    found, matvecs, runs = [], [], []
     for memory in (True, False):
-        solve, records = sweep._solver(spec, basis), []
+        solve, layouts, records = sweep._solver(spec, basis), {}, []
 
         def entropy(t):
-            rec = sweep._measure(spec, solve if memory else sweep._solver(spec, basis), cfg, t)
+            rec = sweep._measure(spec, solve if memory else sweep._solver(spec, basis), cfg, t,
+                                 layouts if memory else {})
             records.append(rec)
             return sign * rec.E_rung2site
 
@@ -410,9 +475,15 @@ def test_solver_memory_serves_a_root_finder(L):
         )
         found.append(res.x)
         matvecs.append(sum(r.diagnostics["matvecs"] for r in records))
+        runs.append(records)
     assert abs(found[0] - math.atan(0.5) / math.pi) <= 1e-8
     assert found[0] == found[1]
     assert matvecs[0] < matvecs[1]
+    # the rung's layout, built at the first iterate, serves every later one
+    assert runs[0] == runs[1]
+    assert [sweep.record_row(r, ()) for r in runs[0]] == [sweep.record_row(r, ()) for r in runs[1]]
+    assert [r.diagnostics["layouts"] for r in runs[0]] == [1] + [0] * (len(runs[0]) - 1)
+    assert [r.diagnostics["layouts"] for r in runs[1]] == [1] * len(runs[1])
 
 
 @pytest.mark.parametrize("L, bc, matvecs", [
