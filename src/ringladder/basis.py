@@ -347,13 +347,21 @@ class SymmetrySector:
 
         row = 1 gives its partner in the irrep's second row, the same
         combination of the P_2j |a>: orthogonal to it, with the same energy.
+        The output is filled RANK_BLOCK masks at a time, adding the terms
+        t = 0, ..., d - 1 in that order as over the whole Sz sector at once,
+        so the scratch is one slice's.
         """
         g = self.group
         amps = np.asarray(amps) * self.norm[self.orbit]
+        terms = [
+            (np.bincount(self.orbit, amps * self.vecs[t], minlength=len(g.reps)), self.D[t, row])
+            for t in range(self.irrep.dim)
+        ]
         out = np.zeros(len(g.orbit_of))
-        for t in range(self.irrep.dim):
-            weight = np.bincount(self.orbit, amps * self.vecs[t], minlength=len(g.reps))
-            out += weight[g.orbit_of] * self.D[t, row][g.element_of]
+        for at in range(0, len(out), RANK_BLOCK):
+            part = slice(at, at + RANK_BLOCK)
+            for weight, phase in terms:
+                out[part] += weight[g.orbit_of[part]] * phase[g.element_of[part]]
         return out
 
 

@@ -8,13 +8,14 @@ bits.
 
 from __future__ import annotations
 
+import operator
 from dataclasses import dataclass
 from math import comb, hypot, sqrt
 
 import numpy as np
 import scipy.linalg
 
-from .basis import SectorBasis
+from .basis import RANK_BLOCK, SectorBasis
 from .hamiltonian import StateVector, bond_matrix
 
 __all__ = [
@@ -94,6 +95,13 @@ class RungRdmParams:
     z: float
 
 
+def _site(s) -> int:
+    try:
+        return operator.index(s)
+    except TypeError:
+        raise ValueError(f"block site {s!r} is not an integer") from None
+
+
 class BlockLayout:
     """The part of a block's RDM that no state enters: the validated sites,
     their basis and the order that lays the basis out by block pattern
@@ -101,7 +109,7 @@ class BlockLayout:
     layout stands in for its sites."""
 
     def __init__(self, basis: SectorBasis, sites):
-        sites = tuple(int(s) for s in sites)
+        sites = tuple(map(_site, sites))
         N, l = basis.N, len(sites)
         if len(set(sites)) != l:
             raise ValueError("block sites must be distinct")
@@ -122,7 +130,11 @@ class BlockLayout:
             table |= ((np.arange(len(table)) >> bit) & 1).astype(np.uint16) << (l - 1 - t)
         position = np.empty(2**l, dtype=np.uint16)
         position[np.concatenate(DensityMatrix(sites, {}).sz_sectors())] = np.arange(2**l)
-        key = position[hi_pattern[basis.states >> b] | lo_pattern[basis.states & ((1 << b) - 1)]]
+        key = np.empty(basis.dim, dtype=np.uint16)
+        for at in range(0, basis.dim, RANK_BLOCK):
+            part = basis.states[at:at + RANK_BLOCK]
+            pattern = hi_pattern[part >> b] | lo_pattern[part & ((1 << b) - 1)]
+            key[at:at + RANK_BLOCK] = position[pattern]
         self.order = np.argsort(key, kind="stable")
         # (u, C(l, u), C(N - l, n_up - u)) of each run of M_u, in layout order
         self.runs = [
@@ -134,8 +146,11 @@ class BlockLayout:
         return len(self.sites)
 
     def compact(self) -> BlockLayout:
-        """This layout with its order as int32, half of argsort's int64, to be
-        kept for many states; a one-off RDM keeps int64, whose gather is faster."""
+        """This layout with its order as int32, half of argsort's int64.  A
+        one-off RDM compacts its layout too: converting holds both orders, 12
+        bytes per state, for a moment, but the gathers then hold 4 bytes per
+        state of order beside the blocks, which for a block of half the
+        sites are as long as the state."""
         self.order = self.order.astype(np.int32)
         return self
 
@@ -155,24 +170,25 @@ def reduced_density_matrix(state: StateVector, sites) -> DensityMatrix:
     run of its C(N - l, n_up - u) environments, u the pattern's up-count,
     in the same order for every pattern, and the C(l, u) runs of one u
     next to each other.  That order is the layout.  M_u, those runs
-    stacked as rows, is then a reshape of one slice of the gathered state,
-    and the block of rho at up-count u is the dense product M_u M_u^T:
-    O(dim) integer work, once per layout, and per state one gather and
-    one BLAS product per u instead of a 4^l full trace.  A block of all N
-    sites has one environment per pattern, so rho is |psi><psi| over the
-    patterns.
+    stacked as rows, is then the amplitudes at one slice of the order,
+    reshaped, and the block of rho at up-count u is the dense product
+    M_u M_u^T: O(dim) integer work, once per layout, and per state one
+    gather and one BLAS product per u instead of a 4^l full trace.  Each
+    M_u is gathered only when its product is taken, so beside the order
+    and the blocks a call holds one M_u, not the whole reordered state.
+    A block of all N sites has one environment per pattern, so rho is
+    |psi><psi| over the patterns.
     """
-    layout = sites if isinstance(sites, BlockLayout) else BlockLayout(state.basis, sites)
+    layout = sites if isinstance(sites, BlockLayout) else BlockLayout(state.basis, sites).compact()
     if layout.basis is not state.basis:
         raise ValueError("block layout was built on another basis than the state's")
     rho = DensityMatrix(sites=layout.sites, blocks={})
-    runs, ordered = layout.runs, state.amps[layout.order]
-    del layout  # a layout built here frees its order before the products
     at = 0
-    for u, rows, cols in runs:
-        M = ordered[at:at + rows * cols].reshape(rows, cols)
+    for u, rows, cols in layout.runs:
+        M = state.amps[layout.order[at:at + rows * cols]].reshape(rows, cols)
         at += rows * cols
         rho.blocks[u] = M @ M.T
+        del M  # before the next run's gather
     return rho
 
 
@@ -282,22 +298,35 @@ def expectation_T(state: StateVector) -> float:
     Per rung bond (2r, 2r + 1) with amplitudes a over masks m: SzSz gives
     1/4 sum a^2 - 1/2 sum_anti a^2 and the flip-flop gives
     1/2 sum_anti a_k a[rank(m_k ^ (3 << 2r))], the sums running over the
-    masks antiparallel on that bond.  No operator matrix is built, and each
-    rung's antiparallel mask is combined in place in uint8, so a rung holds
-    at most one int64 array over the whole basis.
+    masks antiparallel on that bond.  No operator matrix is built.  A rung's
+    2 C(N - 2, n_up - 1) antiparallel amplitudes x = a_k and their partners
+    y = a[rank(m_k ^ (3 << 2r))] are gathered RANK_BLOCK masks at a time, so
+    a rung holds x, y and one slice's scratch, and the sums read the same
+    arrays in the same order as over the whole basis at once.
     """
     basis = state.basis
     a = state.amps
-    a2 = a * a
-    norm2 = float(a2.sum())
+    norm2 = float((a * a).sum())
+    n_anti = 2 * comb(basis.N - 2, basis.n_up - 1) if basis.n_up else 0
     total = 0.0
     for r in range(basis.N // 2):
-        pair = (basis.states >> (2 * r)).astype(np.uint8)
-        pair ^= pair >> 1
-        pair &= 1
-        anti = np.flatnonzero(pair)
-        flipped = basis.states[anti]
-        flipped ^= 3 << (2 * r)
-        flipped = basis.rank_many(flipped)
-        total += 0.25 * norm2 - 0.5 * a2[anti].sum() + 0.5 * (a[anti] @ a[flipped])
+        x, y = np.empty(n_anti), np.empty(n_anti)
+        filled = 0
+        for at in range(0, basis.dim, RANK_BLOCK):
+            part = basis.states[at:at + RANK_BLOCK]
+            pair = (part >> (2 * r)).astype(np.uint8)
+            pair ^= pair >> 1
+            pair &= 1
+            anti = np.flatnonzero(pair)
+            end = filled + len(anti)
+            np.take(a[at:at + RANK_BLOCK], anti, out=x[filled:end])
+            flipped = part[anti]
+            del pair, anti  # before rank_many's own scratch
+            flipped ^= 3 << (2 * r)
+            np.take(a, basis.rank_many(flipped), out=y[filled:end])
+            filled = end
+        dot = x @ y
+        x *= x
+        total += 0.25 * norm2 - 0.5 * x.sum() + 0.5 * dot
+        del x, y  # before the next rung's
     return float(total)

@@ -1,4 +1,5 @@
 import math
+import re
 import tracemalloc
 
 import numpy as np
@@ -27,6 +28,7 @@ from ringladder import (
     rung_rdm_params,
     von_neumann_entropy,
 )
+from ringladder.basis import RANK_BLOCK
 
 LOG2_3 = math.log2(3.0)
 
@@ -50,6 +52,48 @@ def dense_rdm(state: StateVector, sites) -> np.ndarray:
     rest = [ax for ax in range(N) if ax not in block_axes]
     A = np.transpose(full.reshape((2,) * N), block_axes + rest).reshape(2 ** len(sites), -1)
     return A @ A.T
+
+
+def whole_basis_rdm_blocks(state: StateVector, sites) -> dict[int, np.ndarray]:
+    """The blocks of a one-off RDM from the whole reordered state at once:
+    every mask's key, one stable sort and one gather of every amplitude,
+    then each M_u a reshaped slice of it."""
+    basis = state.basis
+    N, l, b = basis.N, len(sites), basis.N // 2
+    hi_pattern = np.zeros(1 << (N - b), dtype=np.uint16)
+    lo_pattern = np.zeros(1 << b, dtype=np.uint16)
+    for t, s in enumerate(sites):
+        table, bit = (hi_pattern, s - b) if s >= b else (lo_pattern, s)
+        table |= ((np.arange(len(table)) >> bit) & 1).astype(np.uint16) << (l - 1 - t)
+    position = np.empty(2**l, dtype=np.uint16)
+    position[np.concatenate(DensityMatrix(sites, {}).sz_sectors())] = np.arange(2**l)
+    key = position[hi_pattern[basis.states >> b] | lo_pattern[basis.states & ((1 << b) - 1)]]
+    ordered = state.amps[np.argsort(key, kind="stable")]
+    blocks, at = {}, 0
+    for u in range(l + 1):
+        if 0 <= basis.n_up - u <= N - l:
+            rows, cols = math.comb(l, u), math.comb(N - l, basis.n_up - u)
+            M = ordered[at:at + rows * cols].reshape(rows, cols)
+            at += rows * cols
+            blocks[u] = M @ M.T
+    return blocks
+
+
+def whole_basis_T(state: StateVector) -> float:
+    """<T> with every rung's masks, partners and squares taken over the whole
+    basis at once."""
+    basis, a = state.basis, state.amps
+    a2 = a * a
+    norm2 = float(a2.sum())
+    total = 0.0
+    for r in range(basis.N // 2):
+        pair = (basis.states >> (2 * r)).astype(np.uint8)
+        pair ^= pair >> 1
+        pair &= 1
+        anti = np.flatnonzero(pair)
+        flipped = basis.rank_many(basis.states[anti] ^ (3 << (2 * r)))
+        total += 0.25 * norm2 - 0.5 * a2[anti].sum() + 0.5 * (a[anti] @ a[flipped])
+    return float(total)
 
 
 def two_site_singlet():
@@ -256,6 +300,39 @@ def test_layout_on_another_basis_is_refused():
         BlockLayout(psi.basis, (0, 0))
 
 
+@pytest.mark.parametrize("site", [1.7, "1", np.float64(1.0)])
+def test_a_site_that_is_not_an_integer_is_refused(site):
+    # a float or a string that int() would take is not a site
+    psi = random_state(build_sector(8, 0), np.random.default_rng(0))
+    with pytest.raises(ValueError, match=re.escape(f"block site {site!r} is not an integer")):
+        reduced_density_matrix(psi, [0, site])
+    assert reduced_density_matrix(psi, [0, np.int64(1)]).sites == (0, 1)
+
+
+@pytest.mark.parametrize("N", [12, 16, 20])
+@pytest.mark.parametrize("twoSz", [0, 2])
+def test_streamed_passes_match_whole_basis_references(N, twoSz):
+    # <T> and the one-off RDM work through the basis RANK_BLOCK masks at a
+    # time, which at N = 20 is several slices; they read the same arrays
+    # in the same order, so they agree to the bit
+    rng = np.random.default_rng(N + twoSz)
+    basis = build_sector(N, twoSz)
+    assert N < 20 or basis.dim > 4 * RANK_BLOCK
+    # one rounding in the sum of a rung's terms can hide a moved bit in
+    # its parts, so <T> is pinned on three states
+    states = [random_state(basis, rng) for _ in range(3)]
+    assert [expectation_T(psi) for psi in states] == [whole_basis_T(psi) for psi in states]
+    psi = states[0]
+    b = N // 2
+    blocks = [(0, 1), (N - 1, 0), (b, b - 1), tuple(range(b)),
+              tuple(int(s) for s in rng.permutation(N)[:5])]
+    for sites in blocks:
+        want = whole_basis_rdm_blocks(psi, sites)
+        got = reduced_density_matrix(psi, sites).blocks
+        assert got.keys() == want.keys()
+        assert all(np.array_equal(got[u], want[u]) for u in want), sites
+
+
 def test_rung_params_refuse_an_asymmetric_two_site_density_matrix():
     rho = DensityMatrix(sites=(0, 1), blocks={1: np.array([[0.5, -0.5], [-0.1, 0.5]])})
     with pytest.raises(ValueError, match="not symmetric"):
@@ -263,9 +340,11 @@ def test_rung_params_refuse_an_asymmetric_two_site_density_matrix():
 
 
 def test_one_off_rdm_holds_two_state_long_arrays_at_most():
-    # building the layout inside the call frees the block patterns before
-    # the gather and the order before the products: at most the order and
-    # the gathered state, 16 bytes per basis state, live at once
+    # the key is built one slice of RANK_BLOCK masks at a time and freed
+    # after the sort, the order is compacted, and each M_u is gathered for
+    # its product alone: at most the int64 order and its int32 copy, 12
+    # bytes per basis state, or the int32 order beside the blocks and one
+    # M_u, live at once, plus the scratch of one slice's key
     basis = build_sector(16, 0)
     psi = random_state(basis, np.random.default_rng(1))
     for sites in ((0, 1), (3, 15, 0, 5, 7), tuple(range(8))):
@@ -275,7 +354,21 @@ def test_one_off_rdm_holds_two_state_long_arrays_at_most():
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        assert peak <= 16 * basis.dim + 8192, sites
+        assert peak <= 12.5 * basis.dim + RANK_BLOCK + 8192, sites
+
+
+def test_expectation_T_holds_two_gathers_and_one_slice():
+    # per rung x and y, 16 bytes per antiparallel mask, 8.4 per basis state
+    # here, and the masks, partners and ranks of one slice
+    basis = build_sector(20, 0)
+    psi = random_state(basis, np.random.default_rng(2))
+    tracemalloc.start()
+    try:
+        expectation_T(psi)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 8 * basis.dim + 6 * 8 * RANK_BLOCK
 
 
 def test_block_entropy_keeps_only_the_blocks():

@@ -2,6 +2,7 @@
 
 import gc
 import math
+import tracemalloc
 import weakref
 from math import comb
 
@@ -25,7 +26,7 @@ from ringladder import (
     sweep,
     symmetry_sectors,
 )
-from ringladder.basis import LadderOrbits
+from ringladder.basis import RANK_BLOCK, LadderOrbits
 from ringladder.eigensolver import DENSE_MAX_DIM, ground_band
 
 THETA_C_OVER_PI = math.atan(0.5) / math.pi
@@ -69,6 +70,52 @@ def sector_isometry(sector, row=0):
     """Columns: the sector states expanded over the plain basis."""
     eye = np.eye(sector.dim)
     return np.column_stack([sector.expand(eye[i], row) for i in range(sector.dim)])
+
+
+def whole_sector_expand(sector, amps, row):
+    """SymmetrySector.expand with each irrep column's term formed over the
+    whole Sz sector at once."""
+    g = sector.group
+    amps = np.asarray(amps) * sector.norm[sector.orbit]
+    out = np.zeros(len(g.orbit_of))
+    for t in range(sector.irrep.dim):
+        weight = np.bincount(sector.orbit, amps * sector.vecs[t], minlength=len(g.reps))
+        out += weight[g.orbit_of] * sector.D[t, row][g.element_of]
+    return out
+
+
+@pytest.fixture(scope="module")
+def sectors_L10():
+    # the Sz sector's 184,756 states span six RANK_BLOCK slices
+    return symmetry_sectors(build_sector(20, 0))
+
+
+@pytest.mark.parametrize("L", (6, 8))
+@pytest.mark.parametrize("twoSz", (0, 2))
+def test_expansion_matches_whole_sector_reference(L, twoSz):
+    # the streamed expansion adds the same terms in the same order
+    rng = np.random.default_rng(L + twoSz)
+    for sector in symmetry_sectors(build_sector(2 * L, twoSz)):
+        amps = rng.standard_normal(sector.dim)
+        for row in range(sector.rows):
+            got = sector.expand(amps, row)
+            assert np.array_equal(got, whole_sector_expand(sector, amps, row)), sector.irrep
+
+
+def test_expansion_over_many_slices_matches_and_holds_one_slice(sectors_L10):
+    # the output, 8 bytes per basis state, and the three terms of one slice
+    sector = max(sectors_L10, key=lambda s: (s.rows, s.dim))
+    assert sector.rows == 2 and len(sector.group.orbit_of) > 4 * RANK_BLOCK
+    amps = np.random.default_rng(10).standard_normal(sector.dim)
+    for row in range(2):
+        tracemalloc.start()
+        try:
+            got = sector.expand(amps, row)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 8 * len(got) + 4 * 8 * RANK_BLOCK
+        assert np.array_equal(got, whole_sector_expand(sector, amps, row))
 
 
 @pytest.mark.parametrize("L", range(3, 11))

@@ -269,3 +269,19 @@ def test_point_cost_reports_a_failed_run():
     )
     assert proc.returncode == 1
     assert proc.stderr.startswith("point_cost: ") and "exit status 2" in proc.stderr
+
+
+PASS_MEMORY = SCRIPT.parent / "pass_memory.py"
+
+
+def test_pass_memory_reports_every_pass():
+    env = {**os.environ, "PYTHONPATH": str(SCRIPT.parents[1] / "src")}
+    proc = subprocess.run([sys.executable, str(PASS_MEMORY), "--rungs", "6"],
+                          capture_output=True, text=True, env=env)
+    assert proc.returncode == 0, proc.stderr
+    (line,) = proc.stdout.splitlines()
+    record = json.loads(line)
+    assert list(record) == ["dim", "build_sector", "rdm_pair", "rdm_block",
+                            "expectation_T", "expand"]
+    assert record["dim"] == 924
+    assert all(record[k] > 0 for k in record)
