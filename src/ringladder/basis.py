@@ -114,7 +114,7 @@ class SectorBasis:
                     f"N = {self.N}, twoSz = {self.twoSz} sector"
                 )
             out = rank[at:at + RANK_BLOCK]
-            np.take(off, part >> b, out=out)
+            np.take(off, part >> b, out=out, mode="clip")  # checked above: no buffer
             out += lo_rank[part & ((1 << b) - 1)]
         return rank.reshape(configs.shape)
 

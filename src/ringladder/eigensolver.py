@@ -18,12 +18,12 @@ __all__ = ["EigenResult", "EigensolverError", "lowest_eigenpairs", "dense_oracle
 
 DENSE_ORACLE_MAX_DIM = 4096
 
-# an operator whose matrix the caller passes is diagonalized densely up to
-# this dimension: a 48-state sector took 0.2 ms by dense eigh and 2 ms by
-# Lanczos at k = 1.  On one thread dense eigh won up to about 250 states,
-# but from about 100 states LAPACK runs multithreaded BLAS kernels, and four
-# sweep workers on two cores then took 11.1 s over the 41-point L = 8 grid
-# with the bound at 250, against 4.4 s at 64
+# an operator is diagonalized densely up to this dimension, from its matrix
+# or from its action on the unit vectors: a 48-state sector took 0.2 ms by
+# dense eigh and 2 ms by Lanczos at k = 1.  On one thread dense eigh won up
+# to about 250 states, but from about 100 states LAPACK runs multithreaded
+# BLAS kernels, and four sweep workers on two cores then took 11.1 s over
+# the 41-point L = 8 grid with the bound at 250, against 4.4 s at 64
 DENSE_MAX_DIM = 64
 
 # relative tolerance of ritz_bound's loose pass: at L = 10 it takes about
@@ -104,13 +104,12 @@ def lowest_eigenpairs(
 
     applyH is a callable v -> H v on length-dim arrays; matrix, when given,
     is the same operator as a dense or scipy sparse matrix.  The dense route
-    takes dim <= max(16, 4 k + 4), and every dim up to DENSE_MAX_DIM when
-    matrix is given; it reads matrix when given and applies applyH to every
-    unit vector when not.  Lanczos takes the rest.  Deterministic for a
-    fixed seed.  Each returned pair satisfies ||H v - E v|| <= tol *
-    max(1, |E|), checked through applyH, tol a positive finite number;
-    failure to converge raises EigensolverError carrying the best residual
-    reached.
+    takes dim <= max(DENSE_MAX_DIM, 4 k + 4); it reads matrix when given and
+    applies applyH to every unit vector when not.  Lanczos takes the rest.
+    Deterministic for a fixed seed.  Each returned pair satisfies
+    ||H v - E v|| <= tol * max(1, |E|), checked through applyH, tol a
+    positive finite number; failure to converge raises EigensolverError
+    carrying the best residual reached.
     """
     if not 1 <= k <= dim:
         raise ValueError(f"need 1 <= k <= dim, got k={k}, dim={dim}")
@@ -123,7 +122,7 @@ def lowest_eigenpairs(
         matvecs += 1
         return applyH(v)
 
-    if dim <= max(16, 4 * k + 4) or (matrix is not None and dim <= DENSE_MAX_DIM):
+    if dim <= max(DENSE_MAX_DIM, 4 * k + 4):
         # small sector: dense solve is cheaper and has no iteration to tune
         if matrix is None:
             H = _materialize(counted, dim)
@@ -183,8 +182,9 @@ def ritz_bound(applyH, dim: int, seed: int = 0) -> tuple[float, int]:
     With two close low levels that eigenvalue can be the second: at
     periodic L = 8, twoSz = 0, theta = 0.12 pi the 392-state sector
     k1 Q-1 Z+1 has levels -7.41232773 and -7.41194654, and the bound at
-    seed 1 is -7.41224656, above the lowest.  The start vector and ncv are those of lowest_eigenpairs at k = 1; a pass
-    that does not converge bounds nothing and gives -inf.
+    seed 1 is -7.41224656, above the lowest.  The start vector and ncv are
+    those of lowest_eigenpairs at k = 1; a pass that does not converge
+    bounds nothing and gives -inf.
     """
     matvecs = 0
 

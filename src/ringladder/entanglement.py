@@ -8,7 +8,6 @@ bits.
 
 from __future__ import annotations
 
-import operator
 from dataclasses import dataclass
 from math import comb, hypot, sqrt
 
@@ -17,6 +16,7 @@ import scipy.linalg
 
 from .basis import RANK_BLOCK, SectorBasis
 from .hamiltonian import StateVector, bond_matrix
+from .lattice import check_integer
 
 __all__ = [
     "BlockLayout",
@@ -95,21 +95,16 @@ class RungRdmParams:
     z: float
 
 
-def _site(s) -> int:
-    try:
-        return operator.index(s)
-    except TypeError:
-        raise ValueError(f"block site {s!r} is not an integer") from None
-
-
 class BlockLayout:
     """The part of a block's RDM that no state enters: the validated sites,
     their basis and the order that lays the basis out by block pattern
-    (see reduced_density_matrix).  len(layout) is the block size, so a
-    layout stands in for its sites."""
+    (see reduced_density_matrix).  The order is int32, half of argsort's
+    int64, so the gathers hold 4 bytes per state of it beside the blocks,
+    which for a block of half the sites are as long as the state.
+    len(layout) is the block size, so a layout stands in for its sites."""
 
     def __init__(self, basis: SectorBasis, sites):
-        sites = tuple(map(_site, sites))
+        sites = tuple(check_integer("block site", s) for s in sites)
         N, l = basis.N, len(sites)
         if len(set(sites)) != l:
             raise ValueError("block sites must be distinct")
@@ -135,7 +130,9 @@ class BlockLayout:
             part = basis.states[at:at + RANK_BLOCK]
             pattern = hi_pattern[part >> b] | lo_pattern[part & ((1 << b) - 1)]
             key[at:at + RANK_BLOCK] = position[pattern]
-        self.order = np.argsort(key, kind="stable")
+        order = np.argsort(key, kind="stable")
+        del key, pattern, table, hi_pattern, lo_pattern, position  # before the int32 copy
+        self.order = order.astype(np.int32)
         # (u, C(l, u), C(N - l, n_up - u)) of each run of M_u, in layout order
         self.runs = [
             (u, comb(l, u), comb(N - l, basis.n_up - u))
@@ -144,15 +141,6 @@ class BlockLayout:
 
     def __len__(self) -> int:
         return len(self.sites)
-
-    def compact(self) -> BlockLayout:
-        """This layout with its order as int32, half of argsort's int64.  A
-        one-off RDM compacts its layout too: converting holds both orders, 12
-        bytes per state, for a moment, but the gathers then hold 4 bytes per
-        state of order beside the blocks, which for a block of half the
-        sites are as long as the state."""
-        self.order = self.order.astype(np.int32)
-        return self
 
 
 def reduced_density_matrix(state: StateVector, sites) -> DensityMatrix:
@@ -179,7 +167,7 @@ def reduced_density_matrix(state: StateVector, sites) -> DensityMatrix:
     A block of all N sites has one environment per pattern, so rho is
     |psi><psi| over the patterns.
     """
-    layout = sites if isinstance(sites, BlockLayout) else BlockLayout(state.basis, sites).compact()
+    layout = sites if isinstance(sites, BlockLayout) else BlockLayout(state.basis, sites)
     if layout.basis is not state.basis:
         raise ValueError("block layout was built on another basis than the state's")
     rho = DensityMatrix(sites=layout.sites, blocks={})
@@ -192,19 +180,14 @@ def reduced_density_matrix(state: StateVector, sites) -> DensityMatrix:
     return rho
 
 
-def _spectrum(rho) -> np.ndarray:
-    if isinstance(rho, DensityMatrix):
-        return rho.eigenvalues()
-    return scipy.linalg.eigvalsh(np.asarray(rho, dtype=np.float64))
-
-
 def von_neumann_entropy(rho) -> float:
     """-sum lam log2 lam over the spectrum, with 0 log 0 = 1 log 1 = 0.
 
     Accepts a DensityMatrix or a plain Hermitian matrix.  A pure state gives
     exactly 0.0, never -0.0.
     """
-    lam = _spectrum(rho)
+    lam = (rho.eigenvalues() if isinstance(rho, DensityMatrix)
+           else scipy.linalg.eigvalsh(np.asarray(rho, dtype=np.float64)))
     lam = lam[(lam > EIG_FLOOR) & (lam < 1.0 - EIG_FLOOR)]
     return float(np.sum(lam * -np.log2(lam)))
 
@@ -233,16 +216,17 @@ def rung_rdm_params(rho) -> RungRdmParams:
     The matrix must be symmetric to 1e-10, and the only entries allowed are
     the four populations and the single <ud|rho|du> coherence; anything else
     signals a state that does not conserve Sz and is rejected.  A two-site
-    DensityMatrix is read from its blocks, which hold no other entry.
+    DensityMatrix is read from its blocks, which hold no other entry; one
+    of any other size is refused before anything is assembled.
     """
-    if isinstance(rho, DensityMatrix) and rho.n_sites == 2:
+    if isinstance(rho, DensityMatrix):
+        if rho.n_sites != 2:
+            raise ValueError(f"two-site RDM expected, got one of {rho.n_sites} sites")
         dd, mid, uu = (rho.blocks.get(u, np.zeros((n, n))) for u, n in ((0, 1), (1, 2), (2, 1)))
         if abs(mid[0, 1] - mid[1, 0]) > 1e-10:
             raise ValueError("two-site density matrix is not symmetric")
         return RungRdmParams(uPlus=float(dd[0, 0]), w1=float(mid[0, 0]), w2=float(mid[1, 1]),
                              uMinus=float(uu[0, 0]), z=float(mid[1, 0]))
-    if isinstance(rho, DensityMatrix):
-        rho = rho.rho
     rho = np.asarray(rho, dtype=np.float64)
     if rho.shape != (4, 4):
         raise ValueError(f"two-site RDM must be 4x4, got shape {rho.shape}")
@@ -302,7 +286,8 @@ def expectation_T(state: StateVector) -> float:
     2 C(N - 2, n_up - 1) antiparallel amplitudes x = a_k and their partners
     y = a[rank(m_k ^ (3 << 2r))] are gathered RANK_BLOCK masks at a time, so
     a rung holds x, y and one slice's scratch, and the sums read the same
-    arrays in the same order as over the whole basis at once.
+    arrays in the same order as over the whole basis at once.  Both gathers'
+    indices are in range, so they clip: mode "raise" copies through a buffer.
     """
     basis = state.basis
     a = state.amps
@@ -319,11 +304,11 @@ def expectation_T(state: StateVector) -> float:
             pair &= 1
             anti = np.flatnonzero(pair)
             end = filled + len(anti)
-            np.take(a[at:at + RANK_BLOCK], anti, out=x[filled:end])
+            np.take(a[at:at + RANK_BLOCK], anti, out=x[filled:end], mode="clip")
             flipped = part[anti]
             del pair, anti  # before rank_many's own scratch
             flipped ^= 3 << (2 * r)
-            np.take(a, basis.rank_many(flipped), out=y[filled:end])
+            np.take(a, basis.rank_many(flipped), out=y[filled:end], mode="clip")
             filled = end
         dot = x @ y
         x *= x

@@ -8,6 +8,7 @@ adjacent bit positions of a configuration mask.
 from __future__ import annotations
 
 import math
+import operator
 from dataclasses import dataclass
 
 __all__ = [
@@ -19,6 +20,14 @@ __all__ = [
 ]
 
 
+def check_integer(name: str, value) -> int:
+    """value as an int; a float or a str is refused now, naming the field."""
+    try:
+        return operator.index(value)
+    except TypeError:
+        raise ValueError(f"{name} {value!r} is not an integer") from None
+
+
 @dataclass(frozen=True)
 class LadderSpec:
     """A two-leg ladder with L rungs and periodic or open legs."""
@@ -27,6 +36,7 @@ class LadderSpec:
     bc: str = "periodic"
 
     def __post_init__(self):
+        object.__setattr__(self, "L", check_integer("L", self.L))
         if self.bc not in ("periodic", "open"):
             raise ValueError(f"bc must be 'periodic' or 'open', got {self.bc!r}")
         if self.L < 1:

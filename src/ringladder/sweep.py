@@ -48,7 +48,7 @@ from .entanglement import (
     von_neumann_entropy,
 )
 from .hamiltonian import HamiltonianAction, LadderTables, StateVector
-from .lattice import LadderSpec, couplings_from_theta
+from .lattice import LadderSpec, check_integer, couplings_from_theta
 
 __all__ = [
     "BlockSpec",
@@ -75,6 +75,7 @@ class BlockSpec:
     l: int
 
     def __post_init__(self):
+        object.__setattr__(self, "l", check_integer("block size l", self.l))
         if self.family not in FAMILIES:
             raise ValueError(f"family must be one of {FAMILIES}, got {self.family!r}")
         if self.l < 1:
@@ -137,6 +138,8 @@ class SweepConfig:
     workers: int = 1
 
     def __post_init__(self):
+        for name in ("L", "twoSz", "seed", "workers"):
+            object.__setattr__(self, name, check_integer(name, getattr(self, name)))
         object.__setattr__(self, "thetas_over_pi", tuple(float(t) for t in self.thetas_over_pi))
         object.__setattr__(self, "blocks", tuple(self.blocks))
         object.__setattr__(self, "pairs", self.check_pairs(self.pairs))
@@ -155,9 +158,9 @@ class SweepConfig:
             block_sites(b.family, b.l, LadderSpec(self.L, self.bc))
             if b.l > RDM_MAX_SITES:
                 raise ValueError(f"block size capped at {RDM_MAX_SITES} sites, got {b.l}")
-        # refused now, not after the solves it would hold
+        # refused now, not after the solves it would hold; "" is the cwd
         folder = os.path.dirname(self.out or "") or "."
-        if self.out is not None and (os.path.isdir(self.out) or not os.path.isdir(folder)):
+        if self.out is not None and (os.path.isdir(self.out or ".") or not os.path.isdir(folder)):
             raise ValueError(f"out must be a file in an existing directory, got {self.out!r}")
 
     @staticmethod
@@ -410,7 +413,7 @@ def _measure(spec, solve, cfg: SweepConfig, t_over_pi: float, layouts) -> SweepR
         kept = {} if layouts is None else layouts
         sites = tuple(sites)
         if sites not in kept:
-            kept[sites], built = BlockLayout(states[0].basis, sites).compact(), built + 1
+            kept[sites], built = BlockLayout(states[0].basis, sites), built + 1
         return _manifold_rdm(states, kept[sites])
 
     r = 1 if spec.bc == "periodic" else math.ceil(spec.L / 2)

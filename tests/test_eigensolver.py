@@ -194,6 +194,17 @@ def test_matrix_route_up_to_dense_max_dim(L, dense, k):
         assert np.array_equal(res.energies, again.energies)
 
 
+def test_dense_route_without_a_matrix_up_to_dense_max_dim():
+    # one threshold for every caller: without a matrix the 20-state
+    # periodic L = 3 sector is materialized from its action, one matvec per
+    # column and one per residual, not solved by Lanczos
+    act = action_at(3, 0.3)
+    res = lowest_eigenpairs(act.matvec, act.dim, k=2, seed=2)
+    assert act.dim == 20 and res.matvecs == act.dim + 2
+    assert np.array_equal(res.energies, lowest_eigenpairs(act.matvec, act.dim, k=2,
+                                                          matrix=act.H).energies)
+
+
 @pytest.mark.parametrize("L, theta_over_pi", [(4, 0.1), (5, -0.3), (5, 0.75)])
 def test_ritz_bound_lies_at_or_below_the_lowest_level(L, theta_over_pi):
     # one loose pass, the residual check counted; the bound lies within the

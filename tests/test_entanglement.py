@@ -264,8 +264,8 @@ def test_rdm_pattern_tables_match_dense_oracle(N, half):
 
 @pytest.mark.parametrize("N", [2, 4, 6, 8, 10, 12])
 def test_layout_stands_in_for_its_sites(N):
-    # a layout built once gives every state's RDM to the bit, kept as
-    # int32 or not; a 1 x 1 block's eigenvalue is its entry and the rung
+    # a layout built once, its order int32 as built, gives every state's RDM
+    # to the bit; a 1 x 1 block's eigenvalue is its entry and the rung
     # parameters are read from the blocks, both as from the dense routes
     rng = np.random.default_rng(N)
     for twoSz in (-2, 0, 2):
@@ -273,13 +273,13 @@ def test_layout_stands_in_for_its_sites(N):
         states = [random_state(basis, rng) for _ in range(3)]
         for l in range(1, N + 1):
             sites = tuple(int(s) for s in rng.permutation(N)[:l])
-            layouts = (BlockLayout(basis, sites), BlockLayout(basis, sites).compact())
-            assert [len(layout) for layout in layouts] == [l, l]
+            layout = BlockLayout(basis, sites)
+            assert len(layout) == l and layout.order.dtype == np.int32
             for psi in states:
                 want = reduced_density_matrix(psi, sites)
-                for got in (reduced_density_matrix(psi, layout) for layout in layouts):
-                    assert got.sites == want.sites and got.blocks.keys() == want.blocks.keys()
-                    assert all(np.array_equal(got.blocks[u], want.blocks[u]) for u in want.blocks)
+                got = reduced_density_matrix(psi, layout)
+                assert got.sites == want.sites and got.blocks.keys() == want.blocks.keys()
+                assert all(np.array_equal(got.blocks[u], want.blocks[u]) for u in want.blocks)
                 if l > 6:  # large blocks add eigvalsh time, not cases
                     continue
                 lam = np.sort(np.concatenate(
@@ -341,10 +341,11 @@ def test_rung_params_refuse_an_asymmetric_two_site_density_matrix():
 
 def test_one_off_rdm_holds_two_state_long_arrays_at_most():
     # the key is built one slice of RANK_BLOCK masks at a time and freed
-    # after the sort, the order is compacted, and each M_u is gathered for
-    # its product alone: at most the int64 order and its int32 copy, 12
-    # bytes per basis state, or the int32 order beside the blocks and one
-    # M_u, live at once, plus the scratch of one slice's key
+    # after the sort, before the layout keeps an int32 copy of argsort's
+    # order, and each M_u is gathered for its product alone: at most the
+    # int64 order and its int32 copy, 12 bytes per basis state, or the int32
+    # order beside the blocks and one M_u, live at once, plus the scratch of
+    # one slice's key
     basis = build_sector(16, 0)
     psi = random_state(basis, np.random.default_rng(1))
     for sites in ((0, 1), (3, 15, 0, 5, 7), tuple(range(8))):
@@ -417,6 +418,21 @@ def test_concurrence_site_order_invariant():
 def test_concurrence_shape_check():
     with pytest.raises(ValueError):
         concurrence(np.eye(8) / 8.0)
+
+
+def test_concurrence_refuses_a_larger_density_matrix_unassembled():
+    # a 10-site RDM is refused from its site count, without assembling the
+    # 8.4 MB dense rho its blocks stand for
+    rho = reduced_density_matrix(random_state(build_sector(12, 0), np.random.default_rng(3)),
+                                 tuple(range(10)))
+    tracemalloc.start()
+    try:
+        with pytest.raises(ValueError, match="got one of 10 sites"):
+            concurrence(rho)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 64 * 1024
 
 
 @pytest.mark.parametrize("p", np.linspace(0.0, 1.0, 21))

@@ -1,5 +1,6 @@
 import math
 
+import numpy as np
 import pytest
 
 from ringladder import (
@@ -111,3 +112,10 @@ def test_plaquette_orientation():
 def test_plaquette_distinct_sites():
     with pytest.raises(ValueError):
         Plaquette(a=0, b=1, c=1, d=2)
+
+
+def test_rung_count_must_be_an_integer():
+    # LadderSpec(3.5).N was 7.0
+    with pytest.raises(ValueError, match="L 3.5 is not an integer"):
+        LadderSpec(3.5)
+    assert type(LadderSpec(np.int64(3)).N) is int

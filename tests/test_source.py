@@ -53,3 +53,18 @@ def test_traced_pass_records_every_required_span(monkeypatch, tmp_path):
         sweep.run_sweep(cfg)
         assert cli.main(["fm-oracle", "--rungs", "4", "--out", str(tmp_path / "fm.csv")]) == 0
     tracer.summary()  # raises when a required span recorded no call
+
+
+def test_take_into_out_names_its_mode():
+    # np.take(..., out=...) with the default mode "raise" copies through a
+    # hidden buffer as long as its output; an index known to be in range is
+    # taken with mode "clip", which writes straight into out
+    found = [
+        f"{path.name}:{node.lineno}"
+        for path in sorted(SRC.glob("*.py"))
+        for node in ast.walk(ast.parse(path.read_text()))
+        if isinstance(node, ast.Call) and isinstance(node.func, ast.Attribute)
+        and node.func.attr == "take"
+        and "out" in (keys := {kw.arg for kw in node.keywords}) and "mode" not in keys
+    ]
+    assert not found, f"take(..., out=...) without mode= in ringladder: {found}"

@@ -34,6 +34,7 @@ from ringladder import (
     theta_grid,
     write_csv,
 )
+from ringladder.cli import main
 
 
 def crossing_bonds(spec, sites):
@@ -641,6 +642,35 @@ def test_negative_seed_refused_on_the_dense_route_too():
     # seed would otherwise pass unused there and fail only at larger L
     with pytest.raises(ValueError, match="seed"):
         SweepConfig(L=2, thetas_over_pi=(0.0,), seed=-1)
+
+
+@pytest.mark.parametrize("field, value", [("L", 4.0), ("twoSz", 0.0), ("seed", 1.5),
+                                          ("workers", 1.5)])
+def test_sweep_config_integer_fields_refuse_other_numbers(field, value):
+    # a float was accepted and failed late: in build_sector or run_sweep,
+    # or for seed in the first Lanczos start vector, at L = 7
+    with pytest.raises(ValueError, match=re.escape(f"{field} {value!r} is not an integer")):
+        SweepConfig(**{"L": 4, "thetas_over_pi": (0.0,), field: value})
+    cfg = SweepConfig(**{"L": 4, "thetas_over_pi": (0.0,), field: np.int64(value)})
+    assert type(getattr(cfg, field)) is int
+
+
+def test_block_size_must_be_an_integer():
+    with pytest.raises(ValueError, match=re.escape("block size l 2.0 is not an integer")):
+        BlockSpec("D", 2.0)
+    assert BlockSpec("D", np.int64(2)) == BlockSpec("D", 2)
+
+
+def test_empty_out_is_refused_before_any_solve(monkeypatch, capsys):
+    def no_solver(spec, basis):
+        raise AssertionError("a solve ran")
+
+    monkeypatch.setattr(sweep, "_solver", no_solver)
+    with pytest.raises(ValueError, match="out must be a file in an existing directory, got ''"):
+        run_sweep(SweepConfig(L=3, thetas_over_pi=(0.1,), out=""))
+    with pytest.raises(SystemExit) as exc:
+        main(["gs", "--rungs", "3", "--out", ""])
+    assert exc.value.code == 2 and "got ''" in capsys.readouterr().err
 
 
 def test_zero_crossing_basic():
