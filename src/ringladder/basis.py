@@ -1,5 +1,5 @@
 """Enumeration and ranking of fixed-magnetization bitmask bases, and the
-symmetry sectors of a periodic ladder's fixed-magnetization sector.
+symmetry sectors of a ladder's fixed-magnetization sector.
 
 A configuration is a bitmask where bit s set means spin up at site s.  The
 sector with 2*Sz = twoSz holds every mask of popcount n_up = N/2 + Sz, in
@@ -24,6 +24,8 @@ from dataclasses import dataclass
 from math import comb
 
 import numpy as np
+
+from .lattice import check_integer
 
 __all__ = [
     "SectorBasis",
@@ -84,7 +86,8 @@ class SectorBasis:
     def n_up(self) -> int:
         return (self.N + self.twoSz) // 2
 
-    # as a sector of itself: one irrep row, whose states are the Sz basis
+    # as a sector of itself, the whole-sector reference of the tests: one
+    # irrep row, whose states are the Sz basis
     rows = 1
 
     def expand(self, amps: np.ndarray, row: int = 0) -> np.ndarray:
@@ -125,6 +128,7 @@ class SectorBasis:
 
 def build_sector(N: int, twoSz: int) -> SectorBasis:
     """Enumerate the full sector of N sites with total 2*Sz = twoSz."""
+    N, twoSz = check_integer("N", N), check_integer("twoSz", twoSz)
     if N <= 0 or N % 2:
         raise ValueError(f"N must be a positive even site count, got {N}")
     if N > N_MAX:
@@ -147,13 +151,14 @@ def build_sector(N: int, twoSz: int) -> SectorBasis:
 
 
 # ---------------------------------------------------------------------------
-# Symmetry sectors of periodic ladders
+# Symmetry sectors of ladders
 #
-# The periodic L-rung ladder (sites s = 2 * rung + leg, rungs from 0) is
-# invariant under the translation T (rung j -> j + 1), the reflection
-# R (rung j -> -j), the leg exchange Q and, at twoSz = 0, the spin
-# inversion Z.  They generate G = D_L x Z2 x Z2 (or D_L x Z2), whose element
-# e = ((z * 2 + q) * 2 + p) * L + r acts on a mask as Z^z Q^q T^r R^p.  A
+# The L-rung ladder (sites s = 2 * rung + leg, rungs from 0) is invariant
+# under the reflection R (rung j -> -j mod L periodic, L - 1 - j open), the
+# leg exchange Q, at twoSz = 0 the spin inversion Z and, if periodic, the
+# translation T (rung j -> j + 1).  With n = L translations (1 when open)
+# they generate G = D_n x Z2 x Z2 (or D_n x Z2), whose element
+# e = ((z * 2 + q) * 2 + p) * n + r acts on a mask as Z^z Q^q T^r R^p.  A
 # real irrep Gamma of dimension d has orthogonal matrices D(g), and the
 # operators P_1j = (d / |G|) sum_g D_1j(g) g map a representative |a> to the
 # states of Gamma's first row (Sandvik, arXiv:1101.3281, section 4).  Their
@@ -166,20 +171,21 @@ def build_sector(N: int, twoSz: int) -> SectorBasis:
 #
 # whose amplitude on the mask x = h(a) is n_a (D(h)^T u)_1; LadderTables
 # gives H's entries between them.  Real irreps keep H real: the momenta
-# k = 2 pi m / L with 0 < m < L / 2 pair with -k into two-dimensional
+# k = 2 pi m / n with 0 < m < n / 2 pair with -k into two-dimensional
 # irreps, one of whose two rows is solved; the other row has the same
-# spectrum.
+# spectrum.  An open ladder, n = 1, has only one-dimensional irreps.
 # ---------------------------------------------------------------------------
 
 
 @dataclass(frozen=True)
 class Irrep:
-    """A real irrep of the periodic ladder's symmetry group.
+    """A real irrep of a ladder's symmetry group.
 
-    Momentum k = 2 pi m / L.  m = 0 and m = L / 2 give one-dimensional
-    irreps with reflection parity ±1; every other 0 < m < L / 2 gives a
-    two-dimensional one (parity 0).  leg and flip are the leg-exchange and
-    spin-inversion parities; flip is +1 when the group has no inversion.
+    Momentum k = 2 pi m / n, over the n translations of the group (1 if
+    open).  m = 0 and m = n / 2 give one-dimensional irreps with reflection
+    parity ±1; every other 0 < m < n / 2 gives a two-dimensional one (parity
+    0).  leg and flip are the leg-exchange and spin-inversion parities; flip
+    is +1 when the group has no inversion.
     """
 
     m: int
@@ -197,16 +203,17 @@ class Irrep:
         return f"k{self.m}{p} Q{self.leg:+d} Z{self.flip:+d}"
 
 
-def _reflect(masks: np.ndarray, L: int) -> np.ndarray:
-    """R: the two spins of rung j move to rung (L - j) mod L."""
+def _reflect(masks: np.ndarray, L: int, bc: str) -> np.ndarray:
+    """R: the two spins of rung j move to rung (L - j) mod L on a periodic
+    ladder and to rung L - 1 - j on an open one."""
     out = np.zeros_like(masks)
     for j in range(L):
-        out |= ((masks >> (2 * j)) & 3) << (2 * ((L - j) % L))
+        out |= ((masks >> (2 * j)) & 3) << (2 * ((L - j - (bc == "open")) % L))
     return out
 
 
 class LadderOrbits:
-    """Orbits of one fixed-Sz sector of the periodic L-rung ladder under G.
+    """Orbits of one fixed-Sz sector of the L-rung ladder under its group G.
 
     Each orbit's representative is its smallest mask.  For every sector
     state x, orbit_of[x] is the index of its orbit in reps and element_of[x]
@@ -214,21 +221,23 @@ class LadderOrbits:
     from a running minimum over the images of all states under one group
     element at a time, so the memory stays O(dim).  fix_orbit and fix_element
     list the non-identity stabilizers of the representatives.  Element e is
-    Z^z[e] Q^q[e] T^r[e] R^p[e]; cosets lists the (p, q, z) of the L
-    translations each.
+    Z^z[e] Q^q[e] T^r[e] R^p[e]; cosets lists the (p, q, z) of the n
+    translations each, n = L on a periodic ladder (bc) and 1 on an open one.
     """
 
-    def __init__(self, basis: SectorBasis):
-        if basis.N < 6:
+    def __init__(self, basis: SectorBasis, bc: str = "periodic"):
+        if bc not in ("periodic", "open"):
+            raise ValueError(f"bc must be 'periodic' or 'open', got {bc!r}")
+        if bc == "periodic" and basis.N < 6:
             raise ValueError(f"a periodic ladder needs at least 3 rungs, got N = {basis.N}")
-        self.basis = basis
-        self.L = L = basis.N // 2
+        self.basis, self.bc = basis, bc
+        self.n = n = basis.N // 2 if bc == "periodic" else 1
         flips = (0, 1) if basis.twoSz == 0 else (0,)
         self.cosets = [(p, q, z) for z in flips for q in (0, 1) for p in (0, 1)]
-        self.order = len(self.cosets) * L
+        self.order = len(self.cosets) * n
         e = np.arange(self.order)
-        self.r = e % L
-        self.p, self.q, self.z = (np.array([c[i] for c in self.cosets])[e // L] for i in range(3))
+        self.r = e % n
+        self.p, self.q, self.z = (np.array([c[i] for c in self.cosets])[e // n] for i in range(3))
 
         states = basis.states
         # N <= 32, so the images are formed in uint32, half the memory traffic
@@ -247,28 +256,28 @@ class LadderOrbits:
 
     def _images(self, masks):
         """(e, e(masks)) for every non-identity element e."""
-        N, L = self.basis.N, self.L
+        N, n = self.basis.N, self.n
         full = (1 << N) - 1
-        legs = int("01" * L, 2)
-        reflected = _reflect(masks, L)
+        legs = int("01" * (N // 2), 2)
+        reflected = _reflect(masks, N // 2, self.bc)
         for c, (p, q, z) in enumerate(self.cosets):
             y = reflected if p else masks
             if q:
                 y = ((y & legs) << 1) | ((y >> 1) & legs)
             if z:
                 y = y ^ full
-            for r in range(L):
+            for r in range(n):
                 if c == 0 and r == 0:
                     continue
-                yield c * L + r, ((y << (2 * r)) | (y >> (N - 2 * r))) & full if r else y
+                yield c * n + r, ((y << (2 * r)) | (y >> (N - 2 * r))) & full if r else y
 
     def irreps(self) -> list[Irrep]:
         """Every real irrep of G, by momentum, parity, leg and flip."""
-        L = self.L
+        n = self.n
         flips = (1, -1) if self.basis.twoSz == 0 else (1,)
         out = []
-        for m in range(L // 2 + 1):
-            parities = (1, -1) if m == 0 or 2 * m == L else (0,)
+        for m in range(n // 2 + 1):
+            parities = (1, -1) if m == 0 or 2 * m == n else (0,)
             out += [Irrep(m, p, q, z) for p in parities for q in (1, -1) for z in flips]
         return out
 
@@ -278,7 +287,7 @@ class LadderOrbits:
         if irrep.dim == 1:
             turn = (-1) ** self.r if irrep.m else 1
             return (sign * turn * irrep.parity ** self.p).astype(float).reshape(1, 1, -1)
-        angle = 2.0 * np.pi * ((irrep.m * self.r) % self.L) / self.L
+        angle = 2.0 * np.pi * ((irrep.m * self.r) % self.n) / self.n
         c, s = sign * np.cos(angle), sign * np.sin(angle)
         refl = (-1.0) ** self.p  # Rot(k r) @ diag(1, (-1)^p)
         return np.array([[c, -s * refl], [s, c * refl]])
@@ -365,11 +374,12 @@ class SymmetrySector:
         return out
 
 
-def symmetry_sectors(basis: SectorBasis) -> list[SymmetrySector]:
-    """The non-empty irrep sectors of a periodic ladder's fixed-Sz sector.
+def symmetry_sectors(basis: SectorBasis, bc: str = "periodic") -> list[SymmetrySector]:
+    """The non-empty irrep sectors of the fixed-Sz sector of a ladder with
+    boundary bc, "periodic" or "open".
 
     Summed with the irreps' dimensions as weights, their dimensions give
     basis.dim.
     """
-    group = LadderOrbits(basis)
+    group = LadderOrbits(basis, bc)
     return [s for s in map(group.sector, group.irreps()) if s.dim]

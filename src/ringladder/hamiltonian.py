@@ -202,7 +202,7 @@ class LadderTables:
     solves.
 
     A plain sector's key is its code, with factor 1.  On a SymmetrySector of
-    a periodic ladder the rows are the sector's states, read through the
+    the ladder's boundary the rows are the sector's states, read through the
     builder's rows at their representative masks, with factors from the
     sector's vectors, irrep matrices and norms; a target orbit with two states
     gives two entries, and a row may repeat a column, which the product sums.
@@ -219,8 +219,8 @@ class LadderTables:
              self.anti_r, self.anti_l, self.fixed) = _rows(spec, basis, basis.states)
             self.pair_code, self.pair_factor = np.arange(FOUR_FLIP + 1), np.ones(FOUR_FLIP + 1)
         else:
-            if spec.bc != "periodic":
-                raise ValueError("symmetry sectors exist on periodic ladders only")
+            if basis.group.bc != spec.bc:
+                raise ValueError(f"sector is of a {basis.group.bc} ladder, not {spec.bc}")
             self._fill_sector(*_orbit_rows(spec, basis.group))
 
     def _fill_sector(self, ptr, kind, orbit, counts):

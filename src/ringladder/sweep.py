@@ -1,8 +1,8 @@
 """Parameter sweeps over theta: observables per grid point, CSV emission,
 zero crossings and extrema of observable series.
 
-A sweep solves for the lowest Sz-sector states at every grid point (on a
-periodic ladder through its symmetry sectors, expanded back to the Sz
+A sweep solves for the lowest Sz-sector states at every grid point (in
+the symmetry sectors of the ladder's group, expanded back to the Sz
 basis), then extracts pair concurrences, the two-site rung entropy and its
 central-difference theta derivative, block entropies for requested block
 geometries, and the total rung correlator.  The rung, leg and diag pairs are
@@ -248,8 +248,8 @@ class _Ground:
 
 def _solve(basis, sector_tables, couplings, cfg: SweepConfig, floor=None) -> _Ground:
     """E0, the gap and the ground manifold of the Sz sector basis, from the
-    sectors that split it: the symmetry sectors of a periodic ladder, or
-    basis alone.
+    sectors that split it: the symmetry sectors of the ladder's group, or,
+    as the tests' whole-sector reference, basis alone.
 
     Every sector's bound starts at its floor, a known lower bound on its
     lowest level (floor None: -inf for every sector).  A sector is bounded
@@ -377,13 +377,12 @@ def _bisection(n: int) -> list[int]:
 
 def _solver(spec, basis):
     """solve(theta, cfg), theta in radians: _solve over the symmetry sectors
-    on periodic ladders and the whole Sz sector on open ones, tables built
-    once for a sweep chunk.  It keeps the (theta, lower bounds) of every
-    theta solved, sorted by theta, and starts a new theta from the chord of
-    the nearest solved theta on each side (-inf with a side empty, or at a
-    theta solved before), so it serves any order of theta."""
-    sectors = symmetry_sectors(basis) if spec.bc == "periodic" else [basis]
-    tables = [LadderTables(spec, s) for s in sectors]
+    of the ladder's group, tables built once for a sweep chunk.  It keeps
+    the (theta, lower bounds) of every theta solved, sorted by theta, and
+    starts a new theta from the chord of the nearest solved theta on each
+    side (-inf with a side empty, or at a theta solved before), so it serves
+    any order of theta."""
+    tables = [LadderTables(spec, s) for s in symmetry_sectors(basis, spec.bc)]
     solved = []
 
     def solve(theta, cfg):

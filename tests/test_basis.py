@@ -4,7 +4,7 @@ from math import comb
 import numpy as np
 import pytest
 
-from ringladder import build_sector
+from ringladder import build_sector, symmetry_sectors
 
 
 def test_small_sector_dimensions():
@@ -108,6 +108,17 @@ def test_invalid_sector_requests():
         build_sector(5, 1)
     with pytest.raises(ValueError):
         build_sector(0, 0)
+    # read like LadderSpec's integers, not failing inside the table build
+    with pytest.raises(ValueError, match="N 8.0 is not an integer"):
+        build_sector(8.0, 0)
+    with pytest.raises(ValueError, match="twoSz 0.0 is not an integer"):
+        build_sector(8, 0.0)
+    # an unknown boundary is refused, not read as open; only a periodic ring
+    # needs three rungs
+    with pytest.raises(ValueError, match="bc must be 'periodic' or 'open', got 'closed'"):
+        symmetry_sectors(build_sector(8, 0), "closed")
+    with pytest.raises(ValueError, match="at least 3 rungs"):
+        symmetry_sectors(build_sector(4, 0), "periodic")
 
 
 def popcount_oracle(N, n_up):

@@ -100,6 +100,12 @@ def test_basis_spec_mismatch_rejected():
     wrong = build_sector(6, 0)
     with pytest.raises(ValueError):
         LadderTables(spec, wrong)
+    # a symmetry sector holds only for the boundary whose group built it
+    basis = build_sector(8, 0)
+    for bc, other in (("periodic", "open"), ("open", "periodic")):
+        sector = symmetry_sectors(basis, bc)[0]
+        with pytest.raises(ValueError, match=f"sector is of a {bc} ladder, not {other}"):
+            LadderTables(LadderSpec(L=4, bc=other), sector)
 
 
 def test_ring_routes_agree():

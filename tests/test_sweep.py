@@ -231,7 +231,7 @@ def test_csv_round_trip_and_format():
     assert rows[1][11] == "0"
 
 
-@pytest.mark.parametrize("bc, sectors", [("periodic", 17), ("open", 1)])
+@pytest.mark.parametrize("bc, sectors", [("periodic", 17), ("open", 8)])
 def test_diagnostics_count_every_solve_and_leave_the_csv_alone(monkeypatch, bc, sectors):
     solves = []
     solve = sweep.lowest_eigenpairs
@@ -253,7 +253,7 @@ def test_diagnostics_count_every_solve_and_leave_the_csv_alone(monkeypatch, bc, 
             "solve_s", "measure_s", "peak_rss_mb",
         }
         assert d["sectors"] == sectors and len(mine) >= sectors
-        assert d["bounded"] == d["screened"] == 0  # every sector is dense or alone
+        assert d["bounded"] == d["screened"] == 0  # every sector is dense
         assert d["matvecs"] == sum(res.matvecs for res in mine)
         assert d["residual_max"] == max(float(res.residuals.max()) for res in mine)
         assert d["g"] == 1 and not rec.degenerate
@@ -489,32 +489,34 @@ def test_solver_memory_serves_a_root_finder(L):
 
 @pytest.mark.parametrize("L, bc, matvecs", [
     (6, "periodic", [26, 26, 17, 26]),
-    (4, "open", [91, 113, 92, 135]),
+    (4, "open", [10, 10, 7, 10]),
 ])
 def test_nothing_to_screen_costs_no_matvec(L, bc, matvecs):
-    # the sectors of periodic L = 6 are all dense (at most 48 states) and an
-    # open ladder is one lone sector, so neither takes a loose pass: the
-    # matvecs are those of the solves alone.  Only the point at 0.5 pi has a
-    # chord, from 0.1 pi and 0.9 pi (that of 0.1 pi spans more than pi); at
-    # L = 6 it leaves 9 dense sectors unsolved
+    # the sectors of periodic L = 6 (at most 48 states) and of open L = 4
+    # (at most 17) are all dense, so neither takes a loose pass: the matvecs
+    # are those of the solves alone.  Only the point at 0.5 pi has a chord,
+    # from 0.1 pi and 0.9 pi (that of 0.1 pi spans more than pi); it leaves
+    # 9 dense sectors unsolved at L = 6 and 3 at open L = 4
     recs = run_sweep(SweepConfig(L=L, bc=bc, thetas_over_pi=(-0.3, 0.1, 0.5, 0.9)))
-    screened = [0, 0, 9, 0] if bc == "periodic" else [0, 0, 0, 0]
+    screened = [0, 0, 9, 0] if bc == "periodic" else [0, 0, 3, 0]
     assert [r.diagnostics["screened"] for r in recs] == screened
     assert [r.diagnostics["matvecs"] for r in recs] == matvecs
 
 
 def test_lone_sector_starts_at_k_2():
-    # an open ladder's whole Sz sector is the only sector, so it holds E0 and
-    # is solved once at k = 2, with no k = 1 solve before it; dim 70 is
-    # above DENSE_MAX_DIM, so both solves below run Lanczos
-    (rec,) = run_sweep(SweepConfig(L=4, thetas_over_pi=(0.1,), bc="open"))
+    # the whole Sz sector, the tests' reference, is _solve's only sector, so
+    # it holds E0 and is solved once at k = 2, with no k = 1 solve before
+    # it; dim 70 is above DENSE_MAX_DIM, so both solves below run Lanczos
     _, basis, tables = geometry(4, "open")
-    action = HamiltonianAction(tables, couplings_from_theta(0.1 * math.pi))
+    couplings = couplings_from_theta(0.1 * math.pi)
+    cfg = SweepConfig(L=4, thetas_over_pi=(0.1,), bc="open")
+    ground = sweep._solve(basis, [tables], couplings, cfg)
+    action = HamiltonianAction(tables, couplings)
     direct = lowest_eigenpairs(action.matvec, basis.dim, k=2, matrix=action.H)
     assert basis.dim == 70 and direct.multiplicity == 1
-    assert rec.diagnostics["sectors"] == 1
-    assert rec.diagnostics["matvecs"] == direct.matvecs
-    assert rec.E0 == direct.energies[0]
+    assert ground.sectors == 1
+    assert ground.matvecs == direct.matvecs
+    assert ground.E0 == direct.energies[0]
 
 
 @pytest.mark.parametrize("L, t", [(8, -0.3), (8, 0.1), (8, 0.5), (8, 0.9), (6, 0.1), (7, 0.1)])
@@ -580,8 +582,8 @@ def test_sweep_keeps_no_orbits(monkeypatch):
     groups = []
     sectors = sweep.symmetry_sectors
 
-    def recording(basis):
-        found = sectors(basis)
+    def recording(basis, bc):
+        found = sectors(basis, bc)
         groups.append(weakref.ref(found[0].group))
         return found
 

@@ -204,9 +204,10 @@ def test_table_digest_is_stable_and_sees_one_code():
     assert runs[0].returncode == 0, runs[0].stderr
     assert runs[0].stdout == runs[1].stdout
     lines = runs[0].stdout.splitlines()
-    # periodic L = 3 and 4 with their symmetry sectors, open L = 4 and 7
-    n = 4 + sum(1 + len(symmetry_sectors(build_sector(2 * L, twoSz)))
-                for L in (3, 4) for twoSz in (0, 2))
+    # periodic L = 3 and 4 and open L = 4 and 7, each with its symmetry sectors
+    geometries = [("periodic", 3), ("periodic", 4), ("open", 4), ("open", 7)]
+    n = sum(1 + len(symmetry_sectors(build_sector(2 * L, twoSz), bc))
+            for bc, L in geometries for twoSz in (0, 2))
     assert len(lines) == n + 1
     assert lines[-1].startswith(f"total {n} tables ")
 

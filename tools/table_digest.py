@@ -7,8 +7,8 @@ Usage, from the repository root:
 
 It imports ringladder from PYTHONPATH, so two checkouts' outputs can be
 compared line by line.  It covers the periodic ladders with L = 3 to --max-L
-rungs at twoSz 0 and 2, each with its plain sector and every symmetry sector,
-and the open ladders with L = 4 and 7 at the same twoSz.  Each line gives
+rungs and the open ladders with L = 4 and 7, at twoSz 0 and 2, each with its
+plain sector and every symmetry sector.  Each line gives
 bc, L, twoSz, the sector label, dim, nnz and two sha256 digests: the first
 over the name, dtype and bytes of indptr, indices, key, pair_code,
 pair_factor, anti_r, anti_l and fixed (tables that hold a code and a factor
@@ -70,8 +70,7 @@ def lines(max_L: int):
         for twoSz in (0, 2):
             basis = build_sector(spec.N, twoSz)
             sectors = [("plain", basis)]
-            if bc == "periodic":
-                sectors += [(s.irrep.label, s) for s in symmetry_sectors(basis)]
+            sectors += [(s.irrep.label, s) for s in symmetry_sectors(basis, bc)]
             for label, sector in sectors:
                 t = LadderTables(spec, sector)
                 yield (f"{bc} L={L} twoSz={twoSz} [{label}] dim={sector.dim} "
