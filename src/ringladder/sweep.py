@@ -5,11 +5,12 @@ A sweep solves for the lowest Sz-sector states at every grid point (in
 the symmetry sectors of the ladder's group, expanded back to the Sz
 basis), then extracts pair concurrences, the two-site rung entropy and its
 central-difference theta derivative, block entropies for requested block
-geometries, and the total rung correlator.  The rung, leg and diag pairs are
-anchored at rung r: (leg 1, rung r) with (leg 2, rung r), (leg 1, rung r + 1)
-and (leg 2, rung r + 1), where r = 1 on periodic ladders and the middle rung
-ceil(L/2) on open ones, so both boundaries measure bulk pairs.  A one-rung
-open ladder has only the rung pair, which is then the whole system.
+geometries, and the total rung correlator <T>, read in the solved sectors
+through their own H at (Jl, Jr, K) = (0, 1, 0).  The rung, leg and diag
+pairs are anchored at rung r: (leg 1, rung r) with (leg 2, rung r), (leg 1,
+rung r + 1) and (leg 2, rung r + 1), where r = 1 on periodic ladders and the
+middle rung ceil(L/2) on open ones, so both boundaries measure bulk pairs.  A
+one-rung open ladder has only the rung pair, which is then the whole system.
 
 A ground state of multiplicity g > 1 is measured as the equal mixture of
 its manifold, rho = (1/g) sum_i |psi_i><psi_i|, which does not depend on
@@ -43,12 +44,12 @@ from .entanglement import (
     BlockLayout,
     DensityMatrix,
     concurrence,
-    expectation_T,
+    expectation_T,  # not called here: perfbench calls and traces it as sweep.expectation_T
     reduced_density_matrix,
     von_neumann_entropy,
 )
 from .hamiltonian import HamiltonianAction, LadderTables, StateVector
-from .lattice import LadderSpec, check_integer, couplings_from_theta
+from .lattice import Couplings, LadderSpec, check_integer, couplings_from_theta
 
 __all__ = [
     "BlockSpec",
@@ -154,8 +155,9 @@ class SweepConfig:
             raise ValueError(f"seed must be a non-negative integer, got {self.seed}")
         if self.L == 1 and {"leg", "diag"} & set(self.pairs):
             raise ValueError("a one-rung ladder has no leg or diag pair; use --pairs rung")
+        spec = LadderSpec(self.L, self.bc)  # refuses the ladder before any pool starts
         for b in self.blocks:
-            block_sites(b.family, b.l, LadderSpec(self.L, self.bc))
+            block_sites(b.family, b.l, spec)
             if b.l > RDM_MAX_SITES:
                 raise ValueError(f"block size capped at {RDM_MAX_SITES} sites, got {b.l}")
         # refused now, not after the solves it would hold; "" is the cwd
@@ -230,14 +232,16 @@ def _manifold_rdm(states, layout: BlockLayout) -> DensityMatrix:
 @dataclass
 class _Ground:
     """E0, the gap to the first level above the ground band, an orthonormal
-    basis of the ground manifold over the Sz sector, the number of sectors,
-    the positions of those left unsolved, the number of loose passes, the
-    matvecs of every loose pass and exact solve, the largest residual of the
-    exact solves, and a lower bound on each sector's lowest level."""
+    basis of the ground manifold over the Sz sector, <T> of its equal
+    mixture, the number of sectors, the positions of those left unsolved,
+    the number of loose passes, the matvecs of every loose pass and exact
+    solve, the largest residual of the exact solves, and a lower bound on
+    each sector's lowest level."""
 
     E0: float
     gap: float
     states: list[StateVector]
+    T_expect: float
     sectors: int
     screened: list[int]
     bounded: int
@@ -278,9 +282,13 @@ def _solve(basis, sector_tables, couplings, cfg: SweepConfig, floor=None) -> _Gr
     solved sector is E - r - ground_band(E) for the lowest pair (E, r) of
     its last solve, the band's margin covering rounding in a later chord.
 
-    Each loose pass and each exact solve builds its sector's
-    HamiltonianAction, nnz floats, and drops it when it returns, so a point
-    holds one action at a time.
+    <T> of the manifold's mixture is (1/g) sum_c rows v_c^T (H_T v_c) over the
+    ground vectors v_c of the sectors, H_T a sector's H at (Jl, Jr, K) = (0,
+    1, 0); T commutes with the group, so both rows of a 2-d irrep share it.
+
+    Each loose pass, exact solve and H_T builds its sector's
+    HamiltonianAction, nnz floats, and drops it when it returns (H_T before
+    any state is expanded), so a point holds one action at a time.
     """
     dims = [tables.basis.dim for tables in sector_tables]
     first_k = 1 if len(dims) > 1 else 2
@@ -327,20 +335,22 @@ def _solve(basis, sector_tables, couplings, cfg: SweepConfig, floor=None) -> _Gr
         while res.energies[-1] - E0 < band and len(res.energies) < dims[i]:
             res = found[i] = exact(i, 2 * len(res.energies))
     E0 = float(min(res.energies[0] for res in found.values()))
-    states, above = [], []
+    held, above, T = [], [], 0.0
     for i, res in found.items():
         sector = sector_tables[i].basis
         n = int(np.count_nonzero(res.energies - E0 < band))
         above += res.energies[n:n + 1].tolist()
-        states += [
-            StateVector(basis, sector.expand(res.vectors[:, c], row))
-            for c in range(n) for row in range(sector.rows)
-        ]
+        if n:
+            v = res.vectors[:, :n]
+            Tv = HamiltonianAction(sector_tables[i], Couplings(Jl=0, Jr=1, K=0)).H @ v
+            T += sector.rows * float(np.sum(v * Tv))
+        held += [(sector, res.vectors[:, c], row) for c in range(n) for row in range(sector.rows)]
         E = float(res.energies[0])
         lower[i] = E - float(res.residuals[0]) - ground_band(E)
+    states = [StateVector(basis, sector.expand(v, row)) for sector, v, row in held]
     gap = min(above) - E0 if above else float("nan")
-    return _Ground(E0, gap, states, len(dims), sorted(i for _, i in pending),
-                   bounded, matvecs, residual_max, lower)
+    return _Ground(E0, gap, states, T / len(states), len(dims),
+                   sorted(i for _, i in pending), bounded, matvecs, residual_max, lower)
 
 
 def _chord(theta, left, right) -> np.ndarray:
@@ -438,7 +448,7 @@ def _measure(spec, solve, cfg: SweepConfig, t_over_pi: float, layouts) -> SweepR
         E_rung2site=von_neumann_entropy(rho_rung),
         dEr_dtheta=None,
         Ev=ev,
-        T_expect=sum(expectation_T(psi) for psi in states) / len(states),
+        T_expect=ground.T_expect,
         degenerate=len(states) > 1,
     )
     rec.diagnostics = {

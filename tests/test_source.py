@@ -41,16 +41,19 @@ def test_benchmark_call_sites_resolve(monkeypatch):
 def test_traced_pass_records_every_required_span(monkeypatch, tmp_path):
     # a traced benchmark run fails when a name in REQUIRED_SPANS is never
     # called; a tiny pass through the same call sites (a sweep with a block
-    # and a CSV, then fm-oracle) fails here first.  The patched names are
-    # looked up on their modules inside the traced block
+    # and a CSV, the observe phase's <T> of the Dicke state, then fm-oracle)
+    # fails here first.  The patched names are looked up on their modules
+    # inside the traced block
     monkeypatch.syspath_prepend(str(Path(__file__).resolve().parents[1] / "perfbench"))
     tracing = importlib.import_module("tracing")
     from ringladder import cli, sweep
 
     cfg = sweep.SweepConfig(L=4, thetas_over_pi=(0.0, 0.1, 0.2),
                             blocks=(sweep.BlockSpec("A", 4),), out=str(tmp_path / "sweep.csv"))
+    basis = ringladder.build_sector(8, 0)
     with tracing.Tracer().installed() as tracer:
         sweep.run_sweep(cfg)
+        sweep.expectation_T(ringladder.fm_state(8, basis))
         assert cli.main(["fm-oracle", "--rungs", "4", "--out", str(tmp_path / "fm.csv")]) == 0
     tracer.summary()  # raises when a required span recorded no call
 

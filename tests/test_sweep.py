@@ -17,6 +17,7 @@ import scipy.optimize
 from conftest import geometry, ground_state, solve
 from ringladder import (
     BlockSpec,
+    Couplings,
     HamiltonianAction,
     LadderSpec,
     SweepConfig,
@@ -25,6 +26,7 @@ from ringladder import (
     concurrence,
     couplings_from_theta,
     enumerate_terms,
+    expectation_T,
     find_extrema,
     find_zero_crossing,
     lowest_eigenpairs,
@@ -526,9 +528,10 @@ def test_solve_holds_few_actions(monkeypatch, L, t):
     # sector is built once for its loose pass or its first solve; the one
     # holding E0 is built again for its widening and, when bounded, for its
     # first solve.  At L = 6 every sector is dense, at L = 7 some are and
-    # the rest are bounded, and at L = 8 all are bounded
+    # the rest are bounded, and at L = 8 all are bounded.  Each sector
+    # holding a ground level is built once more, as T, for <T>
     live = most = exact = 0
-    builds = collections.Counter()
+    builds, rungs = collections.Counter(), collections.Counter()
     build = sweep.HamiltonianAction
     solve = sweep.lowest_eigenpairs
 
@@ -542,7 +545,7 @@ def test_solve_holds_few_actions(monkeypatch, L, t):
         weakref.finalize(action, dead)
         live += 1
         most = max(most, live)
-        builds[id(tables)] += 1
+        (rungs if couplings == Couplings(Jl=0, Jr=1, K=0) else builds)[id(tables)] += 1
         return action
 
     def solving(*args, **kwargs):
@@ -558,6 +561,46 @@ def test_solve_holds_few_actions(monkeypatch, L, t):
     assert live == 0 and len(builds) == d["sectors"]
     assert sum(builds.values()) == d["bounded"] + exact
     assert set(builds.values()) == ({1, 2} if L == 6 else {1, 2, 3})
+    assert set(rungs.values()) == {1} and set(rungs) <= set(builds)
+    assert 1 <= len(rungs) <= d["g"]
+
+
+@pytest.mark.parametrize("L, bc, twoSz, t, g", [
+    (6, "periodic", 0, 0.1, 1),
+    (5, "open", 0, 0.3, 1),
+    (6, "periodic", 2, -0.3, 1),
+    (4, "open", 2, 0.6, 1),
+    (3, "periodic", 0, 0.3, 3),  # levels of three sectors
+    (2, "open", 0, 0.5, 2),  # two levels whose <T> differ by 0.5
+    (7, "periodic", 2, 0.75, 2),  # the two rows of a two-dimensional irrep
+    (4, "periodic", 8, 0.3, 1),  # the one fully polarised state
+    (4, "open", 8, 0.3, 1),
+])
+def test_T_expect_is_read_in_the_solved_sectors(monkeypatch, L, bc, twoSz, t, g):
+    # <T> comes from each sector's H at (Jl, Jr, K) = (0, 1, 0), weighted by
+    # its irrep's rows; the oracle, for the symmetry sectors and the
+    # whole-sector reference alike, is expectation_T on every expanded state
+    spec = LadderSpec(L, bc)
+    basis = build_sector(spec.N, twoSz)
+    cfg = SweepConfig(L=L, bc=bc, thetas_over_pi=(t,), twoSz=twoSz, pairs=("rung",))
+    whole = [sweep.LadderTables(spec, basis)]
+    ground = sweep._solver(spec, basis)(t * math.pi, cfg)
+    reference = sweep._solve(basis, whole, couplings_from_theta(t * math.pi), cfg)
+    for solved in (reference, ground):
+        oracle = [expectation_T(psi) for psi in solved.states]
+        assert solved.T_expect == pytest.approx(np.mean(oracle), abs=1e-12)
+    assert len(oracle) == g
+    if (L, twoSz) == (7, 2):  # T commutes with the group: each row has the mean
+        assert oracle == pytest.approx([ground.T_expect] * g, abs=1e-12)
+    if twoSz == spec.N:
+        assert ground.T_expect == pytest.approx(L / 4, abs=1e-12)
+
+    def forbidden(psi):
+        raise AssertionError("the sweep measured <T> on an expanded state")
+
+    monkeypatch.setattr(sweep, "expectation_T", forbidden)
+    (rec,) = run_sweep(cfg)
+    assert rec.T_expect == ground.T_expect
 
 
 def test_solve_memory_stays_near_its_states():
@@ -632,6 +675,12 @@ def test_sweep_config_validation(tmp_path):
         SweepConfig(L=15, bc="open", thetas_over_pi=(0.0,), blocks=(BlockSpec("D", 15),))
     with pytest.raises(ValueError, match="theta"):
         SweepConfig(L=3, thetas_over_pi=(0.1, 1e308))
+    # a ladder that LadderSpec refuses is refused here, before any pool starts
+    for ladder, message in (({"L": 2}, "periodic boundary requires L >= 3"),
+                            ({"L": 0, "bc": "open"}, "at least one rung"),
+                            ({"L": 4, "bc": "closed"}, "bc must be 'periodic' or 'open'")):
+        with pytest.raises(ValueError, match=re.escape(message)):
+            SweepConfig(thetas_over_pi=(0.1,), workers=2, **ladder)
     # an output path that cannot be written is refused before any solve
     for out in (tmp_path / "missing" / "x.csv", tmp_path):
         with pytest.raises(ValueError, match=re.escape(str(out))):
