@@ -119,8 +119,6 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--sector", type=int, default=0, metavar="TWOSZ",
                        help="2*Sz of the sector to solve in")
         p.add_argument("--seed", type=int, default=0)
-        p.add_argument("--tol", type=float, default=1e-12,
-                       help="eigensolver residual tolerance")
         p.add_argument("--pairs", type=parse_pairs, default=PAIR_KINDS,
                        metavar="KINDS", help="which pair concurrences to compute")
     gs.add_argument("--theta", type=float, default=0.0, metavar="T",
@@ -142,7 +140,6 @@ def _cfg_from_args(args, thetas, workers=1) -> SweepConfig:
         pairs=args.pairs,
         twoSz=args.sector,
         seed=args.seed,
-        tol=args.tol,
         out=args.out,
         workers=workers,
     )

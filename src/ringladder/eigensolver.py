@@ -1,8 +1,9 @@
 """Lowest eigenpairs of the matrix-free Hamiltonian.
 
-Krylov iteration (implicitly restarted Lanczos) on a LinearOperator wrapper,
-with a deterministic seeded start vector, explicit residual verification and
-a dense brute-force oracle for small sectors; a loose pass of the same
+Krylov iteration (implicitly restarted Lanczos, to machine precision) on a
+LinearOperator wrapper, with a deterministic seeded start vector, one
+residual contract (RESIDUAL_RTOL) checked on every returned pair and a
+dense brute-force oracle for small sectors; a loose pass of the same
 iteration gives a cheap lower bound on a sector's lowest level.
 """
 
@@ -33,6 +34,9 @@ SCREEN_TOL = 1e-3
 
 # levels closer than this, relative to max(1, |E0|), to E0 count as ground states
 DEGENERACY_RTOL = 1e-8
+
+# every returned pair has ||H v - E v|| within this, relative to max(1, |E|)
+RESIDUAL_RTOL = 1e-12
 
 
 def ground_band(E0: float) -> float:
@@ -92,14 +96,8 @@ def _lanczos(mv, dim: int, k: int, seed: int, tol: float):
     )
 
 
-def lowest_eigenpairs(
-    applyH,
-    dim: int,
-    k: int = 2,
-    seed: int = 0,
-    tol: float = 1e-12,
-    matrix=None,
-) -> EigenResult:
+def lowest_eigenpairs(applyH, dim: int, k: int = 2, seed: int = 0,
+                      matrix=None) -> EigenResult:
     """k lowest eigenpairs of a symmetric operator given by its action.
 
     applyH is a callable v -> H v on length-dim arrays; matrix, when given,
@@ -107,14 +105,12 @@ def lowest_eigenpairs(
     takes dim <= max(DENSE_MAX_DIM, 4 k + 4); it reads matrix when given and
     applies applyH to every unit vector when not.  Lanczos takes the rest.
     Deterministic for a fixed seed.  Each returned pair satisfies
-    ||H v - E v|| <= tol * max(1, |E|), checked through applyH, tol a
-    positive finite number; failure to converge raises EigensolverError
-    carrying the best residual reached.
+    ||H v - E v|| <= RESIDUAL_RTOL * max(1, |E|), checked through applyH; a
+    pair outside it raises EigensolverError naming its residual, and so
+    does failure to converge, with the best residual reached.
     """
     if not 1 <= k <= dim:
         raise ValueError(f"need 1 <= k <= dim, got k={k}, dim={dim}")
-    if not (np.isfinite(tol) and tol > 0):
-        raise ValueError(f"tol must be a positive finite number, got {tol}")
     matvecs = 0
 
     def counted(v):
@@ -155,7 +151,7 @@ def lowest_eigenpairs(
             for c in range(k)
         ]
     )
-    bound = tol * np.maximum(1.0, np.abs(energies))
+    bound = RESIDUAL_RTOL * np.maximum(1.0, np.abs(energies))
     if np.any(residuals > bound):
         worst = int(np.argmax(residuals - bound))
         raise EigensolverError(

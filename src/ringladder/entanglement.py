@@ -15,7 +15,7 @@ import numpy as np
 import scipy.linalg
 
 from .basis import RANK_BLOCK, SectorBasis
-from .hamiltonian import StateVector, bond_matrix
+from .hamiltonian import StateVector
 from .lattice import check_integer
 
 __all__ = [
@@ -268,50 +268,56 @@ def rung_entropy_from_z(z: float) -> float:
 
 
 def rung_correlator(state: StateVector, rung: int) -> float:
-    """<S1i . S2i> on rung i (1-based)."""
-    L = state.basis.N // 2
+    """<S1i . S2i> on rung i (1-based), by the same pass as expectation_T."""
+    L, rung = state.basis.N // 2, check_integer("rung", rung)
     if not 1 <= rung <= L:
         raise ValueError(f"rung must be in 1..{L}, got {rung}")
-    lo = 2 * (rung - 1)
-    return float(state.amps @ (bond_matrix(state.basis, [(lo, lo + 1)]) @ state.amps))
+    a = state.amps
+    return float(_rung_term(state, rung - 1, float((a * a).sum())))
 
 
-def expectation_T(state: StateVector) -> float:
-    """<sum_i S1i . S2i>, the total rung correlator.
+def _rung_term(state: StateVector, r: int, norm2: float):
+    """<S . S> on the rung bond (2r, 2r + 1), norm2 the state's squared norm.
 
-    Per rung bond (2r, 2r + 1) with amplitudes a over masks m: SzSz gives
-    1/4 sum a^2 - 1/2 sum_anti a^2 and the flip-flop gives
-    1/2 sum_anti a_k a[rank(m_k ^ (3 << 2r))], the sums running over the
-    masks antiparallel on that bond.  No operator matrix is built.  A rung's
-    2 C(N - 2, n_up - 1) antiparallel amplitudes x = a_k and their partners
-    y = a[rank(m_k ^ (3 << 2r))] are gathered RANK_BLOCK masks at a time, so
-    a rung holds x, y and one slice's scratch, and the sums read the same
-    arrays in the same order as over the whole basis at once.  Both gathers'
-    indices are in range, so they clip: mode "raise" copies through a buffer.
+    With amplitudes a over masks m, SzSz gives 1/4 norm2 - 1/2 sum_anti a^2
+    and the flip-flop gives 1/2 sum_anti a_k a[rank(m_k ^ (3 << 2r))], the
+    sums running over the masks antiparallel on the bond.  No operator
+    matrix is built.  The 2 C(N - 2, n_up - 1) antiparallel amplitudes x =
+    a_k and their partners y = a[rank(m_k ^ (3 << 2r))] are gathered
+    RANK_BLOCK masks at a time, so the pass holds x, y and one slice's
+    scratch, and the sums read the same arrays in the same order as over
+    the whole basis at once.  Both gathers' indices are in range, so they
+    clip: mode "raise" copies through a buffer.
     """
     basis = state.basis
     a = state.amps
-    norm2 = float((a * a).sum())
     n_anti = 2 * comb(basis.N - 2, basis.n_up - 1) if basis.n_up else 0
+    x, y = np.empty(n_anti), np.empty(n_anti)
+    filled = 0
+    for at in range(0, basis.dim, RANK_BLOCK):
+        part = basis.states[at:at + RANK_BLOCK]
+        pair = (part >> (2 * r)).astype(np.uint8)
+        pair ^= pair >> 1
+        pair &= 1
+        anti = np.flatnonzero(pair)
+        end = filled + len(anti)
+        np.take(a[at:at + RANK_BLOCK], anti, out=x[filled:end], mode="clip")
+        flipped = part[anti]
+        del pair, anti  # before rank_many's own scratch
+        flipped ^= 3 << (2 * r)
+        np.take(a, basis.rank_many(flipped), out=y[filled:end], mode="clip")
+        filled = end
+    dot = x @ y
+    x *= x
+    return 0.25 * norm2 - 0.5 * x.sum() + 0.5 * dot
+
+
+def expectation_T(state: StateVector) -> float:
+    """<sum_i S1i . S2i>, the total rung correlator: the rungs' terms, each
+    read by one streamed pass that holds only its own rung's arrays."""
+    a = state.amps
+    norm2 = float((a * a).sum())
     total = 0.0
-    for r in range(basis.N // 2):
-        x, y = np.empty(n_anti), np.empty(n_anti)
-        filled = 0
-        for at in range(0, basis.dim, RANK_BLOCK):
-            part = basis.states[at:at + RANK_BLOCK]
-            pair = (part >> (2 * r)).astype(np.uint8)
-            pair ^= pair >> 1
-            pair &= 1
-            anti = np.flatnonzero(pair)
-            end = filled + len(anti)
-            np.take(a[at:at + RANK_BLOCK], anti, out=x[filled:end], mode="clip")
-            flipped = part[anti]
-            del pair, anti  # before rank_many's own scratch
-            flipped ^= 3 << (2 * r)
-            np.take(a, basis.rank_many(flipped), out=y[filled:end], mode="clip")
-            filled = end
-        dot = x @ y
-        x *= x
-        total += 0.25 * norm2 - 0.5 * x.sum() + 0.5 * dot
-        del x, y  # before the next rung's
+    for r in range(state.basis.N // 2):
+        total += _rung_term(state, r, norm2)
     return float(total)

@@ -10,9 +10,9 @@ small unsigned key per entry into a short list of (code, factor) pairs, and
 HamiltonianAction turns the pairs into values at its couplings, so each
 matvec is a single sparse product.  One row builder fills H's rows at any
 array of masks: the states of a plain Sz sector, or the orbit
-representatives from which a symmetry sector's rows are read.  bond_matrix
-builds the rung correlator's operator; ring_matrix and the spin-operator
-decomposition of P + Pinv are the merged pattern's oracles, unused in solves.
+representatives from which a symmetry sector's rows are read.  bond_matrix,
+ring_matrix and the spin-operator decomposition of P + Pinv are the merged
+pattern's oracles, unused in solves and measurements.
 """
 
 from __future__ import annotations

@@ -134,7 +134,6 @@ class SweepConfig:
     pairs: tuple[str, ...] = PAIR_KINDS
     twoSz: int = 0
     seed: int = 0
-    tol: float = 1e-12
     out: str | None = None
     workers: int = 1
 
@@ -147,8 +146,6 @@ class SweepConfig:
         # theta/pi = 1e308 is finite, but not in radians
         if not all(math.isfinite(t * math.pi) for t in self.thetas_over_pi):
             raise ValueError(f"theta must be finite in radians, got {self.thetas_over_pi}")
-        if not (math.isfinite(self.tol) and self.tol > 0):
-            raise ValueError(f"tol must be a positive finite number, got {self.tol}")
         if self.workers < 1:
             raise ValueError(f"workers must be at least 1, got {self.workers}")
         if self.seed < 0:
@@ -265,20 +262,21 @@ def _solve(basis, sector_tables, couplings, cfg: SweepConfig, floor=None) -> _Gr
     sectors not yet solved lies strictly above U, the first sector holding
     it is given its loose pass if it is bounded and has had none, its bound
     becoming the larger of its floor and the ritz_bound of one loose Lanczos
-    pass, and is solved for its lowest level otherwise.  With every floor
-    at -inf this runs every loose pass and solves in ascending bound order.
-    U is at or above E_g, the first level above the band, so the sectors
-    left out hold neither a ground state nor E_g.  Like the solve, a loose
-    pass comes from the Krylov space of one seeded start vector: its bound
-    lies within its residual of *an* eigenvalue, taken to be the lowest, and
-    with two close low levels it can lie above the lowest.  A lone sector
-    must hold E0 and so starts at k = 2.
+    pass, and is solved for its min(2, dim) lowest levels otherwise.  With
+    every floor at -inf this runs every loose pass and solves in ascending
+    bound order.  U is at or above E_g, the first level above the band, so
+    the sectors left out hold neither a ground state nor E_g.  Like the
+    solve, a loose pass comes from the Krylov space of one seeded start
+    vector: its bound lies within its residual of *an* eigenvalue, taken to
+    be the lowest, and with two close low levels it can lie above the
+    lowest.
 
-    A solved sector whose lowest level lies in the ground band is widened
-    by doubling k until a level above the band is returned.  The band and
-    the first level above it are then complete over all sectors.  A level of
-    a two-dimensional irrep counts twice: its partner is the same
-    combination in the irrep's second row.  The lower bound returned for a
+    A solved sector whose returned levels all lie in the ground band is
+    widened by doubling k until a level above the band is returned or the
+    sector has no more; any other sector is solved once.  The band and the
+    first level above it are then complete over all sectors.  A level of a
+    two-dimensional irrep counts twice: its partner is the same combination
+    in the irrep's second row.  The lower bound returned for a
     solved sector is E - r - ground_band(E) for the lowest pair (E, r) of
     its last solve, the band's margin covering rounding in a later chord.
 
@@ -291,8 +289,7 @@ def _solve(basis, sector_tables, couplings, cfg: SweepConfig, floor=None) -> _Gr
     any state is expanded), so a point holds one action at a time.
     """
     dims = [tables.basis.dim for tables in sector_tables]
-    first_k = 1 if len(dims) > 1 else 2
-    to_bound = {i for i, dim in enumerate(dims) if first_k == 1 and dim > DENSE_MAX_DIM}
+    to_bound = {i for i, dim in enumerate(dims) if len(dims) > 1 and dim > DENSE_MAX_DIM}
     lower = [-np.inf] * len(dims) if floor is None else [float(f) for f in floor]
     matvecs, residual_max = 0, 0.0
 
@@ -307,7 +304,7 @@ def _solve(basis, sector_tables, couplings, cfg: SweepConfig, floor=None) -> _Gr
         nonlocal matvecs, residual_max
         action = HamiltonianAction(sector_tables[i], couplings)
         res = lowest_eigenpairs(action.matvec, action.dim, k=min(k, action.dim),
-                                seed=cfg.seed, tol=cfg.tol, matrix=action.H)
+                                seed=cfg.seed, matrix=action.H)
         matvecs += res.matvecs
         residual_max = max(residual_max, float(np.max(res.residuals)))
         return res
@@ -324,7 +321,7 @@ def _solve(basis, sector_tables, couplings, cfg: SweepConfig, floor=None) -> _Gr
             heapq.heappush(pending, (lower[i], i))
             bounded += 1
             continue
-        found[i] = exact(i, first_k)
+        found[i] = exact(i, 2)
         levels = np.concatenate([res.energies for res in found.values()])
         upper = levels[levels - levels.min() >= ground_band(levels.min())].min(initial=np.inf)
     found = dict(sorted(found.items()))  # sector order, as when every sector is solved

@@ -144,10 +144,9 @@ def test_config_file_rejects_unknown_keys(tmp_path, capsys):
     pytest.param(["gs", "--theta", "nan"], None, "theta", id="theta-nan"),
     # finite as theta/pi, infinite in radians
     pytest.param(["gs", "--theta", "1e308"], None, "theta", id="theta-overflow"),
-    pytest.param(["gs", "--tol", "-1"], None, "tol", id="tol-negative"),
-    # a NaN or infinite tol would switch the residual check off
-    pytest.param(["gs", "--tol", "nan"], None, "tol", id="tol-nan"),
-    pytest.param(["gs", "--tol", "inf"], None, "tol", id="tol-inf"),
+    # the residual contract is fixed; the removed flag is refused, not ignored
+    pytest.param(["gs", "--tol", "1e-8"], None, "unrecognized arguments: --tol",
+                 id="tol-removed"),
     pytest.param(["gs", "--seed", "-1"], None, "seed", id="seed-negative"),
     pytest.param(["gs", "--rungs", "4", "--blocks", "D:9"], None,
                  "family D needs l in 1..4, got 9", id="block-too-long"),

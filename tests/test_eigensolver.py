@@ -23,7 +23,8 @@ from ringladder import (
     sweep,
     symmetry_sectors,
 )
-from ringladder.eigensolver import ritz_bound
+from ringladder import eigensolver
+from ringladder.eigensolver import EigensolverError, ritz_bound
 
 
 def action_at(L, theta_over_pi, bc="periodic", twoSz=0):
@@ -98,7 +99,7 @@ def test_krylov_vs_dense_random_theta():
 
 def test_residuals_and_orthonormality():
     act = action_at(5, 0.2)
-    res = lowest_eigenpairs(act.matvec, act.dim, k=3, seed=4, tol=1e-12)
+    res = lowest_eigenpairs(act.matvec, act.dim, k=3, seed=4)
     for c in range(3):
         v = res.vectors[:, c]
         assert abs(np.linalg.norm(v) - 1.0) <= 1e-10
@@ -143,11 +144,17 @@ def test_argument_validation():
         dense_oracle(mv, 5000)
 
 
-@pytest.mark.parametrize("tol", [math.nan, math.inf, 0.0, -1e-12])
-def test_tol_must_be_positive_and_finite(tol):
-    # a residual is never > nan or > inf, so such a tol would pass any pair
-    with pytest.raises(ValueError, match="tol"):
-        lowest_eigenpairs(lambda v: v, 4, k=1, tol=tol)
+@pytest.mark.parametrize("L", [3, 5], ids=["dense", "lanczos"])
+def test_residual_contract_is_one_constant(monkeypatch, L):
+    # both routes hold every pair to RESIDUAL_RTOL, 1e-12 (dim 20 is solved
+    # densely, dim 252 by Lanczos); no solve meets a contract of 1e-30, so
+    # the check then raises rather than returns
+    act = action_at(L, 0.2)
+    assert eigensolver.RESIDUAL_RTOL == 1e-12
+    lowest_eigenpairs(act.matvec, act.dim, k=2)
+    monkeypatch.setattr(eigensolver, "RESIDUAL_RTOL", 1e-30)
+    with pytest.raises(EigensolverError, match="residual contract violated"):
+        lowest_eigenpairs(act.matvec, act.dim, k=2)
 
 
 def test_dense_oracle_rejects_asymmetric():

@@ -502,6 +502,9 @@ def test_rung_correlator_product_states():
     assert expectation_T(psi) == pytest.approx(-0.75 * L, abs=1e-12)
     allup = StateVector(build_sector(6, 6), np.ones(1))
     assert rung_correlator(allup, 2) == pytest.approx(0.25, abs=1e-14)
+    for rung, says in ((0, "1..3"), (4, "1..3"), (2.0, "not an integer")):
+        with pytest.raises(ValueError, match=says):
+            rung_correlator(psi, rung)
 
 
 @pytest.mark.parametrize("bc", ["periodic", "open"])
@@ -517,6 +520,10 @@ def test_expectation_T_matches_matrix_routes(bc, twoSz):
             T = expectation_T(psi)
             assert abs(T - psi.amps @ (rung @ psi.amps)) <= 1e-12
             assert abs(T - sum(rung_correlator(psi, r) for r in range(1, L + 1))) <= 1e-12
+            # each rung's term, which both read, against that rung's bond matrix
+            for r in range(1, L + 1):
+                bond = bond_matrix(basis, [(2 * r - 2, 2 * r - 1)])
+                assert abs(rung_correlator(psi, r) - psi.amps @ (bond @ psi.amps)) <= 1e-12
 
 
 def test_su2_relations_on_ground_state():

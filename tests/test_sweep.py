@@ -18,6 +18,7 @@ from conftest import geometry, ground_state, solve
 from ringladder import (
     BlockSpec,
     Couplings,
+    EigensolverError,
     HamiltonianAction,
     LadderSpec,
     SweepConfig,
@@ -490,24 +491,26 @@ def test_solver_memory_serves_a_root_finder(L):
 
 
 @pytest.mark.parametrize("L, bc, matvecs", [
-    (6, "periodic", [26, 26, 17, 26]),
-    (4, "open", [10, 10, 7, 10]),
+    (6, "periodic", [48, 48, 30, 48]),
+    (4, "open", [16, 16, 10, 16]),
 ])
 def test_nothing_to_screen_costs_no_matvec(L, bc, matvecs):
     # the sectors of periodic L = 6 (at most 48 states) and of open L = 4
     # (at most 17) are all dense, so neither takes a loose pass: the matvecs
-    # are those of the solves alone.  Only the point at 0.5 pi has a chord,
-    # from 0.1 pi and 0.9 pi (that of 0.1 pi spans more than pi); it leaves
-    # 9 dense sectors unsolved at L = 6 and 3 at open L = 4
+    # are those of the solves alone, the residual checks of two levels per
+    # solved sector.  Only the point at 0.5 pi has a chord, from 0.1 pi and
+    # 0.9 pi (that of 0.1 pi spans more than pi); it leaves 9 dense sectors
+    # unsolved at L = 6 and 3 at open L = 4
     recs = run_sweep(SweepConfig(L=L, bc=bc, thetas_over_pi=(-0.3, 0.1, 0.5, 0.9)))
     screened = [0, 0, 9, 0] if bc == "periodic" else [0, 0, 3, 0]
     assert [r.diagnostics["screened"] for r in recs] == screened
     assert [r.diagnostics["matvecs"] for r in recs] == matvecs
+    assert matvecs == [2 * (r.diagnostics["sectors"] - n) for r, n in zip(recs, screened)]
 
 
 def test_lone_sector_starts_at_k_2():
-    # the whole Sz sector, the tests' reference, is _solve's only sector, so
-    # it holds E0 and is solved once at k = 2, with no k = 1 solve before
+    # the whole Sz sector, the tests' reference, is _solve's only sector; it
+    # is solved once at k = 2 like every sector, with no loose pass before
     # it; dim 70 is above DENSE_MAX_DIM, so both solves below run Lanczos
     _, basis, tables = geometry(4, "open")
     couplings = couplings_from_theta(0.1 * math.pi)
@@ -521,14 +524,40 @@ def test_lone_sector_starts_at_k_2():
     assert ground.E0 == direct.energies[0]
 
 
+@pytest.mark.parametrize("L, bc", [(6, "periodic"), (5, "open")])
+def test_every_solve_asks_for_two_levels(monkeypatch, L, bc):
+    # each exact solve asks for min(2, dim) levels or more, so at g = 1 the
+    # sector holding E0 is solved once, as is every other solved sector:
+    # widening is only for a sector whose levels all lie in the ground band
+    calls = []
+    solve = sweep.lowest_eigenpairs
+
+    def recording(applyH, dim, k, **kwargs):
+        res = solve(applyH, dim, k, **kwargs)
+        calls.append((applyH.__self__.tables, dim, k, res.energies[0]))
+        return res
+
+    monkeypatch.setattr(sweep, "lowest_eigenpairs", recording)
+    spec = LadderSpec(L, bc)
+    cfg = SweepConfig(L=L, bc=bc, thetas_over_pi=(-0.3, 0.5, 0.1))
+    solve_at = sweep._solver(spec, build_sector(spec.N, 0))
+    for t in cfg.thetas_over_pi:  # one solver: 0.1 pi starts from the others' chord
+        calls.clear()
+        ground = solve_at(t * math.pi, cfg)
+        assert len(ground.states) == 1
+        assert calls and all(k >= min(2, dim) for _, dim, k, _ in calls)
+        assert sum(E == ground.E0 for *_, E in calls) == 1
+        assert len({id(tables) for tables, *_ in calls}) == len(calls)
+
+
 @pytest.mark.parametrize("L, t", [(8, -0.3), (8, 0.1), (8, 0.5), (8, 0.9), (6, 0.1), (7, 0.1)])
 def test_solve_holds_few_actions(monkeypatch, L, t):
     # each loose pass and each exact solve builds its sector's action and
     # drops it when it returns, so one action at a time is alive.  Every
-    # sector is built once for its loose pass or its first solve; the one
-    # holding E0 is built again for its widening and, when bounded, for its
-    # first solve.  At L = 6 every sector is dense, at L = 7 some are and
-    # the rest are bounded, and at L = 8 all are bounded.  Each sector
+    # sector is built once for its loose pass or its solve, and a bounded
+    # sector that is solved is built again for its solve; at g = 1 no
+    # sector is widened.  At L = 6 every sector is dense, at L = 7 some are
+    # and the rest are bounded, and at L = 8 all are bounded.  Each sector
     # holding a ground level is built once more, as T, for <T>
     live = most = exact = 0
     builds, rungs = collections.Counter(), collections.Counter()
@@ -560,7 +589,8 @@ def test_solve_holds_few_actions(monkeypatch, L, t):
     assert most == 1
     assert live == 0 and len(builds) == d["sectors"]
     assert sum(builds.values()) == d["bounded"] + exact
-    assert set(builds.values()) == ({1, 2} if L == 6 else {1, 2, 3})
+    assert d["g"] == 1
+    assert set(builds.values()) == ({1} if L == 6 else {1, 2})
     assert set(rungs.values()) == {1} and set(rungs) <= set(builds)
     assert 1 <= len(rungs) <= d["g"]
 
@@ -655,9 +685,14 @@ def test_sweep_parallel_matches_sequential(tmp_path):
 
 
 @pytest.mark.parametrize("workers", (1, 2))
-def test_sweep_failure_names_theta(workers):
-    # no eigensolver meets a 1e-30 residual, so the first grid point fails
-    cfg = SweepConfig(L=3, thetas_over_pi=(0.10, 0.12), tol=1e-30, workers=workers)
+def test_sweep_failure_names_theta(monkeypatch, workers):
+    # every solve fails, so the first grid point does; the patch is in
+    # place before the pool forks, so the workers fail the same way
+    def failing(*args, **kwargs):
+        raise EigensolverError("residual contract violated")
+
+    monkeypatch.setattr(sweep, "lowest_eigenpairs", failing)
+    cfg = SweepConfig(L=3, thetas_over_pi=(0.10, 0.12), workers=workers)
     with pytest.raises(RuntimeError, match=r"sweep failed at theta = 0\.1\*pi"):
         run_sweep(cfg)
 
@@ -689,10 +724,12 @@ def test_sweep_config_validation(tmp_path):
 
 
 def test_negative_seed_refused_on_the_dense_route_too():
-    # L = 2 has dim 6, solved densely without a start vector, so a negative
-    # seed would otherwise pass unused there and fail only at larger L
+    # open L = 2 has dim 6, solved densely without a start vector, so a
+    # negative seed would otherwise pass unused there and fail only at
+    # larger L
+    SweepConfig(L=2, bc="open", thetas_over_pi=(0.0,))
     with pytest.raises(ValueError, match="seed"):
-        SweepConfig(L=2, thetas_over_pi=(0.0,), seed=-1)
+        SweepConfig(L=2, bc="open", thetas_over_pi=(0.0,), seed=-1)
 
 
 @pytest.mark.parametrize("field, value", [("L", 4.0), ("twoSz", 0.0), ("seed", 1.5),

@@ -1,6 +1,8 @@
 """The scripts in tools/, run on synthetic results or on the package itself."""
 
+import csv
 import importlib.util
+import io
 import json
 import os
 import subprocess
@@ -9,7 +11,8 @@ from pathlib import Path
 
 import pytest
 
-from ringladder import LadderSpec, LadderTables, build_sector, symmetry_sectors
+from ringladder import (BlockSpec, LadderSpec, LadderTables, SweepConfig, build_sector,
+                        run_sweep, symmetry_sectors, write_csv)
 
 SCRIPT = Path(__file__).resolve().parents[1] / "tools" / "bench_file.py"
 
@@ -286,3 +289,34 @@ def test_pass_memory_reports_every_pass():
                             "expectation_T", "expand"]
     assert record["dim"] == 924
     assert all(record[k] > 0 for k in record)
+
+
+GRID_SCAN = SCRIPT.parent / "grid_scan.py"
+
+
+def test_grid_scan_writes_one_sweep_csv_per_ladder(tmp_path, capsys):
+    spec = importlib.util.spec_from_file_location("grid_scan", GRID_SCAN)
+    tool = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(tool)
+    assert tool.main(["--max-L", "4", "--out", str(tmp_path)]) == 0
+    ladders = [(bc, L, twoSz) for bc, Ls in (("periodic", (3, 4)), ("open", (1, 2, 3, 4)))
+               for L in Ls for twoSz in (0, 2)]
+    names = [f"{bc}_L{L}_twoSz{twoSz}.csv" for bc, L, twoSz in ladders]
+    assert capsys.readouterr().out.split() == names
+    assert sorted(os.listdir(tmp_path)) == sorted(names)
+    thetas = [f"{t:.12g}" for t in tool.THETAS]
+    assert len(thetas) == 40 and thetas[0] == "-1" and thetas[-1] == "0.95"
+    for name, (_, L, _) in zip(names, ladders):
+        with open(tmp_path / name, newline="") as fh:
+            header, *rows = list(csv.reader(fh))
+        assert [row[0] for row in rows] == thetas
+        assert header[8] == f"Ev_D{min(3, L)}"
+    # a file is the sweep's own CSV of that ladder
+    want = io.StringIO()
+    cfg = SweepConfig(L=3, bc="open", twoSz=2, thetas_over_pi=tool.THETAS,
+                      blocks=(BlockSpec("D", 3),))
+    write_csv(run_sweep(cfg), cfg.blocks, want)
+    assert (tmp_path / "open_L3_twoSz2.csv").read_text() == want.getvalue()
+    # the one-rung ladder has the rung pair alone
+    with open(tmp_path / "open_L1_twoSz0.csv", newline="") as fh:
+        assert all(row[4:6] == ["", ""] for row in list(csv.reader(fh))[1:])
