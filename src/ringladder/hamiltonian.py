@@ -204,8 +204,10 @@ class LadderTables:
     A plain sector's key is its code, with factor 1.  On a SymmetrySector of
     the ladder's boundary the rows are the sector's states, read through the
     builder's rows at their representative masks, with factors from the
-    sector's vectors, irrep matrices and norms; a target orbit with two states
-    gives two entries, and a row may repeat a column, which the product sums.
+    sector's vectors, irrep matrices and norms.  An entry reaches each state
+    of its target orbit, but a target state is stored only where its factor
+    is nonzero, so no pair_factor is 0; a row may repeat a column, which the
+    product sums.
     """
 
     def __init__(self, spec: LadderSpec, basis: SectorBasis | SymmetrySector):
@@ -221,64 +223,75 @@ class LadderTables:
         else:
             if basis.group.bc != spec.bc:
                 raise ValueError(f"sector is of a {basis.group.bc} ladder, not {spec.bc}")
-            self._fill_sector(*_orbit_rows(spec, basis.group))
+            self._fill_sector(*_sector_order(spec, basis.group, basis.rows))
 
-    def _fill_sector(self, ptr, kind, orbit, counts):
+    def _fill_sector(self, size, end, kind, target, counts):
         # H w(a, u) = sum over the entries h_ba of a's row of h_ba * sum over
         # the states w(b', u') of b's orbit of u'^T D(g_b) u * n_b' / n_a,
         # where g_b maps b to its representative b'.  Sector state i takes its
-        # representative's row but the diagonal last, each entry fanned out
-        # to the count[b] (none, one or two) states of b's orbit in row order,
-        # so row i's entries fill its slots before its diagonal.  Each entry
+        # representative's row, diagonal last, each entry fanned out to the
+        # states of b's orbit, in order, whose factor is nonzero.  Each entry
         # array is built in place and dropped on its last use
         s, a = self.basis, self.basis.orbit
         self.anti_r, self.anti_l, self.fixed = (c[a] for c in counts)
-        # a factor depends only on its code, g and the bits of its row's and column's
-        # (vecs column, norm): one per combination, each (code, factor) kept once
+        # a factor depends only on g and the bits of its row's and column's
+        # (vecs column, norm), their labels, never on the code: one per
+        # (code, g, labels) combination met, each (code, factor) kept once
         state = np.vstack([s.vecs, s.norm[a]]).T.copy()
         state, label = np.unique(state.view(f"V{state[0].nbytes}")[:, 0], return_inverse=True)
-        v = state.view(np.float64).reshape(len(state), -1).T  # vecs rows, then the norm
-        n = ptr[a + 1] - ptr[a] - 1
-        start = np.cumsum(n) - n
-        src = np.arange(n.sum()) + np.repeat(ptr[a] - start, n)
-        fan = s.count[orbit[src]]
-        src = np.repeat(src, fan)
-        fanned = np.zeros(len(fan) + 1, dtype=np.int64)  # entries before each source entry
-        np.cumsum(fan, out=fanned[1:])
-        cols = s.first[orbit[src]]
-        cols += np.arange(len(cols))
-        cols -= np.repeat(fanned[:-1], fan)
-        per_row = fanned[start + n] - fanned[start]
-        del fan, fanned
-        combo = kind[src]
-        del src
-        combo = np.multiply(combo, len(state), dtype=np.int64)  # widened once src is gone
-        combo += np.repeat(label, per_row)
-        combo *= len(state)
-        combo += label[cols]
-        nnz = len(cols) + s.dim
-        idx = scipy.sparse.get_index_dtype(maxval=max(nnz, s.dim))
-        self.indptr = np.zeros(s.dim + 1, dtype=idx)
-        np.cumsum(per_row + 1, out=self.indptr[1:])
-        off = np.ones(nnz, dtype=bool)  # every slot but the diagonals, in entry order
-        off[self.indptr[1:] - 1] = False
-        self.indices = np.empty(nnz, dtype=idx)
-        self.indices[off] = cols
-        del cols
-        self.indices[self.indptr[1:] - 1] = np.arange(s.dim)
-        mark = np.zeros((FOUR_FLIP + 1, s.group.order, len(state), len(state)), dtype=bool)
+        nl, r = len(state) + 1, s.rows
+        # vecs rows, then the norm; label nl - 1 stands for no state, a zero
+        # vector of norm 1, all of whose factors are 0
+        v = np.zeros((r + 1, nl))
+        v[:, :-1] = state.view(np.float64).reshape(len(state), -1).T
+        v[-1, -1] = 1.0
+        # the group's entries in sector order: the block o * rows + t is sector
+        # state i's if i is orbit o's state t; lab[o, t] is that state's label
+        t = np.arange(s.dim) - s.first[a]
+        block = a * r + t
+        lab = np.full((len(s.count), r), nl - 1)
+        lab.reshape(-1)[block] = label
+        # position k reaches state u of its target orbit, slot k * rows + u,
+        # through combo = (kind, row label, column label) if its factor is
+        # nonzero, so that is decided once per combination, before any fan-out
+        row = np.multiply(kind, nl, dtype=np.int64)
+        row += np.repeat(lab.reshape(-1), size)
+        row *= nl
+        combo = np.take(lab, target, axis=0).reshape(-1)
+        combo += np.repeat(row, r)
+        del row
+        mark = np.zeros((FOUR_FLIP + 1, s.group.order, nl, nl), dtype=bool)
         mark.reshape(-1)[combo] = True
+        mark[0] = False  # the diagonal, code 0, is placed apart
         mark.reshape(-1)[0] = True  # the diagonal's, so its code 0 is key 0
-        c, g, lr, lc = np.unravel_index(np.flatnonzero(mark), mark.shape)
+        seen = np.flatnonzero(mark)
+        c, g, lr, lc = np.unravel_index(seen, mark.shape)
         f = sum(v[i][lc] * s.D[i, j][g] * v[j][lr] for i in range(s.rows) for j in range(s.rows))
         f *= v[-1][lc] / v[-1][lr]
+        nonzero = f != 0
+        mark.reshape(-1)[seen] = nonzero
+        c, f = c[nonzero], f[nonzero]
         fs, fl = np.unique(f.view(np.int64), return_inverse=True)
         pairs, pair = np.unique(c * len(fs) + fl, return_inverse=True)  # code 0 first
         self.pair_code, self.pair_factor = pairs // len(fs), fs.view(np.float64)[pairs % len(fs)]
         lookup = np.zeros(mark.shape, dtype=np.min_scalar_type(len(pairs)))
         lookup[mark] = pair
-        self.key = np.zeros(nnz, dtype=lookup.dtype)
-        self.key[off] = lookup.reshape(-1)[combo]
+        key = np.take(lookup, combo)  # 0 where the position does not reach the state
+        del combo
+        # the kept slots, in order, are the tables' entries: the block of
+        # sector state i ends in its diagonal, u = t with key 0
+        keep = key != 0
+        keep[(end[block] - 1) * r + t] = True
+        at = np.flatnonzero(keep)
+        idx = scipy.sparse.get_index_dtype(maxval=max(len(at), s.dim))
+        self.key = np.take(key, at)
+        del key
+        col = np.take((s.first[:, None] + np.arange(r)).astype(idx), target, axis=0)
+        self.indices = np.take(col, at)
+        del col, at
+        per_block = np.add.reduceat(keep.view(np.uint8), (end - size) * r, dtype=idx)
+        self.indptr = np.zeros(s.dim + 1, dtype=idx)
+        np.cumsum(per_block[block], out=self.indptr[1:])
 
 
 def _rows(spec: LadderSpec, basis: SectorBasis, masks: np.ndarray):
@@ -346,6 +359,26 @@ def _orbit_rows(spec: LadderSpec, group: LadderOrbits):
         kind += group.element_of[at]
         _group_rows[group] = (ptr, kind, group.orbit_of[at].astype(np.int32), counts)
     return _group_rows[group]
+
+
+# a group's rows laid out in sector order, once for each irrep dimension of
+# its sectors, live as long as the group too
+_group_orders = weakref.WeakKeyDictionary()
+
+
+def _sector_order(spec: LadderSpec, group: LadderOrbits, rows: int):
+    """The group's representative rows in the order of a sector of a
+    rows-dimensional irrep: orbit o's row once for each state t < rows it
+    may hold, the block o * rows + t.  Returns each block's size and end,
+    each position's kind and target orbit, and the per-row counts."""
+    orders = _group_orders.setdefault(group, {})
+    if rows not in orders:
+        ptr, kind, orbit, counts = _orbit_rows(spec, group)
+        size = np.repeat(np.diff(ptr), rows)
+        end = np.cumsum(size)
+        e = np.arange(end[-1]) + np.repeat(np.repeat(ptr[:-1], rows) - end + size, size)
+        orders[rows] = (size, end, kind[e], orbit[e], counts)
+    return orders[rows]
 
 
 class HamiltonianAction:

@@ -187,8 +187,9 @@ class SweepRecord:
     included, the largest residual of the exact solves, the ground
     multiplicity g, the seconds spent solving and measuring, the number of
     block layouts built for the point (layouts; 0 after a sweep chunk's
-    first point unless the point measures new sites), and the process's
-    peak resident memory so far, in MB (peak_rss_mb).
+    first point unless the point measures new sites), the entries stored in
+    the sector tables it was solved on (table_nnz), and the process's peak
+    resident memory so far, in MB (peak_rss_mb).
     """
 
     thetaOverPi: float
@@ -232,8 +233,8 @@ class _Ground:
     basis of the ground manifold over the Sz sector, <T> of its equal
     mixture, the number of sectors, the positions of those left unsolved,
     the number of loose passes, the matvecs of every loose pass and exact
-    solve, the largest residual of the exact solves, and a lower bound on
-    each sector's lowest level."""
+    solve, the largest residual of the exact solves, a lower bound on each
+    sector's lowest level and the entries stored in the sectors' tables."""
 
     E0: float
     gap: float
@@ -245,6 +246,7 @@ class _Ground:
     matvecs: int
     residual_max: float
     lower: list[float]
+    table_nnz: int
 
 
 def _solve(basis, sector_tables, couplings, cfg: SweepConfig, floor=None) -> _Ground:
@@ -347,7 +349,8 @@ def _solve(basis, sector_tables, couplings, cfg: SweepConfig, floor=None) -> _Gr
     states = [StateVector(basis, sector.expand(v, row)) for sector, v, row in held]
     gap = min(above) - E0 if above else float("nan")
     return _Ground(E0, gap, states, T / len(states), len(dims),
-                   sorted(i for _, i in pending), bounded, matvecs, residual_max, lower)
+                   sorted(i for _, i in pending), bounded, matvecs, residual_max, lower,
+                   sum(len(tables.indices) for tables in sector_tables))
 
 
 def _chord(theta, left, right) -> np.ndarray:
@@ -456,6 +459,7 @@ def _measure(spec, solve, cfg: SweepConfig, t_over_pi: float, layouts) -> SweepR
         "residual_max": ground.residual_max,
         "g": len(states),
         "layouts": built,
+        "table_nnz": ground.table_nnz,
         "solve_s": solved - start,
         "measure_s": time.perf_counter() - solved,
         "peak_rss_mb": resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024.0,

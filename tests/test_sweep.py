@@ -21,6 +21,7 @@ from ringladder import (
     EigensolverError,
     HamiltonianAction,
     LadderSpec,
+    LadderTables,
     SweepConfig,
     block_sites,
     build_sector,
@@ -34,6 +35,7 @@ from ringladder import (
     reduced_density_matrix,
     run_sweep,
     sweep,
+    symmetry_sectors,
     theta_grid,
     write_csv,
 )
@@ -245,6 +247,9 @@ def test_diagnostics_count_every_solve_and_leave_the_csv_alone(monkeypatch, bc, 
 
     monkeypatch.setattr(sweep, "lowest_eigenpairs", recording)
     blocks = (BlockSpec("A", 2),)
+    spec = LadderSpec(L=4, bc=bc)
+    table_nnz = sum(len(LadderTables(spec, s).indices)
+                    for s in symmetry_sectors(build_sector(spec.N, 0), bc))
     recs = []
     for t in (0.1, 0.2):
         done = len(solves)
@@ -253,13 +258,14 @@ def test_diagnostics_count_every_solve_and_leave_the_csv_alone(monkeypatch, bc, 
         d = rec.diagnostics
         assert set(d) == {
             "sectors", "bounded", "screened", "matvecs", "residual_max", "g", "layouts",
-            "solve_s", "measure_s", "peak_rss_mb",
+            "table_nnz", "solve_s", "measure_s", "peak_rss_mb",
         }
         assert d["sectors"] == sectors and len(mine) >= sectors
         assert d["bounded"] == d["screened"] == 0  # every sector is dense
         assert d["matvecs"] == sum(res.matvecs for res in mine)
         assert d["residual_max"] == max(float(res.residuals.max()) for res in mine)
         assert d["g"] == 1 and not rec.degenerate
+        assert d["table_nnz"] == table_nnz
         assert d["solve_s"] > 0 and d["measure_s"] > 0
         assert d["peak_rss_mb"] > 0
         recs.append(rec)

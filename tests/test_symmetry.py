@@ -165,6 +165,35 @@ def test_sector_states_are_orthonormal_and_block_diagonalize_h(bc, L, twoSz):
             assert np.abs(B2.T @ H @ B2 - block).max() <= 1e-12
 
 
+def fanned_entries(spec, sector):
+    """Entries of the sector's tables when every entry of a representative's
+    row reached every state of its target orbit: the diagonal and, per
+    sector state, count[b] for each other entry, b its target orbit."""
+    ptr, _, orbit, _ = hamiltonian._orbit_rows(spec, sector.group)
+    reach = np.add.reduceat(sector.count[orbit], ptr[:-1])  # diagonal included
+    return int(np.sum(reach[sector.orbit] - sector.count[sector.orbit] + 1))
+
+
+# tables that stored every fanned entry held 30,350 zero factors among
+# 208,639 entries at periodic L = 8, twoSz = 0, all in two-dimensional irreps
+@pytest.mark.parametrize("bc, L", with_open(range(3, 9), range(1, 8)))
+@pytest.mark.parametrize("twoSz", (0, 2))
+def test_sector_tables_store_no_zero_factor(bc, L, twoSz):
+    spec = LadderSpec(L=L, bc=bc)
+    total = fanned = 0
+    for sector in symmetry_sectors(build_sector(spec.N, twoSz), bc):
+        tables = LadderTables(spec, sector)
+        nnz, full = len(tables.indices), fanned_entries(spec, sector)
+        assert (tables.pair_factor != 0).all()
+        assert (tables.pair_factor[tables.key] != 0).all()
+        # a one-dimensional irrep has no zero factor, so its tables keep
+        # every entry; open ladders have no other
+        assert nnz == full if sector.rows == 1 else nnz <= full
+        total, fanned = total + nnz, fanned + full
+    if (bc, L, twoSz) == ("periodic", 8, 0):
+        assert (total, fanned) == (178_289, 208_639)
+
+
 def test_partner_is_the_translated_state_less_its_projection():
     # T psi = cos(k) psi + sin(k) psi' for a state psi of the first row
     L = 6

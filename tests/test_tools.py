@@ -1,5 +1,6 @@
 """The scripts in tools/, run on synthetic results or on the package itself."""
 
+import copy
 import csv
 import importlib.util
 import io
@@ -9,6 +10,7 @@ import subprocess
 import sys
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 from ringladder import (BlockSpec, LadderSpec, LadderTables, SweepConfig, build_sector,
@@ -220,6 +222,18 @@ def test_table_digest_is_stable_and_sees_one_code():
     tables = LadderTables(LadderSpec(L=3), build_sector(6, 0))
     line = f"periodic L=3 twoSz=0 [plain] dim=20 nnz={len(tables.indices)} "
     assert f"{line}{tool.digest(tables)} {tool.action_digest(tables)}" in lines
+    # a stored zero, one more off-diagonal entry in row 0 whose pair has
+    # factor 0, is seen by the table digest but not by the action digest
+    padded = copy.copy(tables)
+    padded.pair_code = np.append(tables.pair_code, tables.pair_code[tables.key[0]])
+    padded.pair_factor = np.append(tables.pair_factor, 0.0)
+    padded.indices = np.insert(tables.indices, 0, tables.indices[0])
+    padded.key = np.insert(tables.key, 0, len(tables.pair_code))
+    padded.indptr = tables.indptr + 1
+    padded.indptr[0] = 0
+    assert len(padded.indices) == len(tables.indices) + 1
+    assert tool.digest(padded) != tool.digest(tables)
+    assert tool.action_digest(padded) == tool.action_digest(tables)
     # one entry's key, so one off-diagonal value: both digests see it
     assert tables.key[0] != 0
     tables.key[0] += 1
@@ -286,9 +300,11 @@ def test_pass_memory_reports_every_pass():
     (line,) = proc.stdout.splitlines()
     record = json.loads(line)
     assert list(record) == ["dim", "build_sector", "rdm_pair", "rdm_block",
-                            "expectation_T", "expand"]
+                            "expectation_T", "expand", "sector_tables", "tables_kept"]
     assert record["dim"] == 924
     assert all(record[k] > 0 for k in record)
+    # the build's peak holds what it keeps
+    assert record["sector_tables"] >= record["tables_kept"]
 
 
 GRID_SCAN = SCRIPT.parent / "grid_scan.py"

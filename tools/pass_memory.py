@@ -1,4 +1,4 @@
-"""Print the peak memory of each O(dim) measurement pass, per basis state.
+"""Print the peak memory of each O(dim) pass, per basis state.
 
 Usage, from the repository root:
 
@@ -8,14 +8,18 @@ Usage, from the repository root:
 It imports ringladder from PYTHONPATH, so two checkouts' outputs can be
 compared.  On the twoSz = 0 sector of the periodic ladder with --rungs L
 rungs (N = 2 L sites) it prints one JSON line: dim, then the peak that
-tracemalloc records over each pass, in bytes per basis state:
+tracemalloc records over each pass, in bytes per basis state of the Sz
+sector:
 
 - build_sector: building the Sz sector;
 - rdm_pair: a one-off reduced_density_matrix of sites (0, 1);
 - rdm_block: a one-off reduced_density_matrix of sites 0 .. l - 1, with
   l = min(N / 2, 14);
 - expectation_T: <T> of the state;
-- expand: the largest symmetry sector's expand of one vector.
+- expand: the largest symmetry sector's expand of one vector;
+- sector_tables: building the LadderTables of every symmetry sector, as a
+  sweep chunk does, the group's representative rows included;
+- tables_kept: the bytes of the arrays those tables hold, no peak.
 
 Each pass's inputs exist before tracemalloc starts, so a peak counts what
 the pass allocates, its output included.  The state and the sector vector
@@ -31,8 +35,8 @@ import tracemalloc
 
 import numpy as np
 
-from ringladder import (StateVector, build_sector, expectation_T, reduced_density_matrix,
-                        symmetry_sectors)
+from ringladder import (LadderSpec, LadderTables, StateVector, build_sector, expectation_T,
+                        reduced_density_matrix, symmetry_sectors)
 
 
 def peak(call) -> int:
@@ -62,10 +66,16 @@ def main(argv=None) -> int:
     block = tuple(range(min(N // 2, 14)))
     peaks["rdm_block"] = peak(lambda: reduced_density_matrix(psi, block))
     peaks["expectation_T"] = peak(lambda: expectation_T(psi))
-    sector = max(symmetry_sectors(basis), key=lambda s: s.dim)
+    sectors = symmetry_sectors(basis)
+    sector = max(sectors, key=lambda s: s.dim)
     v = rng.standard_normal(sector.dim)
     v /= np.linalg.norm(v)
     peaks["expand"] = peak(lambda: sector.expand(v))
+    tables = []
+    spec = LadderSpec(L=args.rungs)
+    peaks["sector_tables"] = peak(lambda: tables.extend(LadderTables(spec, s) for s in sectors))
+    peaks["tables_kept"] = sum(a.nbytes for t in tables for a in vars(t).values()
+                               if isinstance(a, np.ndarray))
 
     print(json.dumps({"dim": basis.dim,
                       **{k: round(p / basis.dim, 2) for k, p in peaks.items()}}))

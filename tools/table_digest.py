@@ -14,9 +14,11 @@ over the name, dtype and bytes of indptr, indices, key, pair_code,
 pair_factor, anti_r, anti_l and fixed (tables that hold a code and a factor
 per entry instead digest key, pair_code and pair_factor as None), the
 second over the data, indices and indptr of HamiltonianAction's H at
-theta = 0.1 pi, (Jl, Jr, K) = (0, 1, 0) and (0, 0, 1).  The second compares
-what a matvec reads even across revisions whose table layouts differ.  The
-last line gives a digest over all lines.
+theta = 0.1 pi, (Jl, Jr, K) = (0, 1, 0) and (0, 0, 1), each taken after
+eliminate_zeros() on a copy.  A stored 0.0 adds nothing to a product, so
+the second compares what a matvec computes even across revisions whose
+table layouts or stored zeros differ.  The last line gives a digest over
+all lines.
 """
 
 from __future__ import annotations
@@ -52,10 +54,12 @@ def digest(tables: LadderTables) -> str:
 
 
 def action_digest(tables: LadderTables) -> str:
-    """sha256 over the bytes of H's data, indices and indptr at COUPLINGS."""
+    """sha256 over the bytes of H's data, indices and indptr at COUPLINGS,
+    with H's stored zeros eliminated."""
     h = hashlib.sha256()
     for c in COUPLINGS:
-        H = HamiltonianAction(tables, c).H
+        H = HamiltonianAction(tables, c).H.copy()
+        H.eliminate_zeros()
         for a in (H.data, H.indices, H.indptr):
             h.update(a.tobytes())
     return h.hexdigest()
