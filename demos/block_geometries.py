@@ -40,7 +40,6 @@ def theta_table(L):
         L=L,
         thetas_over_pi=theta_grid(0.00, 0.24, 0.02),
         blocks=blocks,
-        pairs=(),
         seed=0,
     )
     records = run_sweep(cfg)
@@ -64,7 +63,7 @@ def theta_table(L):
 def scaling_table(L, theta):
     blocks = tuple(BlockSpec(f, l) for f in "ACD" for l in (2, 4, 6))
     cfg = SweepConfig(
-        L=L, thetas_over_pi=(theta,), blocks=blocks, pairs=(), seed=0
+        L=L, thetas_over_pi=(theta,), blocks=blocks, seed=0
     )
     rec = run_sweep(cfg)[0]
     print(f"{'l':>4} {'Ev_A (compact)':>15} {'Ev_C (zigzag)':>15} {'Ev_D (leg)':>15}")

@@ -25,7 +25,6 @@ def main():
         L=L,
         thetas_over_pi=theta_grid(-0.30, 0.90, 0.05),
         blocks=(),
-        pairs=("rung", "leg", "diag"),
         seed=0,
     )
     records = run_sweep(cfg)
@@ -41,7 +40,6 @@ def main():
             L=L,
             thetas_over_pi=(1.0,),
             blocks=(),
-            pairs=("rung", "leg", "diag"),
             seed=0,
         )
     )[0]

@@ -41,7 +41,6 @@ def crossing(L):
         L=L,
         thetas_over_pi=theta_grid(0.12, 0.20, 0.002),
         blocks=(),
-        pairs=(),
         seed=0,
     )
     recs = run_sweep(cfg)

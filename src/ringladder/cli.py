@@ -22,7 +22,6 @@ import sys
 from .ferromagnet import fm_entropy, fm_entropy_asymptotic, fm_pair_concurrence
 from .lattice import LadderSpec
 from .sweep import (
-    PAIR_KINDS,
     BlockSpec,
     SweepConfig,
     block_sites,
@@ -56,14 +55,6 @@ def parse_blocks(text: str) -> tuple[BlockSpec, ...]:
     if not specs:
         raise argparse.ArgumentTypeError("empty block list")
     return tuple(specs)
-
-
-def parse_pairs(text: str) -> tuple[str, ...]:
-    """Parse 'rung,leg,diag'; SweepConfig decides which kinds exist."""
-    try:
-        return SweepConfig.check_pairs(p.strip() for p in text.split(",") if p.strip())
-    except ValueError as exc:
-        raise argparse.ArgumentTypeError(str(exc)) from exc
 
 
 def read_config_file(path: str) -> list[str]:
@@ -119,8 +110,6 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--sector", type=int, default=0, metavar="TWOSZ",
                        help="2*Sz of the sector to solve in")
         p.add_argument("--seed", type=int, default=0)
-        p.add_argument("--pairs", type=parse_pairs, default=PAIR_KINDS,
-                       metavar="KINDS", help="which pair concurrences to compute")
     gs.add_argument("--theta", type=float, default=0.0, metavar="T",
                     help="theta in units of pi")
     sw.add_argument("--theta-min", type=float, default=-0.395, metavar="T")
@@ -137,7 +126,6 @@ def _cfg_from_args(args, thetas, workers=1) -> SweepConfig:
         thetas_over_pi=thetas,
         bc=args.bc,
         blocks=args.blocks,
-        pairs=args.pairs,
         twoSz=args.sector,
         seed=args.seed,
         out=args.out,

@@ -236,15 +236,22 @@ class LadderTables:
         self.anti_r, self.anti_l, self.fixed = (c[a] for c in counts)
         # a factor depends only on g and the bits of its row's and column's
         # (vecs column, norm), their labels, never on the code: one per
-        # (code, g, labels) combination met, each (code, factor) kept once
-        state = np.vstack([s.vecs, s.norm[a]]).T.copy()
-        state, label = np.unique(state.view(f"V{state[0].nbytes}")[:, 0], return_inverse=True)
-        nl, r = len(state) + 1, s.rows
+        # (code, g, labels) combination met, each (code, factor) kept once.
+        # A label is one run of equal columns among those bits, sorted
+        bits = np.vstack([s.vecs, s.norm[a]]).view(np.int64)
+        order = np.lexsort(bits)
+        bits = bits[:, order]
+        new = np.ones(s.dim, dtype=bool)
+        new[1:] = (bits[:, 1:] != bits[:, :-1]).any(axis=0)
+        label = np.empty(s.dim, dtype=np.int64)
+        label[order] = np.cumsum(new) - 1
+        nl, r = int(np.count_nonzero(new)) + 1, s.rows
         # vecs rows, then the norm; label nl - 1 stands for no state, a zero
         # vector of norm 1, all of whose factors are 0
         v = np.zeros((r + 1, nl))
-        v[:, :-1] = state.view(np.float64).reshape(len(state), -1).T
+        v[:, :-1] = bits[:, new].view(np.float64)
         v[-1, -1] = 1.0
+        del bits, order, new
         # the group's entries in sector order: the block o * rows + t is sector
         # state i's if i is orbit o's state t; lab[o, t] is that state's label
         t = np.arange(s.dim) - s.first[a]
@@ -268,6 +275,7 @@ class LadderTables:
         c, g, lr, lc = np.unravel_index(seen, mark.shape)
         f = sum(v[i][lc] * s.D[i, j][g] * v[j][lr] for i in range(s.rows) for j in range(s.rows))
         f *= v[-1][lc] / v[-1][lr]
+        f[0] = 1.0  # the diagonal's pair is (0, 1), not |v|^2 of label 0's vector
         nonzero = f != 0
         mark.reshape(-1)[seen] = nonzero
         c, f = c[nonzero], f[nonzero]
@@ -342,27 +350,9 @@ def _rows(spec: LadderSpec, basis: SectorBasis, masks: np.ndarray):
     return indptr, indices, code, anti_r, anti_l, fixed
 
 
-# every sector of a group reads the same representative rows, so each group's
-# rows are built once and live as long as the group does
-_group_rows = weakref.WeakKeyDictionary()
-
-
-def _orbit_rows(spec: LadderSpec, group: LadderOrbits):
-    """The group's representative rows: their pointers, each entry's uint16
-    kind code * order + g, with g the element taking its target to its
-    representative (below 9 * 8L), its target's int32 orbit and the per-row
-    counts."""
-    if group not in _group_rows:
-        ptr, at, code, *counts = _rows(spec, group.basis, group.reps)
-        kind = code.astype(np.uint16)
-        kind *= group.order
-        kind += group.element_of[at]
-        _group_rows[group] = (ptr, kind, group.orbit_of[at].astype(np.int32), counts)
-    return _group_rows[group]
-
-
-# a group's rows laid out in sector order, once for each irrep dimension of
-# its sectors, live as long as the group too
+# every sector of a group reads the same representative rows, so a group's
+# first sector builds them once, lays them out for each irrep dimension of
+# the group and drops them; the layouts live as long as the group does
 _group_orders = weakref.WeakKeyDictionary()
 
 
@@ -370,15 +360,23 @@ def _sector_order(spec: LadderSpec, group: LadderOrbits, rows: int):
     """The group's representative rows in the order of a sector of a
     rows-dimensional irrep: orbit o's row once for each state t < rows it
     may hold, the block o * rows + t.  Returns each block's size and end,
-    each position's kind and target orbit, and the per-row counts."""
-    orders = _group_orders.setdefault(group, {})
-    if rows not in orders:
-        ptr, kind, orbit, counts = _orbit_rows(spec, group)
-        size = np.repeat(np.diff(ptr), rows)
-        end = np.cumsum(size)
-        e = np.arange(end[-1]) + np.repeat(np.repeat(ptr[:-1], rows) - end + size, size)
-        orders[rows] = (size, end, kind[e], orbit[e], counts)
-    return orders[rows]
+    each position's uint16 kind, code * order + g with g the element taking
+    its target to its representative (below 9 * 8L), and its target's int32
+    orbit, and the per-row counts."""
+    if group not in _group_orders:
+        ptr, at, code, *counts = _rows(spec, group.basis, group.reps)
+        kind = code.astype(np.uint16)
+        kind *= group.order
+        kind += group.element_of[at]
+        orbit = group.orbit_of[at].astype(np.int32)
+        del at, code
+        orders = _group_orders[group] = {}
+        for d in {irrep.dim for irrep in group.irreps()}:
+            size = np.repeat(np.diff(ptr), d)
+            end = np.cumsum(size)
+            e = np.arange(end[-1]) + np.repeat(np.repeat(ptr[:-1], d) - end + size, size)
+            orders[d] = (size, end, kind[e], orbit[e], counts)
+    return _group_orders[group][rows]
 
 
 class HamiltonianAction:

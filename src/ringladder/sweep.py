@@ -64,7 +64,6 @@ __all__ = [
 ]
 
 FAMILIES = ("A", "B", "C", "D")
-PAIR_KINDS = ("rung", "leg", "diag")
 
 
 @dataclass(frozen=True)
@@ -125,13 +124,13 @@ def block_sites(family: str, l: int, spec: LadderSpec) -> list[int]:
 
 @dataclass(frozen=True)
 class SweepConfig:
-    """Grid and measurement plan for run_sweep."""
+    """Grid and measurement plan for run_sweep.  Every point measures each
+    pair the ladder has, so of the measurements only the blocks are chosen."""
 
     L: int
     thetas_over_pi: tuple[float, ...]
     bc: str = "periodic"
     blocks: tuple[BlockSpec, ...] = ()
-    pairs: tuple[str, ...] = PAIR_KINDS
     twoSz: int = 0
     seed: int = 0
     out: str | None = None
@@ -142,7 +141,6 @@ class SweepConfig:
             object.__setattr__(self, name, check_integer(name, getattr(self, name)))
         object.__setattr__(self, "thetas_over_pi", tuple(float(t) for t in self.thetas_over_pi))
         object.__setattr__(self, "blocks", tuple(self.blocks))
-        object.__setattr__(self, "pairs", self.check_pairs(self.pairs))
         # theta/pi = 1e308 is finite, but not in radians
         if not all(math.isfinite(t * math.pi) for t in self.thetas_over_pi):
             raise ValueError(f"theta must be finite in radians, got {self.thetas_over_pi}")
@@ -150,8 +148,6 @@ class SweepConfig:
             raise ValueError(f"workers must be at least 1, got {self.workers}")
         if self.seed < 0:
             raise ValueError(f"seed must be a non-negative integer, got {self.seed}")
-        if self.L == 1 and {"leg", "diag"} & set(self.pairs):
-            raise ValueError("a one-rung ladder has no leg or diag pair; use --pairs rung")
         spec = LadderSpec(self.L, self.bc)  # refuses the ladder before any pool starts
         for b in self.blocks:
             block_sites(b.family, b.l, spec)
@@ -162,21 +158,13 @@ class SweepConfig:
         if self.out is not None and (os.path.isdir(self.out or ".") or not os.path.isdir(folder)):
             raise ValueError(f"out must be a file in an existing directory, got {self.out!r}")
 
-    @staticmethod
-    def check_pairs(pairs) -> tuple[str, ...]:
-        """pairs as a tuple, each one of PAIR_KINDS."""
-        pairs = tuple(pairs)
-        for p in pairs:
-            if p not in PAIR_KINDS:
-                raise ValueError(f"unknown pair kind {p!r}, expected one of {PAIR_KINDS}")
-        return pairs
-
 
 @dataclass
 class SweepRecord:
     """Observables at one grid point.  dEr_dtheta (with theta in radians) is
     filled by central difference on interior points whose two neighbours
-    differ in theta, and is None (an empty CSV cell) elsewhere.
+    differ in theta, and is None (an empty CSV cell) elsewhere.  C_leg and
+    C_diag are None only on a one-rung ladder, which has the rung pair alone.
 
     diagnostics describes how the point was computed and is not written to
     the CSV: the number of sectors, how many of them took a loose Lanczos
@@ -406,7 +394,9 @@ def _solver(spec, basis):
 
 
 def _measure(spec, solve, cfg: SweepConfig, t_over_pi: float, layouts) -> SweepRecord:
-    """The record of one grid point, solved by solve.  layouts maps the
+    """The record of one grid point, solved by solve: the concurrence of
+    every pair the ladder has (the rung pair alone when L = 1), the rung
+    entropy and the entropy of each of cfg's blocks.  layouts maps the
     sites of each block measured before to its BlockLayout; a block not in
     it gets one built and added, so a chunk builds each layout once.  With
     layouts None a layout lives for its one block's RDM only, so a lone
@@ -426,13 +416,11 @@ def _measure(spec, solve, cfg: SweepConfig, t_over_pi: float, layouts) -> SweepR
         return _manifold_rdm(states, kept[sites])
 
     r = 1 if spec.bc == "periodic" else math.ceil(spec.L / 2)
-    # (leg, rung) of the second site of the other pairs; the first is (1, r)
-    partner = {"leg": (1, r + 1), "diag": (2, r + 1)}
     rho_rung = rdm((spec.site(1, r), spec.site(2, r)))
-    conc: dict[str, float | None] = dict.fromkeys(PAIR_KINDS)
-    for name in cfg.pairs:
-        rho = rho_rung if name == "rung" else rdm((spec.site(1, r), spec.site(*partner[name])))
-        conc[name] = concurrence(rho)
+    conc = {"rung": concurrence(rho_rung), "leg": None, "diag": None}
+    if spec.L > 1:  # the leg and diag pairs end at (leg 1 and 2, rung r + 1)
+        for name, leg in (("leg", 1), ("diag", 2)):
+            conc[name] = concurrence(rdm((spec.site(1, r), spec.site(leg, r + 1))))
 
     ev = {
         b.label: von_neumann_entropy(rdm(block_sites(b.family, b.l, spec)))

@@ -64,7 +64,6 @@ def low_sweep():
         L=8,
         thetas_over_pi=LOW_GRID,
         blocks=(BlockSpec("B", 8), BlockSpec("C", 8), BlockSpec("D", 8)),
-        pairs=("rung", "leg", "diag"),
         seed=0,
     )
     return run_sweep(cfg)
@@ -77,7 +76,6 @@ def high_sweep():
         L=8,
         thetas_over_pi=HIGH_GRID,
         blocks=(),
-        pairs=("diag",),
         seed=0,
     )
     return run_sweep(cfg)
@@ -90,7 +88,6 @@ def test_criterion_01_zero_crossing_common_point():
             L=L,
             thetas_over_pi=theta_grid(0.14, 0.16, 0.001),
             blocks=(),
-            pairs=(),
             seed=0,
         )
         recs = run_sweep(cfg)

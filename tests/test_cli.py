@@ -1,11 +1,10 @@
-import argparse
 import csv
 from pathlib import Path
 
 import pytest
 
 from ringladder import fm_entropy, fm_pair_concurrence
-from ringladder.cli import main, parse_blocks, parse_pairs
+from ringladder.cli import main, parse_blocks
 
 DEMO_CONF = Path(__file__).resolve().parents[1] / "demos" / "sweep.conf"
 
@@ -19,12 +18,6 @@ def test_parse_blocks_forms():
         parse_blocks("A4")
     with pytest.raises(Exception):
         parse_blocks("E:2")
-
-
-def test_parse_pairs_forms():
-    assert parse_pairs("rung, diag") == ("rung", "diag")
-    with pytest.raises(argparse.ArgumentTypeError, match="cross"):
-        parse_pairs("rung,cross")
 
 
 def test_blocks_subcommand(capsys):
@@ -66,8 +59,9 @@ def test_gs_subcommand(capsys):
 
 
 def test_gs_one_rung_open_ladder(capsys):
-    # the rung is the whole system and its ground state is the singlet
-    argv = ["gs", "--rungs", "1", "--bc", "open", "--pairs", "rung", "--theta", "0.1"]
+    # the rung is the whole system and its ground state is the singlet; the
+    # ladder has no leg or diag pair, so those cells are empty
+    argv = ["gs", "--rungs", "1", "--bc", "open", "--theta", "0.1"]
     assert main(argv) == 0
     fields = dict(line.split(" = ") for line in capsys.readouterr().out.strip().splitlines())
     assert float(fields["C_rung"]) == 1.0
@@ -127,8 +121,13 @@ def test_config_file_rejects_unknown_keys(tmp_path, capsys):
     pytest.param(["sweep", "--workers", "0"], None, "", id="workers-0"),
     pytest.param(["gs", "--workers", "2"], None, "--workers", id="gs-workers"),
     pytest.param(["gs", "--rungs", "2"], None, "", id="rungs-2"),
-    pytest.param(["gs", "--rungs", "1", "--bc", "open"], None, "--pairs rung",
-                 id="one-rung-leg-pairs"),
+    # every pair the ladder has is measured; the removed flag and key are refused
+    pytest.param(["gs", "--pairs", "rung"], None, "unrecognized arguments: --pairs",
+                 id="pairs-removed"),
+    pytest.param(["sweep", "--pairs", "rung"], None, "unrecognized arguments: --pairs",
+                 id="sweep-pairs-removed"),
+    pytest.param(["gs", "--config", "{tmp}/run.cfg"], "pairs = rung\n",
+                 "unrecognized arguments: --pairs=rung", id="file-pairs-removed"),
     pytest.param(["gs", "--config", "{tmp}/run.cfg"], "bc = sideways\n", "",
                  id="file-bc"),
     pytest.param(["gs", "--config", "{tmp}/run.cfg"], "allow_degenerate = maybe\n",

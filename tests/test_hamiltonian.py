@@ -177,29 +177,36 @@ def test_tables_hold_no_float_entries():
     # the pattern is coupling-independent: only an action holds values, and
     # each entry holds an unsigned key into its table's short (code, factor)
     # list, on a plain sector and on every symmetry sector alike
-    for L, twoSz in itertools.product((6, 8), (0, 2)):
-        spec, basis, plain = geometry(L, twoSz=twoSz)
-        sectors = [LadderTables(spec, s) for s in symmetry_sectors(basis)]
+    ladders = [("periodic", L) for L in range(3, 10)] + [("open", L) for L in range(1, 9)]
+    for (bc, L), twoSz in itertools.product(ladders, (0, 2)):
+        spec = LadderSpec(L=L, bc=bc)
+        basis = build_sector(spec.N, twoSz)
+        plain = LadderTables(spec, basis)
+        sectors = [LadderTables(spec, s) for s in symmetry_sectors(basis, bc)]
         pairs = entries = 0
         for tables in [plain, *sectors]:
             nnz = len(tables.indices)
+            # the (code, factor) list is as long as nnz on some tiny tables
             per_entry = {k: a for k, a in vars(tables).items()
-                         if isinstance(a, np.ndarray) and a.shape == (nnz,)}
+                         if isinstance(a, np.ndarray) and a.shape == (nnz,)
+                         and k not in ("pair_code", "pair_factor")}
             assert "key" in per_entry
             assert [k for k, a in per_entry.items() if a.dtype.kind == "f"] == []
             assert tables.key.dtype.kind == "u"
             assert tables.key.max() < len(tables.pair_code) == len(tables.pair_factor)
-            # key 0 is the diagonal's, which HamiltonianAction overwrites
-            assert tables.pair_code[0] == 0
+            # key 0 is the diagonal's, (0, 1.0) on every table, whatever its
+            # sector's state vectors; HamiltonianAction overwrites it
+            assert (tables.pair_code[0], tables.pair_factor[0]) == (0, 1.0)
             assert (tables.key[tables.indptr[1:] - 1] == 0).all()
             # each (code, factor bits) is kept once
             kept = set(zip(tables.pair_code, tables.pair_factor.view(np.int64)))
             assert len(kept) == len(tables.pair_code)
             if tables is not plain:
-                assert len(tables.pair_code) < nnz, (L, twoSz, tables.basis.irrep.label)
+                label = tables.basis.irrep.label
+                assert L < 5 or len(tables.pair_code) < nnz, (bc, L, twoSz, label)
                 pairs, entries = pairs + len(tables.pair_code), entries + nnz
         # the pairs grow more slowly than the entries
-        assert L == 6 or 4 * pairs < entries, (L, twoSz)
+        assert L < 7 or 4 * pairs < entries, (bc, L, twoSz)
 
 
 def test_decomposed_all_up_plaquette_gives_two():

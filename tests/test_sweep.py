@@ -164,13 +164,20 @@ def test_open_ladder_pairs_are_bulk():
     assert rec.C_leg > 0.05
 
 
-def test_sweep_pair_selection():
-    cfg = SweepConfig(
-        L=3, thetas_over_pi=(0.1,), pairs=("rung",), seed=0
-    )
-    rec = run_sweep(cfg)[0]
-    assert rec.C_rung is not None
-    assert rec.C_leg is None and rec.C_diag is None
+@pytest.mark.parametrize("L, bc, kinds", [
+    pytest.param(1, "open", ("rung",), id="open-1"),
+    pytest.param(2, "open", ("rung", "leg", "diag"), id="open-2"),
+    pytest.param(3, "periodic", ("rung", "leg", "diag"), id="periodic-3"),
+])
+def test_sweep_measures_every_pair_the_ladder_has(tmp_path, L, bc, kinds):
+    # a one-rung ladder has the rung pair alone, every longer one all three
+    out = tmp_path / "sweep.csv"
+    (rec,) = run_sweep(SweepConfig(L=L, bc=bc, thetas_over_pi=(0.1,), out=str(out)))
+    _, row = csv.reader(out.open())
+    for name, column in (("rung", 3), ("leg", 4), ("diag", 5)):
+        value = getattr(rec, f"C_{name}")
+        assert (value is not None) == (name in kinds)
+        assert row[column] == ("" if value is None else format(value, ".12g"))
 
 
 def test_sweep_window_gate():
@@ -468,7 +475,7 @@ def test_solver_memory_serves_a_root_finder(L):
     # before it, which takes fewer matvecs and moves no iterate
     spec = LadderSpec(L=L)
     basis = build_sector(spec.N, 0)
-    cfg = SweepConfig(L=L, thetas_over_pi=(0.15,), pairs=("rung",))
+    cfg = SweepConfig(L=L, thetas_over_pi=(0.15,))
     sign = -1 if L == 6 else 1
     found, matvecs, runs = [], [], []
     for memory in (True, False):
@@ -489,11 +496,12 @@ def test_solver_memory_serves_a_root_finder(L):
     assert abs(found[0] - math.atan(0.5) / math.pi) <= 1e-8
     assert found[0] == found[1]
     assert matvecs[0] < matvecs[1]
-    # the rung's layout, built at the first iterate, serves every later one
+    # the layouts of the three pairs, built at the first iterate, serve
+    # every later one
     assert runs[0] == runs[1]
     assert [sweep.record_row(r, ()) for r in runs[0]] == [sweep.record_row(r, ()) for r in runs[1]]
-    assert [r.diagnostics["layouts"] for r in runs[0]] == [1] + [0] * (len(runs[0]) - 1)
-    assert [r.diagnostics["layouts"] for r in runs[1]] == [1] * len(runs[1])
+    assert [r.diagnostics["layouts"] for r in runs[0]] == [3] + [0] * (len(runs[0]) - 1)
+    assert [r.diagnostics["layouts"] for r in runs[1]] == [3] * len(runs[1])
 
 
 @pytest.mark.parametrize("L, bc, matvecs", [
@@ -618,7 +626,7 @@ def test_T_expect_is_read_in_the_solved_sectors(monkeypatch, L, bc, twoSz, t, g)
     # whole-sector reference alike, is expectation_T on every expanded state
     spec = LadderSpec(L, bc)
     basis = build_sector(spec.N, twoSz)
-    cfg = SweepConfig(L=L, bc=bc, thetas_over_pi=(t,), twoSz=twoSz, pairs=("rung",))
+    cfg = SweepConfig(L=L, bc=bc, thetas_over_pi=(t,), twoSz=twoSz)
     whole = [sweep.LadderTables(spec, basis)]
     ground = sweep._solver(spec, basis)(t * math.pi, cfg)
     reference = sweep._solve(basis, whole, couplings_from_theta(t * math.pi), cfg)
@@ -706,8 +714,9 @@ def test_sweep_failure_names_theta(monkeypatch, workers):
 def test_sweep_config_validation(tmp_path):
     with pytest.raises(ValueError, match="workers"):
         SweepConfig(L=3, thetas_over_pi=(0.1,), workers=0)
-    with pytest.raises(ValueError, match="pair kind"):
-        SweepConfig(L=3, thetas_over_pi=(0.1,), pairs=("rung", "cross"))
+    # the ladder decides which pairs are measured
+    with pytest.raises(TypeError, match="pairs"):
+        SweepConfig(L=3, thetas_over_pi=(0.1,), pairs=("rung",))
     # a block that does not fit the ladder is refused before any solve
     with pytest.raises(ValueError, match="family D needs l in 1..4, got 9"):
         SweepConfig(L=4, thetas_over_pi=(0.0,), blocks=(BlockSpec("D", 9),))

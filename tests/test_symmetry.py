@@ -169,8 +169,9 @@ def fanned_entries(spec, sector):
     """Entries of the sector's tables when every entry of a representative's
     row reached every state of its target orbit: the diagonal and, per
     sector state, count[b] for each other entry, b its target orbit."""
-    ptr, _, orbit, _ = hamiltonian._orbit_rows(spec, sector.group)
-    reach = np.add.reduceat(sector.count[orbit], ptr[:-1])  # diagonal included
+    size, end, _, orbit, _ = hamiltonian._sector_order(spec, sector.group, sector.rows)
+    # each block o * rows + t repeats orbit o's row, diagonal included
+    reach = np.add.reduceat(sector.count[orbit], end - size)[::sector.rows]
     return int(np.sum(reach[sector.orbit] - sector.count[sector.orbit] + 1))
 
 
@@ -255,10 +256,9 @@ def test_representatives_are_orbit_minima():
 @pytest.mark.parametrize("bc, L", with_open(range(3, 9), range(1, 9)))
 @pytest.mark.parametrize("twoSz", (0, 2))
 def test_symmetric_path_matches_full_sector_path(monkeypatch, bc, L, twoSz):
-    # a short open ladder measures the blocks and pairs it has
+    # a short open ladder measures the blocks it has
     blocks = tuple(b for b in BLOCKS if b.l <= L)
-    pairs = sweep.PAIR_KINDS if L > 1 else ("rung",)
-    cfg = SweepConfig(L=L, thetas_over_pi=GRID, bc=bc, twoSz=twoSz, blocks=blocks, pairs=pairs)
+    cfg = SweepConfig(L=L, thetas_over_pi=GRID, bc=bc, twoSz=twoSz, blocks=blocks)
     sym, full = both_paths(monkeypatch, cfg)
     missed = {i for i, t in enumerate(GRID) if (bc, L, twoSz, t) in LANCZOS_MISSES}
     for i, (a, b) in enumerate(zip(sym, full)):
@@ -366,7 +366,7 @@ def test_representative_rows_live_with_their_group(monkeypatch):
     sectors = symmetry_sectors(build_sector(spec.N, 0))
     group = weakref.ref(sectors[0].group)
     tables = [LadderTables(spec, sector) for sector in sectors]
-    _, kind, orbit, _ = hamiltonian._orbit_rows(spec, sectors[0].group)
+    _, _, kind, orbit, _ = hamiltonian._sector_order(spec, sectors[0].group, 1)
     assert (kind.dtype, orbit.dtype) == (np.uint16, np.int32)
     assert passes == 1 and len(tables) > 1
     del kind, orbit

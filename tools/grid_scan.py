@@ -47,7 +47,6 @@ def main(argv=None) -> int:
         run_sweep(SweepConfig(
             L=L, bc=bc, twoSz=twoSz, thetas_over_pi=THETAS,
             blocks=(BlockSpec("D", min(3, L)),),
-            pairs=("rung",) if L == 1 else ("rung", "leg", "diag"),
             out=os.path.join(args.out, name),
         ))
         print(name, flush=True)
