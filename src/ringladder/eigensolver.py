@@ -1,10 +1,12 @@
 """Lowest eigenpairs of the matrix-free Hamiltonian.
 
-Krylov iteration (implicitly restarted Lanczos, to machine precision) on a
-LinearOperator wrapper, with a deterministic seeded start vector, one
-residual contract (RESIDUAL_RTOL) checked on every returned pair and a
-dense brute-force oracle for small sectors; a loose pass of the same
-iteration gives a cheap lower bound on a sector's lowest level.
+Exact solves run ARPACK's implicitly restarted Lanczos to machine precision
+on a LinearOperator wrapper, from a deterministic seeded start vector, under
+one residual contract (RESIDUAL_RTOL) checked on every returned pair; a
+dense brute-force oracle serves small sectors.  A loose pass of a plain
+three-term Lanczos recurrence from the same start vector, tested where
+ARPACK would test it, gives a cheap bound that lies within its residual of
+an eigenvalue of a sector, taken to be the lowest.
 """
 
 from __future__ import annotations
@@ -26,6 +28,18 @@ DENSE_ORACLE_MAX_DIM = 4096
 # BLAS kernels, and four sweep workers on two cores then took 11.1 s over
 # the 41-point L = 8 grid with the bound at 250, against 4.4 s at 64
 DENSE_MAX_DIM = 64
+
+# Lanczos vectors of an exact solve up to k = 5, and the step of the loose
+# pass's first convergence check.  With a single sparse product per matvec,
+# ARPACK's reorthogonalisation against the ncv vectors weighs as much as the
+# matvec, so the space is kept small: at L = 10, ncv = 40 needed 13 % fewer
+# matvecs than ncv = 24 but took 5-9 % longer
+NCV = 24
+
+# the loose pass gives up, and bounds nothing, after this many steps: over
+# 11,200 periodic L = 8 passes (theta/pi -1..0.98 step 0.02, seeds 0-3) and
+# 640 at L = 10 (-1..0.9 step 0.1) the longest took 72
+RITZ_MAX_STEPS = 5 * NCV
 
 # relative tolerance of ritz_bound's loose pass: at L = 10 it takes about
 # a third of the matvecs of a k = 1 solve to machine precision, and the
@@ -82,18 +96,10 @@ def _materialize(mv, dim: int) -> np.ndarray:
     return H
 
 
-def _lanczos(mv, dim: int, k: int, seed: int, tol: float):
-    """ARPACK's k lowest pairs of the operator mv, from a seeded start vector."""
+def _start_vector(dim: int, seed: int) -> np.ndarray:
+    """The unit start vector of every Lanczos run on a dim-state operator."""
     v0 = np.random.default_rng(seed).uniform(-1.0, 1.0, dim)
-    op = scipy.sparse.linalg.LinearOperator((dim, dim), matvec=mv, dtype=np.float64)
-    # with a single sparse product per matvec, ARPACK's reorthogonalisation
-    # against the ncv Lanczos vectors weighs as much as the matvec, so the
-    # space is kept small: at L = 10, ncv = 40 needed 13 % fewer matvecs
-    # than ncv = 24 but took 5-9 % longer
-    ncv = min(dim, max(24, 4 * k + 2))
-    return scipy.sparse.linalg.eigsh(
-        op, k=k, which="SA", v0=v0 / np.linalg.norm(v0), ncv=ncv, tol=tol
-    )
+    return v0 / np.linalg.norm(v0)
 
 
 def lowest_eigenpairs(applyH, dim: int, k: int = 2, seed: int = 0,
@@ -126,8 +132,13 @@ def lowest_eigenpairs(applyH, dim: int, k: int = 2, seed: int = 0,
             H = matrix.toarray() if scipy.sparse.issparse(matrix) else np.asarray(matrix)
         energies, vectors = scipy.linalg.eigh(H, subset_by_index=[0, k - 1])
     else:
+        op = scipy.sparse.linalg.LinearOperator((dim, dim), matvec=counted,
+                                                dtype=np.float64)
         try:
-            energies, vectors = _lanczos(counted, dim, k, seed, tol=0)
+            energies, vectors = scipy.sparse.linalg.eigsh(
+                op, k=k, which="SA", v0=_start_vector(dim, seed),
+                ncv=min(dim, max(NCV, 4 * k + 2)), tol=0,
+            )
         except scipy.sparse.linalg.ArpackNoConvergence as exc:
             got = len(exc.eigenvalues)
             best = np.inf
@@ -168,33 +179,63 @@ def lowest_eigenpairs(applyH, dim: int, k: int = 2, seed: int = 0,
 
 
 def ritz_bound(applyH, dim: int, seed: int = 0) -> tuple[float, int]:
-    """theta - ||H v - theta v|| for the Ritz pair (theta, v) of one loose
-    k = 1 Lanczos pass at tol SCREEN_TOL, and the matvecs it took, the
-    residual's included.
+    """theta - ||H x - theta x|| for the lowest Ritz pair (theta, x) of one
+    loose Lanczos pass, and the matvecs it took, the residual's included.
 
-    Some eigenvalue lies within ||H v - theta v|| of theta, so the bound
-    lies at or below *an* eigenvalue; that this is the lowest one rests, as
-    for lowest_eigenpairs, on the Krylov space of one seeded start vector.
-    With two close low levels that eigenvalue can be the second: at
-    periodic L = 8, twoSz = 0, theta = 0.12 pi the 392-state sector
-    k1 Q-1 Z+1 has levels -7.41232773 and -7.41194654, and the bound at
-    seed 1 is -7.41224656, above the lowest.  The start vector and ncv are
-    those of lowest_eigenpairs at k = 1; a pass that does not converge
-    bounds nothing and gives -inf.
+    The pass is a three-term Lanczos recurrence, without reorthogonalisation,
+    from the start vector of lowest_eigenpairs.  It keeps its Lanczos
+    vectors, in blocks of NCV // 2, only to form x.  It tests ARPACK's
+    criterion beta_m |s_m| <= SCREEN_TOL max(eps^(2/3), |theta|), s the
+    lowest eigenvector of the m-step tridiagonal matrix, where a k = 1
+    ARPACK pass with ncv = NCV tests it: after min(NCV, dim) steps, then
+    every NCV // 2.  At each test its Krylov space K_m(H, v0) holds the
+    space of ARPACK's restarted pass after the same matvecs, and the first
+    test sees ARPACK's first cycle.  It stops as converged when beta is 0,
+    and after RITZ_MAX_STEPS steps it bounds nothing and gives -inf.
+
+    x is normalized, so some eigenvalue lies within ||H x - theta x|| of
+    theta whatever orthogonality the recurrence has lost: the bound lies at
+    or below *an* eigenvalue.  That this is the lowest one rests, as for
+    lowest_eigenpairs, on the Krylov space of one seeded start vector.  With
+    two close low levels that eigenvalue can be the second: at periodic
+    L = 8, twoSz = 0, theta = 0.12 pi the 392-state sector k1 Q-1 Z+1 has
+    levels -7.41232773 and -7.41194654, and the bound at seed 1 lies
+    between them.
     """
-    matvecs = 0
-
-    def counted(v):
-        nonlocal matvecs
+    eps23 = np.finfo(np.float64).eps ** (2 / 3)
+    rows = NCV // 2
+    blocks, alpha, beta = [], [], []
+    v, prev = _start_vector(dim, seed), None
+    check, matvecs = min(NCV, dim), 0
+    for step in range(RITZ_MAX_STEPS):
+        if step % rows == 0:
+            blocks.append(np.empty((rows, dim)))
+        blocks[-1][step % rows] = v
+        Hv = applyH(v)
         matvecs += 1
-        return applyH(v)
-
-    try:
-        (theta,), v = _lanczos(counted, dim, 1, seed, tol=SCREEN_TOL)
-    except scipy.sparse.linalg.ArpackNoConvergence:
+        # v's Rayleigh quotient, over the v v that rounding leaves off 1, so
+        # that H v = 2 v gives alpha = 2 and beta = 0 exactly
+        alpha.append(float(v @ Hv) / float(v @ v))
+        w = Hv - alpha[-1] * v
+        if prev is not None:
+            w -= beta[-1] * prev
+        beta.append(float(np.linalg.norm(w)))
+        if beta[-1] == 0 or step + 1 == check:
+            (theta,), s = scipy.linalg.eigh_tridiagonal(
+                alpha, beta[:-1], select="i", select_range=(0, 0))
+            if beta[-1] * abs(s[-1, 0]) <= SCREEN_TOL * max(eps23, abs(theta)):
+                break
+            check += rows
+        prev, v = v, w / beta[-1]
+    else:
         return -np.inf, matvecs
-    v = v[:, 0]
-    return float(theta - np.linalg.norm(counted(v) - theta * v)), matvecs
+    x = np.zeros(dim)
+    for b, block in enumerate(blocks):
+        part = s[b * rows:(b + 1) * rows, 0]
+        x += block[:len(part)].T @ part
+    x /= np.linalg.norm(x)
+    matvecs += 1
+    return float(theta - np.linalg.norm(applyH(x) - theta * x)), matvecs
 
 
 def dense_oracle(applyH, dim: int) -> np.ndarray:

@@ -171,7 +171,8 @@ class SweepRecord:
     pass (bounded), how many were left unsolved by the bound of that pass or
     by the chord of their bounds at the nearest solved points on each side
     (screened; a sector of at most DENSE_MAX_DIM states is never bounded,
-    and screened only by a chord), the total matvecs, loose passes
+    and screened only by a chord), the total matvecs and, of those, the
+    matvecs of the loose passes (loose_matvecs), their residual checks
     included, the largest residual of the exact solves, the ground
     multiplicity g, the seconds spent solving and measuring, the number of
     block layouts built for the point (layouts; 0 after a sweep chunk's
@@ -221,8 +222,9 @@ class _Ground:
     basis of the ground manifold over the Sz sector, <T> of its equal
     mixture, the number of sectors, the positions of those left unsolved,
     the number of loose passes, the matvecs of every loose pass and exact
-    solve, the largest residual of the exact solves, a lower bound on each
-    sector's lowest level and the entries stored in the sectors' tables."""
+    solve and those of the loose passes alone, the largest residual of the
+    exact solves, a lower bound on each sector's lowest level and the
+    entries stored in the sectors' tables."""
 
     E0: float
     gap: float
@@ -232,6 +234,7 @@ class _Ground:
     screened: list[int]
     bounded: int
     matvecs: int
+    loose_matvecs: int
     residual_max: float
     lower: list[float]
     table_nnz: int
@@ -251,15 +254,17 @@ def _solve(basis, sector_tables, couplings, cfg: SweepConfig, floor=None) -> _Gr
     ground_band(E0) above E0, the lowest one.  Until the lowest bound of the
     sectors not yet solved lies strictly above U, the first sector holding
     it is given its loose pass if it is bounded and has had none, its bound
-    becoming the larger of its floor and the ritz_bound of one loose Lanczos
-    pass, and is solved for its min(2, dim) lowest levels otherwise.  With
-    every floor at -inf this runs every loose pass and solves in ascending
-    bound order.  U is at or above E_g, the first level above the band, so
-    the sectors left out hold neither a ground state nor E_g.  Like the
-    solve, a loose pass comes from the Krylov space of one seeded start
-    vector: its bound lies within its residual of *an* eigenvalue, taken to
-    be the lowest, and with two close low levels it can lie above the
-    lowest.
+    becoming the larger of its floor and the ritz_bound of one loose
+    three-term Lanczos pass, and is solved for its min(2, dim) lowest levels
+    otherwise.  With every floor at -inf this runs every loose pass and
+    solves in ascending bound order.  U is at or above E_g, the first level
+    above the band, so the sectors left out hold neither a ground state nor
+    E_g.  A loose pass starts from the solve's seeded start vector, and each
+    of its convergence tests sees a Krylov space that holds the space of a
+    restarted ARPACK pass after the same matvecs: its bound lies within its
+    residual of *an* eigenvalue, taken to be the lowest, and with two close
+    low levels, or a start that barely overlaps the lowest eigenvector, it
+    can lie above the lowest.
 
     A solved sector whose returned levels all lie in the ground band is
     widened by doubling k until a level above the band is returned or the
@@ -281,13 +286,13 @@ def _solve(basis, sector_tables, couplings, cfg: SweepConfig, floor=None) -> _Gr
     dims = [tables.basis.dim for tables in sector_tables]
     to_bound = {i for i, dim in enumerate(dims) if len(dims) > 1 and dim > DENSE_MAX_DIM}
     lower = [-np.inf] * len(dims) if floor is None else [float(f) for f in floor]
-    matvecs, residual_max = 0, 0.0
+    matvecs, loose_matvecs, residual_max = 0, 0, 0.0
 
     def loose(i):
-        nonlocal matvecs
+        nonlocal loose_matvecs
         action = HamiltonianAction(sector_tables[i], couplings)
         bound, n = ritz_bound(action.matvec, action.dim, cfg.seed)
-        matvecs += n
+        loose_matvecs += n
         return bound
 
     def exact(i, k):
@@ -337,7 +342,8 @@ def _solve(basis, sector_tables, couplings, cfg: SweepConfig, floor=None) -> _Gr
     states = [StateVector(basis, sector.expand(v, row)) for sector, v, row in held]
     gap = min(above) - E0 if above else float("nan")
     return _Ground(E0, gap, states, T / len(states), len(dims),
-                   sorted(i for _, i in pending), bounded, matvecs, residual_max, lower,
+                   sorted(i for _, i in pending), bounded, matvecs + loose_matvecs,
+                   loose_matvecs, residual_max, lower,
                    sum(len(tables.indices) for tables in sector_tables))
 
 
@@ -444,6 +450,7 @@ def _measure(spec, solve, cfg: SweepConfig, t_over_pi: float, layouts) -> SweepR
         "bounded": ground.bounded,
         "screened": len(ground.screened),
         "matvecs": ground.matvecs,
+        "loose_matvecs": ground.loose_matvecs,
         "residual_max": ground.residual_max,
         "g": len(states),
         "layouts": built,

@@ -264,11 +264,11 @@ def test_diagnostics_count_every_solve_and_leave_the_csv_alone(monkeypatch, bc, 
         mine = solves[done:]
         d = rec.diagnostics
         assert set(d) == {
-            "sectors", "bounded", "screened", "matvecs", "residual_max", "g", "layouts",
-            "table_nnz", "solve_s", "measure_s", "peak_rss_mb",
+            "sectors", "bounded", "screened", "matvecs", "loose_matvecs", "residual_max",
+            "g", "layouts", "table_nnz", "solve_s", "measure_s", "peak_rss_mb",
         }
         assert d["sectors"] == sectors and len(mine) >= sectors
-        assert d["bounded"] == d["screened"] == 0  # every sector is dense
+        assert d["bounded"] == d["screened"] == d["loose_matvecs"] == 0  # every sector is dense
         assert d["matvecs"] == sum(res.matvecs for res in mine)
         assert d["residual_max"] == max(float(res.residuals.max()) for res in mine)
         assert d["g"] == 1 and not rec.degenerate
@@ -290,7 +290,8 @@ def test_diagnostics_count_every_solve_and_leave_the_csv_alone(monkeypatch, bc, 
 def test_screened_sectors_count_every_matvec(monkeypatch):
     # at periodic L = 8 most sectors are settled by their Ritz bound; the
     # matvecs of those loose passes count, as a wrapper on the action sees
-    # them, but their 1e-3 residuals stay out of residual_max
+    # them, and on their own as loose_matvecs, but their 1e-3 residuals stay
+    # out of residual_max
     calls = 0
     matvec = HamiltonianAction.matvec
 
@@ -306,6 +307,7 @@ def test_screened_sectors_count_every_matvec(monkeypatch):
         d = rec.diagnostics
         assert 0 < d["screened"] < d["sectors"]
         assert d["matvecs"] == calls - done
+        assert 0 < d["loose_matvecs"] < d["matvecs"]
         assert d["residual_max"] < 1e-10
 
 

@@ -336,3 +336,42 @@ def test_grid_scan_writes_one_sweep_csv_per_ladder(tmp_path, capsys):
     # the one-rung ladder has the rung pair alone
     with open(tmp_path / "open_L1_twoSz0.csv", newline="") as fh:
         assert all(row[4:6] == ["", ""] for row in list(csv.reader(fh))[1:])
+
+
+SCREEN_REPLAY = SCRIPT.parent / "screen_replay.py"
+
+
+def test_screen_replay_counts_overshoots_and_wrong_screens(monkeypatch, capsys):
+    # no sector of a ladder this small holds more than DENSE_MAX_DIM states,
+    # so the threshold is lowered: at periodic L = 5 the 14-state sectors
+    # (and up) are bounded, and their passes see the whole Krylov space
+    spec = importlib.util.spec_from_file_location("screen_replay", SCREEN_REPLAY)
+    tool = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(tool)
+    eigensolver = tool.eigensolver
+    monkeypatch.setattr(eigensolver, "DENSE_MAX_DIM", 12)
+    big = sum(s.dim > 12 for s in symmetry_sectors(build_sector(10, 0)))
+    assert big > 0
+    assert tool.main(["--rungs", "5", "--seeds", "0", "3", "--theta-step", "0.25"]) == 0
+    header, *lines = capsys.readouterr().out.splitlines()
+    assert header.split()[:3] == ["seed", "points", "overshoots"]
+    assert [line.split()[:5] for line in lines] == [
+        [seed, str(8 * big), "0", "0.000e+00", "-"] for seed in ("0", "3")
+    ]
+
+    def lowest(applyH, dim):
+        return float(np.linalg.eigvalsh(np.column_stack([applyH(e) for e in np.eye(dim)]))[0])
+
+    # bounds 1e-11 above each lowest level all overshoot, by that much, and
+    # 1e-13 above none; bounds far above every level screen the sector of E0
+    # wrongly at every theta
+    for shift, over in ((1e-11, 8 * big), (1e-13, 0)):
+        monkeypatch.setattr(eigensolver, "ritz_bound",
+                            lambda applyH, dim, seed: (lowest(applyH, dim) + shift, 1))
+        (rec,) = tool.replay(5, [0], 0.25)
+        assert (rec["points"], rec["overshoots"], rec["matvecs"]) == (8 * big, over, 8 * big)
+        assert rec["worst"] == (pytest.approx(1e-11, rel=1e-3) if over else 0.0)
+    monkeypatch.setattr(eigensolver, "DENSE_MAX_DIM", 0)
+    monkeypatch.setattr(eigensolver, "ritz_bound", lambda applyH, dim, seed: (np.inf, 1))
+    (rec,) = tool.replay(5, [0], 0.25)
+    assert rec["wrong"] >= 8 and rec["margin"] <= 0
