@@ -104,6 +104,8 @@ class SectorBasis:
         rank = np.empty(flat.size, dtype=np.int64)
         lo_rank, off = _lin_tables(self.N, self.n_up)[:2]
         b = self.N // 2
+        # one slice's high and then low halves, and the low halves' ranks
+        scratch = np.empty(min(flat.size, RANK_BLOCK), dtype=np.int64)
         for at in range(0, flat.size, RANK_BLOCK):
             part = flat[at:at + RANK_BLOCK]
             # checked before the lookup, which would read a negative high
@@ -117,8 +119,11 @@ class SectorBasis:
                     f"N = {self.N}, twoSz = {self.twoSz} sector"
                 )
             out = rank[at:at + RANK_BLOCK]
-            np.take(off, part >> b, out=out, mode="clip")  # checked above: no buffer
-            out += lo_rank[part & ((1 << b) - 1)]
+            half = scratch[:len(part)]
+            # checked above, so mode="clip" clips nothing and needs no buffer
+            np.take(off, np.right_shift(part, b, out=half), out=out, mode="clip")
+            np.bitwise_and(part, (1 << b) - 1, out=half)
+            out += np.take(lo_rank, half, out=half, mode="clip")
         return rank.reshape(configs.shape)
 
     def index(self, config: int) -> int:
@@ -215,12 +220,14 @@ def _reflect(masks: np.ndarray, L: int, bc: str) -> np.ndarray:
 class LadderOrbits:
     """Orbits of one fixed-Sz sector of the L-rung ladder under its group G.
 
-    Each orbit's representative is its smallest mask.  For every sector
-    state x, orbit_of[x] is the index of its orbit in reps and element_of[x]
-    the (first) group element e with e(x) = reps[orbit_of[x]]; both come
-    from a running minimum over the images of all states under one group
-    element at a time, so the memory stays O(dim).  fix_orbit and fix_element
-    list the non-identity stabilizers of the representatives.  Element e is
+    Each orbit's representative is its smallest mask: a mask that no element
+    maps below itself.  The representatives are found by filtering every
+    state against one element at a time, translations first, so the
+    candidates shrink at every step.  The orbits then fan out from them: for
+    every sector state x = g(reps[o]), orbit_of[x] is o (int32) and
+    element_of[x] the smallest group element e with e(x) = reps[o], which
+    is g^-1 for one of the g that reach x.  fix_orbit and fix_element list
+    the non-identity stabilizers of the representatives.  Element e is
     Z^z[e] Q^q[e] T^r[e] R^p[e]; cosets lists the (p, q, z) of the n
     translations each, n = L on a periodic ladder (bc) and 1 on an open one.
     """
@@ -238,38 +245,49 @@ class LadderOrbits:
         e = np.arange(self.order)
         self.r = e % n
         self.p, self.q, self.z = (np.array([c[i] for c in self.cosets])[e // n] for i in range(3))
+        # an element with p = 1 is an involution; T^r's inverse is T^-r
+        inverse = np.where(self.p == 1, e, e - self.r + (-self.r) % n)
 
-        states = basis.states
-        # N <= 32, so the images are formed in uint32, half the memory traffic
-        rep = states.astype(np.uint32)
-        self.element_of = np.zeros(basis.dim, dtype=np.uint8)
-        for e, image in self._images(rep.copy()):
-            better = image < rep
-            np.copyto(rep, image, where=better)
-            self.element_of[better] = e
-        self.reps = states[rep == states]
-        self.orbit_of = np.searchsorted(self.reps, rep)
-        del rep
-        fixed = [(np.flatnonzero(image == self.reps), e) for e, image in self._images(self.reps)]
-        self.fix_orbit = np.concatenate([f for f, _ in fixed])
-        self.fix_element = np.concatenate([np.full(len(f), e) for f, e in fixed])
+        # N <= 32, so the images are formed in uint32, half the memory
+        # traffic.  Element c * n + r is the translation r after the coset
+        # element c * n; after the translations about one candidate in n is
+        # left
+        reps = basis.states.astype(np.uint32)
+        for c in range(len(self.cosets)):
+            y = self._act(reps, c * n)
+            for r in range(c == 0, n):
+                keep = self._act(y, r) >= reps
+                reps, y = reps[keep], y[keep]
+        self.reps = reps.astype(np.int64)
+        self.orbit_of = np.empty(basis.dim, dtype=np.int32)
+        self.element_of = np.empty(basis.dim, dtype=np.uint8)
+        orbits = np.arange(len(reps), dtype=np.int32)
+        fixed = [None] * self.order
+        # descending e = g^-1, g in e's coset: the smallest e with
+        # e(x) = rep is written last
+        for c in reversed(range(len(self.cosets))):
+            y = self._act(reps, c * n)
+            for e in reversed(range(c * n, (c + 1) * n)):
+                image = self._act(y, inverse[e] % n)
+                at = basis.rank_many(image)
+                self.orbit_of[at] = orbits
+                self.element_of[at] = e
+                fixed[e] = np.flatnonzero(image == reps)  # g fixes a mask when e does
+        self.fix_orbit = np.concatenate(fixed[1:])
+        self.fix_element = np.repeat(np.arange(1, self.order), [len(f) for f in fixed[1:]])
 
-    def _images(self, masks):
-        """(e, e(masks)) for every non-identity element e."""
-        N, n = self.basis.N, self.n
+    def _act(self, masks: np.ndarray, e: int) -> np.ndarray:
+        """e(masks), in the masks' dtype."""
+        N = self.basis.N
         full = (1 << N) - 1
-        legs = int("01" * (N // 2), 2)
-        reflected = _reflect(masks, N // 2, self.bc)
-        for c, (p, q, z) in enumerate(self.cosets):
-            y = reflected if p else masks
-            if q:
-                y = ((y & legs) << 1) | ((y >> 1) & legs)
-            if z:
-                y = y ^ full
-            for r in range(n):
-                if c == 0 and r == 0:
-                    continue
-                yield c * n + r, ((y << (2 * r)) | (y >> (N - 2 * r))) & full if r else y
+        y = _reflect(masks, N // 2, self.bc) if self.p[e] else masks
+        if self.q[e]:
+            legs = int("01" * (N // 2), 2)
+            y = ((y & legs) << 1) | ((y >> 1) & legs)
+        if self.z[e]:
+            y = y ^ full
+        r = int(self.r[e])
+        return ((y << (2 * r)) | (y >> (N - 2 * r))) & full if r else y
 
     def irreps(self) -> list[Irrep]:
         """Every real irrep of G, by momentum, parity, leg and flip."""

@@ -1,3 +1,4 @@
+import tracemalloc
 from itertools import combinations
 from math import comb
 
@@ -5,6 +6,7 @@ import numpy as np
 import pytest
 
 from ringladder import build_sector, symmetry_sectors
+from ringladder.basis import RANK_BLOCK
 
 
 def test_small_sector_dimensions():
@@ -84,6 +86,21 @@ def test_rank_every_state_top_half(twoSz):
     basis = build_sector(32, twoSz)
     assert basis.dim == comb(32, 2)
     assert np.array_equal(basis.rank_many(basis.states), np.arange(basis.dim))
+
+
+def test_rank_over_many_slices_holds_one_slice_of_scratch():
+    # the ranks, 8 bytes per mask, and one slice's int64 halves beside its
+    # 2 bytes of membership check; the last slice is a partial one
+    basis = build_sector(20, 0)
+    masks = np.random.default_rng(3).permutation(basis.states)[:3 * RANK_BLOCK + 5]
+    tracemalloc.start()
+    try:
+        rank = basis.rank_many(masks)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert np.array_equal(rank, np.searchsorted(basis.states, masks))
+    assert peak <= 8 * len(masks) + 12 * RANK_BLOCK
 
 
 def test_out_of_range_bits_rejected():

@@ -232,25 +232,55 @@ def test_expanded_manifold_is_orthonormal_and_ground(L, twoSz, theta, g):
         assert np.linalg.norm(H.matvec(psi.amps) - ground.E0 * psi.amps) <= 1e-10
 
 
-def test_representatives_are_orbit_minima():
-    # a representative is the smallest mask of its orbit, reached from every
-    # state by its recorded element; no |G| x dim table is kept.  The open
-    # four-rung ladder's group has no translation
-    basis = build_sector(8, 0)
-    for bc, order in (("periodic", 8 * 4), ("open", 8)):
-        orbits = LadderOrbits(basis, bc)
-        assert orbits.order == order
-        for name in ("orbit_of", "element_of"):
-            assert getattr(orbits, name).shape == (basis.dim,)
-        reps = orbits.reps[orbits.orbit_of]
-        assert np.all(reps <= basis.states)
-        images = dict(orbits._images(basis.states))
-        images[0] = basis.states
-        assert len(images) == order
-        moved = np.array([images[e][i] for i, e in enumerate(orbits.element_of)])
-        assert np.array_equal(moved, reps)
-        for e, image in images.items():
-            assert np.all(orbits.reps[orbits.orbit_of] <= image)
+def group_images(spec: LadderSpec, twoSz: int, masks: np.ndarray) -> np.ndarray:
+    """images[e] = e(masks) for every element e = ((z * 2 + q) * 2 + p) * n + r
+    of the ladder's group, each built from its definition as Z^z Q^q T^r R^p:
+    R moves rung j to rung -j mod L (periodic) or L + 1 - j (open), T moves
+    rung j to rung j + 1 mod L, Q swaps the legs and Z flips every spin.
+    Each site permutation is applied bit by bit."""
+    L, N = spec.L, spec.N
+    n = L if spec.bc == "periodic" else 1
+
+    def reflect(j):
+        return (1 - j) % L + 1 if spec.bc == "periodic" else L + 1 - j
+
+    images = []
+    for z in (0, 1) if twoSz == 0 else (0,):
+        for q in (0, 1):
+            for p in (0, 1):
+                for r in range(n):
+                    image = np.zeros_like(masks)
+                    for leg in (1, 2):
+                        for rung in range(1, L + 1):
+                            j = reflect(rung) if p else rung
+                            j = (j - 1 + r) % L + 1
+                            to = spec.site(3 - leg if q else leg, j)
+                            image |= ((masks >> spec.site(leg, rung)) & 1) << to
+                    images.append(image ^ ((1 << N) - 1) if z else image)
+    return np.array(images)
+
+
+def test_orbits_match_the_group_built_from_its_definition():
+    # the representatives are the orbit minima, each state records its orbit
+    # and the smallest element taking it there, and the stabilizer pairs
+    # come in (element, orbit) order
+    for bc, Ls in (("periodic", range(3, 8)), ("open", range(1, 8))):
+        for L in Ls:
+            for twoSz in (0, 2):
+                spec = LadderSpec(L=L, bc=bc)
+                basis = build_sector(spec.N, twoSz)
+                orbits = LadderOrbits(basis, bc)
+                images = group_images(spec, twoSz, basis.states)
+                assert orbits.order == len(images)
+                least = images.min(axis=0)
+                assert np.array_equal(orbits.reps, np.unique(least))
+                assert orbits.orbit_of.dtype == np.int32
+                assert np.array_equal(orbits.reps[orbits.orbit_of], least)
+                assert np.array_equal(orbits.element_of, np.argmax(images == least, axis=0))
+                at = np.searchsorted(basis.states, orbits.reps)
+                element, orbit = np.nonzero(images[1:, at] == orbits.reps)
+                assert np.array_equal(orbits.fix_element, element + 1)
+                assert np.array_equal(orbits.fix_orbit, orbit)
 
 
 @pytest.mark.parametrize("bc, L", with_open(range(3, 9), range(1, 9)))

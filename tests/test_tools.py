@@ -15,6 +15,7 @@ import pytest
 
 from ringladder import (BlockSpec, LadderSpec, LadderTables, SweepConfig, build_sector,
                         run_sweep, symmetry_sectors, write_csv)
+from ringladder.basis import LadderOrbits
 
 SCRIPT = Path(__file__).resolve().parents[1] / "tools" / "bench_file.py"
 
@@ -213,7 +214,8 @@ def test_table_digest_is_stable_and_sees_one_code():
     geometries = [("periodic", 3), ("periodic", 4), ("open", 4), ("open", 7)]
     n = sum(1 + len(symmetry_sectors(build_sector(2 * L, twoSz), bc))
             for bc, L in geometries for twoSz in (0, 2))
-    assert len(lines) == n + 1
+    # and one orbits line per group
+    assert len(lines) == n + 2 * len(geometries) + 1
     assert lines[-1].startswith(f"total {n} tables ")
 
     spec = importlib.util.spec_from_file_location("table_digest", TABLE_DIGEST)
@@ -221,7 +223,12 @@ def test_table_digest_is_stable_and_sees_one_code():
     spec.loader.exec_module(tool)
     tables = LadderTables(LadderSpec(L=3), build_sector(6, 0))
     line = f"periodic L=3 twoSz=0 [plain] dim=20 nnz={len(tables.indices)} "
-    assert f"{line}{tool.digest(tables)} {tool.action_digest(tables)}" in lines
+    at = lines.index(f"{line}{tool.digest(tables)} {tool.action_digest(tables)}")
+    # the group's orbits follow its plain table; orbit_of is digested as int32
+    group = LadderOrbits(build_sector(6, 0))
+    assert lines[at + 1] == f"periodic L=3 twoSz=0 orbits=3 {tool.orbit_digest(group)}"
+    group.orbit_of = group.orbit_of.astype(np.int64)
+    assert tool.orbit_digest(group) not in runs[0].stdout
     # a stored zero, one more off-diagonal entry in row 0 whose pair has
     # factor 0, is seen by the table digest but not by the action digest
     padded = copy.copy(tables)
@@ -299,8 +306,8 @@ def test_pass_memory_reports_every_pass():
     assert proc.returncode == 0, proc.stderr
     (line,) = proc.stdout.splitlines()
     record = json.loads(line)
-    assert list(record) == ["dim", "build_sector", "rdm_pair", "rdm_block",
-                            "expectation_T", "expand", "sector_tables", "tables_kept"]
+    assert list(record) == ["dim", "build_sector", "rdm_pair", "rdm_block", "expectation_T",
+                            "symmetry_sectors", "expand", "sector_tables", "tables_kept"]
     assert record["dim"] == 924
     assert all(record[k] > 0 for k in record)
     # the build's peak holds what it keeps

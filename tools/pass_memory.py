@@ -16,6 +16,7 @@ sector:
 - rdm_block: a one-off reduced_density_matrix of sites 0 .. l - 1, with
   l = min(N / 2, 14);
 - expectation_T: <T> of the state;
+- symmetry_sectors: the group's orbits and its symmetry sectors;
 - expand: the largest symmetry sector's expand of one vector;
 - sector_tables: building the LadderTables of every symmetry sector, as a
   sweep chunk does, the group's representative rows included;
@@ -66,7 +67,8 @@ def main(argv=None) -> int:
     block = tuple(range(min(N // 2, 14)))
     peaks["rdm_block"] = peak(lambda: reduced_density_matrix(psi, block))
     peaks["expectation_T"] = peak(lambda: expectation_T(psi))
-    sectors = symmetry_sectors(basis)
+    sectors = []
+    peaks["symmetry_sectors"] = peak(lambda: sectors.extend(symmetry_sectors(basis)))
     sector = max(sectors, key=lambda s: s.dim)
     v = rng.standard_normal(sector.dim)
     v /= np.linalg.norm(v)
