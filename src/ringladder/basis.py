@@ -251,9 +251,10 @@ class LadderOrbits:
         # N <= 32, so the images are formed in uint32, half the memory
         # traffic.  Element c * n + r is the translation r after the coset
         # element c * n; after the translations about one candidate in n is
-        # left
+        # left.  The cosets without the reflection come first, whose images
+        # are cheaper: on an open ladder, n = 1, they take the first cut
         reps = basis.states.astype(np.uint32)
-        for c in range(len(self.cosets)):
+        for c in sorted(range(len(self.cosets)), key=lambda c: self.cosets[c][0]):
             y = self._act(reps, c * n)
             for r in range(c == 0, n):
                 keep = self._act(y, r) >= reps
@@ -320,8 +321,9 @@ class LadderOrbits:
         np.add.at(proj, self.fix_orbit, D[:, :, self.fix_element].transpose(2, 0, 1))
         proj /= stab[:, None, None]
         rank = np.rint(np.trace(proj, axis1=1, axis2=2)).astype(np.int64)
-        orbit = np.repeat(np.arange(n_orbits), rank)
-        first = np.cumsum(rank) - rank
+        # int32 indices, like orbit_of: a sector has fewer than 2^31 states
+        orbit = np.repeat(np.arange(n_orbits, dtype=np.int32), rank)
+        first = (np.cumsum(rank) - rank).astype(np.int32)
         vecs = np.zeros((d, len(orbit)))
         full = first[rank == d]
         for t in range(d):

@@ -6,7 +6,9 @@ one residual contract (RESIDUAL_RTOL) checked on every returned pair; a
 dense brute-force oracle serves small sectors.  A loose pass of a plain
 three-term Lanczos recurrence from the same start vector, tested where
 ARPACK would test it, gives a cheap bound that lies within its residual of
-an eigenvalue of a sector, taken to be the lowest.
+an eigenvalue of a sector, taken to be the lowest.  Each of its steps is
+one matvec and a few in-place BLAS level-1 calls (ddot, daxpy, dnrm2), and
+each test takes the lowest Ritz pair from LAPACK's dstebz and dstein.
 """
 
 from __future__ import annotations
@@ -16,6 +18,8 @@ from dataclasses import dataclass
 import numpy as np
 import scipy.linalg
 import scipy.sparse.linalg
+from scipy.linalg.blas import daxpy, ddot, dnrm2
+from scipy.linalg.lapack import dstebz, dstein
 
 __all__ = ["EigenResult", "EigensolverError", "lowest_eigenpairs", "dense_oracle"]
 
@@ -178,20 +182,41 @@ def lowest_eigenpairs(applyH, dim: int, k: int = 2, seed: int = 0,
     )
 
 
+def _lowest_tridiagonal(d: np.ndarray, e: np.ndarray) -> tuple[float, np.ndarray]:
+    """The lowest eigenpair of the tridiagonal matrix with diagonal d and
+    off-diagonal e, as eigh_tridiagonal(d, e, select="i",
+    select_range=(0, 0)) gives it, from the dstebz and dstein it calls,
+    without its input checks."""
+    if len(d) == 1:
+        return float(d[0]), np.ones(1)
+    # range 2: by index, il = iu = 1; tolerance 0; block order, for dstein
+    m, w, iblock, isplit, info = dstebz(d, e, 2, 0.0, 1.0, 1, 1, 0.0, "B")
+    if info == 0:
+        z, info = dstein(d, e, w[:m], iblock, isplit)
+    if info:
+        raise np.linalg.LinAlgError(f"dstebz/dstein failed with info = {info}")
+    return float(w[0]), z[:, 0]
+
+
 def ritz_bound(applyH, dim: int, seed: int = 0) -> tuple[float, int]:
     """theta - ||H x - theta x|| for the lowest Ritz pair (theta, x) of one
     loose Lanczos pass, and the matvecs it took, the residual's included.
 
     The pass is a three-term Lanczos recurrence, without reorthogonalisation,
     from the start vector of lowest_eigenpairs.  It keeps its Lanczos
-    vectors, in blocks of NCV // 2, only to form x.  It tests ARPACK's
-    criterion beta_m |s_m| <= SCREEN_TOL max(eps^(2/3), |theta|), s the
-    lowest eigenvector of the m-step tridiagonal matrix, where a k = 1
-    ARPACK pass with ncv = NCV tests it: after min(NCV, dim) steps, then
-    every NCV // 2.  At each test its Krylov space K_m(H, v0) holds the
-    space of ARPACK's restarted pass after the same matvecs, and the first
-    test sees ARPACK's first cycle.  It stops as converged when beta is 0,
-    and after RITZ_MAX_STEPS steps it bounds nothing and gives -inf.
+    vectors, in blocks of NCV // 2, only to form x.  A step makes one
+    matvec w = applyH(v), which it then updates in place, so applyH must
+    return a new array: alpha = v.w / v.v, w -= alpha v + beta_prev v_prev
+    (daxpy), beta = ||w|| (dnrm2), and the next v = w / beta is written
+    straight into its row of the block.  It tests ARPACK's criterion
+    beta_m |s_m| <= SCREEN_TOL max(eps^(2/3), |theta|), s the lowest
+    eigenvector of the m-step tridiagonal matrix from LAPACK's dstebz and
+    dstein, where a k = 1 ARPACK pass with ncv = NCV tests it: after
+    min(NCV, dim) steps, then every NCV // 2.  At each test its Krylov space
+    K_m(H, v0) holds the space of ARPACK's restarted pass after the same
+    matvecs, and the first test sees ARPACK's first cycle.  It stops as
+    converged when beta is 0, and after RITZ_MAX_STEPS steps it bounds
+    nothing and gives -inf.
 
     x is normalized, so some eigenvalue lies within ||H x - theta x|| of
     theta whatever orthogonality the recurrence has lost: the bound lies at
@@ -203,39 +228,39 @@ def ritz_bound(applyH, dim: int, seed: int = 0) -> tuple[float, int]:
     between them.
     """
     eps23 = np.finfo(np.float64).eps ** (2 / 3)
-    rows = NCV // 2
-    blocks, alpha, beta = [], [], []
-    v, prev = _start_vector(dim, seed), None
-    check, matvecs = min(NCV, dim), 0
-    for step in range(RITZ_MAX_STEPS):
-        if step % rows == 0:
-            blocks.append(np.empty((rows, dim)))
-        blocks[-1][step % rows] = v
-        Hv = applyH(v)
-        matvecs += 1
+    rows, steps = NCV // 2, RITZ_MAX_STEPS
+    blocks = [np.empty((rows, dim))]
+    blocks[0][0] = _start_vector(dim, seed)
+    alpha, beta = np.empty(steps), np.empty(steps)
+    check, prev = min(NCV, dim), None
+    for step in range(steps):
+        v = blocks[-1][step % rows]
+        w = applyH(v)
         # v's Rayleigh quotient, over the v v that rounding leaves off 1, so
         # that H v = 2 v gives alpha = 2 and beta = 0 exactly
-        alpha.append(float(v @ Hv) / float(v @ v))
-        w = Hv - alpha[-1] * v
+        alpha[step] = ddot(v, w) / ddot(v, v)
+        w = daxpy(v, w, a=-alpha[step])
         if prev is not None:
-            w -= beta[-1] * prev
-        beta.append(float(np.linalg.norm(w)))
-        if beta[-1] == 0 or step + 1 == check:
-            (theta,), s = scipy.linalg.eigh_tridiagonal(
-                alpha, beta[:-1], select="i", select_range=(0, 0))
-            if beta[-1] * abs(s[-1, 0]) <= SCREEN_TOL * max(eps23, abs(theta)):
+            w = daxpy(prev, w, a=-beta[step - 1])
+        beta[step] = dnrm2(w)
+        m = step + 1
+        if beta[step] == 0 or m == check:
+            theta, s = _lowest_tridiagonal(alpha[:m], beta[:step])
+            if beta[step] * abs(s[-1]) <= SCREEN_TOL * max(eps23, abs(theta)):
                 break
             check += rows
-        prev, v = v, w / beta[-1]
-    else:
-        return -np.inf, matvecs
+        if m == steps:
+            return -np.inf, steps
+        if m % rows == 0:
+            blocks.append(np.empty((rows, dim)))
+        prev = v
+        np.divide(w, beta[step], out=blocks[-1][m % rows])
     x = np.zeros(dim)
     for b, block in enumerate(blocks):
-        part = s[b * rows:(b + 1) * rows, 0]
+        part = s[b * rows:(b + 1) * rows]
         x += block[:len(part)].T @ part
     x /= np.linalg.norm(x)
-    matvecs += 1
-    return float(theta - np.linalg.norm(applyH(x) - theta * x)), matvecs
+    return float(theta - np.linalg.norm(applyH(x) - theta * x)), m + 1
 
 
 def dense_oracle(applyH, dim: int) -> np.ndarray:

@@ -23,6 +23,7 @@ from dataclasses import dataclass
 
 import numpy as np
 import scipy.sparse
+from scipy.sparse._sparsetools import csr_matvec
 
 from .basis import LadderOrbits, SectorBasis, SymmetrySector
 from .lattice import Couplings, LadderSpec, Plaquette, enumerate_terms
@@ -368,7 +369,7 @@ def _sector_order(spec: LadderSpec, group: LadderOrbits, rows: int):
         kind = code.astype(np.uint16)
         kind *= group.order
         kind += group.element_of[at]
-        orbit = group.orbit_of[at].astype(np.int32)
+        orbit = group.orbit_of[at]
         del at, code
         orders = _group_orders[group] = {}
         for d in {irrep.dim for irrep in group.irreps()}:
@@ -407,7 +408,15 @@ class HamiltonianAction:
         return self.tables.basis.dim
 
     def matvec(self, v: np.ndarray) -> np.ndarray:
-        return self.H @ np.asarray(v, dtype=np.float64)
+        # H @ v without scipy's operator dispatch, which costs about as much
+        # as the product in a sector of a few hundred states: the same
+        # csr_matvec into the same zeroed output, so the same bits
+        H, v = self.H, np.asarray(v, dtype=np.float64)
+        if v.shape != H.shape[1:]:
+            raise ValueError(f"matvec needs {H.shape[1]} amplitudes, got shape {v.shape}")
+        out = np.zeros(H.shape[0])
+        csr_matvec(*H.shape, H.indptr, H.indices, H.data, v, out)
+        return out
 
 
 def apply_ring_decomposed(plaquettes, basis: SectorBasis, v: StateVector) -> StateVector:

@@ -306,3 +306,54 @@ def test_ritz_bound_stops_at_a_breakdown():
     # H = 2 I leaves the Krylov space of any start after one step: beta is 0,
     # and the Ritz pair (2, v0) is exact
     assert ritz_bound(lambda v: 2 * v, 100, seed=4) == (2.0, 2)
+
+
+def _ritz_bound_oracle(applyH, dim, seed):
+    # the loose pass as plain numpy: the same recurrence, checkpoints and
+    # criterion as ritz_bound, with numpy temporaries for every vector, all
+    # Lanczos vectors kept and eigh_tridiagonal at each test
+    v0 = np.random.default_rng(seed).uniform(-1.0, 1.0, dim)
+    vs, alpha, beta = [v0 / np.linalg.norm(v0)], [], []
+    rows, check = eigensolver.NCV // 2, min(eigensolver.NCV, dim)
+    for step in range(eigensolver.RITZ_MAX_STEPS):
+        v = vs[-1]
+        Hv = applyH(v)
+        alpha.append(float(v @ Hv) / float(v @ v))
+        w = Hv - alpha[-1] * v
+        if step:
+            w -= beta[-1] * vs[-2]
+        beta.append(float(np.linalg.norm(w)))
+        if beta[-1] == 0 or step + 1 == check:
+            (theta,), s = scipy.linalg.eigh_tridiagonal(
+                alpha, beta[:-1], select="i", select_range=(0, 0))
+            if beta[-1] * abs(s[-1, 0]) <= eigensolver.SCREEN_TOL * max(
+                    np.finfo(float).eps ** (2 / 3), abs(theta)):
+                x = np.array(vs).T @ s[:, 0]
+                x /= np.linalg.norm(x)
+                return float(theta - np.linalg.norm(applyH(x) - theta * x)), step + 2
+            check += rows
+        vs.append(w / beta[-1])
+    return -np.inf, eigensolver.RITZ_MAX_STEPS
+
+
+def test_ritz_bound_matches_a_plain_numpy_recurrence():
+    # every bounded sector of periodic L = 6-8 and open L = 7-8: the same
+    # matvecs, and bounds that differ only by the rounding of BLAS's axpy
+    # and norm against numpy's temporaries
+    passes = 0
+    for L, bc in ((6, "periodic"), (7, "periodic"), (8, "periodic"), (7, "open"), (8, "open")):
+        spec = LadderSpec(L=L, bc=bc)
+        tables = [LadderTables(spec, s)
+                  for s in symmetry_sectors(build_sector(spec.N, 0), bc)
+                  if s.dim > eigensolver.DENSE_MAX_DIM]
+        for theta_over_pi in (-0.5, 0.15, 0.5):
+            couplings = couplings_from_theta(theta_over_pi * math.pi)
+            for t in tables:
+                act = HamiltonianAction(t, couplings)
+                for seed in (0, 1):
+                    bound, matvecs = ritz_bound(act.matvec, act.dim, seed)
+                    want, want_matvecs = _ritz_bound_oracle(act.matvec, act.dim, seed)
+                    assert matvecs == want_matvecs
+                    assert abs(bound - want) <= 1e-12 * max(1.0, abs(want))
+                    passes += 1
+    assert passes == 360

@@ -93,6 +93,12 @@ def test_hermiticity_random_vectors():
         lhs = u @ act.matvec(v)
         rhs = act.matvec(u) @ v
         assert abs(lhs - rhs) <= 1e-12 * max(abs(lhs), abs(rhs), 1.0)
+        # the direct kernel call gives scipy's own H @ v, bit for bit, and
+        # refuses a vector of the wrong length before reading it
+        assert np.array_equal(act.matvec(v), act.H @ v)
+    for bad in (np.ones(basis.dim - 1), np.ones((basis.dim, 1))):
+        with pytest.raises(ValueError, match="amplitudes"):
+            act.matvec(bad)
 
 
 def test_basis_spec_mismatch_rejected():

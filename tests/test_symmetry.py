@@ -133,6 +133,10 @@ def test_sector_dimensions_add_up_to_the_sz_sector(bc, L, twoSz):
     basis = build_sector(2 * L, twoSz)
     sectors = symmetry_sectors(basis, bc)
     assert sum(s.irrep.dim * s.dim for s in sectors) == comb(2 * L, L + twoSz // 2)
+    # orbit and first index states as int32, like the group's orbit_of;
+    # count stays int64, so a sum over it stays wide
+    assert {(s.orbit.dtype.name, s.first.dtype.name, s.count.dtype.name)
+            for s in sectors} == {("int32", "int32", "int64")}
     # one per real irrep: D_10 has four one- and four two-dimensional ones,
     # each with both leg and both inversion parities; the open group's eight
     # are one-dimensional

@@ -362,9 +362,13 @@ def test_screen_replay_counts_overshoots_and_wrong_screens(monkeypatch, capsys):
     assert tool.main(["--rungs", "5", "--seeds", "0", "3", "--theta-step", "0.25"]) == 0
     header, *lines = capsys.readouterr().out.splitlines()
     assert header.split()[:3] == ["seed", "points", "overshoots"]
+    assert header.split()[-2:] == ["pass_s", "matvec_s"]
     assert [line.split()[:5] for line in lines] == [
         [seed, str(8 * big), "0", "0.000e+00", "-"] for seed in ("0", "3")
     ]
+    for line in lines:
+        pass_s, matvec_s = map(float, line.split()[-2:])
+        assert pass_s >= matvec_s > 0
 
     def lowest(applyH, dim):
         return float(np.linalg.eigvalsh(np.column_stack([applyH(e) for e in np.eye(dim)]))[0])
@@ -378,7 +382,10 @@ def test_screen_replay_counts_overshoots_and_wrong_screens(monkeypatch, capsys):
         (rec,) = tool.replay(5, [0], 0.25)
         assert (rec["points"], rec["overshoots"], rec["matvecs"]) == (8 * big, over, 8 * big)
         assert rec["worst"] == (pytest.approx(1e-11, rel=1e-3) if over else 0.0)
+        # the fake pass's time is its dense solve, whose matvecs are timed
+        assert rec["pass_s"] >= rec["matvec_s"] > 0
     monkeypatch.setattr(eigensolver, "DENSE_MAX_DIM", 0)
     monkeypatch.setattr(eigensolver, "ritz_bound", lambda applyH, dim, seed: (np.inf, 1))
     (rec,) = tool.replay(5, [0], 0.25)
     assert rec["wrong"] >= 8 and rec["margin"] <= 0
+    assert rec["pass_s"] > 0 and rec["matvec_s"] == 0.0

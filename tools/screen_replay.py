@@ -20,7 +20,11 @@ E0 among the dense levels of all sectors.  One line per seed gives:
   below U;
 - the margin, the smallest lowest level - U of the sectors whose bound
   lies above U;
-- the matvecs of the passes.
+- the matvecs of the passes;
+- pass_s, the seconds spent inside ritz_bound, and matvec_s, the seconds
+  spent inside the applyH calls it makes, so pass_s - matvec_s is the
+  pass's own cost above its matvecs (each timed call adds a clock read
+  or two to pass_s).
 
 The dense levels take a few minutes at L = 8; L = 9 is out of reach.
 """
@@ -30,6 +34,7 @@ from __future__ import annotations
 import argparse
 import math
 import sys
+import time
 
 import numpy as np
 import scipy.linalg
@@ -47,7 +52,8 @@ def replay(L: int, seeds, step: float) -> list[dict]:
     tables = [LadderTables(spec, s) for s in sectors]
     bounded = [i for i, t in enumerate(tables) if t.basis.dim > eigensolver.DENSE_MAX_DIM]
     stats = [{"seed": seed, "points": 0, "overshoots": 0, "worst": 0.0, "worst_at": None,
-              "wrong": 0, "margin": math.inf, "matvecs": 0} for seed in seeds]
+              "wrong": 0, "margin": math.inf, "matvecs": 0, "pass_s": 0.0, "matvec_s": 0.0}
+             for seed in seeds]
     for t in theta_grid(-1.0, 1.0 - step, step):
         actions = [HamiltonianAction(x, couplings_from_theta(t * math.pi)) for x in tables]
         levels = [scipy.linalg.eigvalsh(a.H.toarray()) for a in actions]
@@ -57,8 +63,16 @@ def replay(L: int, seeds, step: float) -> list[dict]:
         for i in bounded:
             lowest = float(levels[i][0])
             for rec in stats:
-                bound, matvecs = eigensolver.ritz_bound(actions[i].matvec, actions[i].dim,
-                                                        rec["seed"])
+
+                def timed(v, matvec=actions[i].matvec, rec=rec):
+                    start = time.perf_counter()
+                    w = matvec(v)
+                    rec["matvec_s"] += time.perf_counter() - start
+                    return w
+
+                start = time.perf_counter()
+                bound, matvecs = eigensolver.ritz_bound(timed, actions[i].dim, rec["seed"])
+                rec["pass_s"] += time.perf_counter() - start
                 rec["points"] += 1
                 rec["matvecs"] += matvecs
                 if bound - lowest > OVERSHOOT_TOL:
@@ -79,11 +93,12 @@ def main(argv=None) -> int:
     ap.add_argument("--theta-step", type=float, default=0.02,
                     help="grid step in units of pi (default 0.02)")
     args = ap.parse_args(argv)
-    print("seed  points  overshoots  worst     worst_at                 wrong  margin     matvecs")
+    print("seed  points  overshoots  worst     worst_at                 wrong  margin     matvecs  pass_s   matvec_s")
     for rec in replay(args.rungs, args.seeds, args.theta_step):
         where = "-" if rec["worst_at"] is None else f"{rec['worst_at'][0]:+.2f} {rec['worst_at'][1]}"
         print(f"{rec['seed']:4d} {rec['points']:7d} {rec['overshoots']:11d}  {rec['worst']:.3e}"
-              f"  {where:23s} {rec['wrong']:6d}  {rec['margin']:.3e}  {rec['matvecs']:8d}",
+              f"  {where:23s} {rec['wrong']:6d}  {rec['margin']:.3e}  {rec['matvecs']:8d}"
+              f"  {rec['pass_s']:7.3f}  {rec['matvec_s']:7.3f}",
               flush=True)
     return 0
 
