@@ -47,6 +47,7 @@ from .lattice import (
 )
 from .sweep import (
     BlockSpec,
+    LadderSolver,
     SweepConfig,
     SweepRecord,
     block_sites,
@@ -97,6 +98,7 @@ __all__ = [
     "fm_entropy_asymptotic",
     "fm_pair_concurrence",
     "BlockSpec",
+    "LadderSolver",
     "SweepConfig",
     "SweepRecord",
     "block_sites",

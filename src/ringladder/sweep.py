@@ -6,11 +6,13 @@ the symmetry sectors of the ladder's group, expanded back to the Sz
 basis), then extracts pair concurrences, the two-site rung entropy and its
 central-difference theta derivative, block entropies for requested block
 geometries, and the total rung correlator <T>, read in the solved sectors
-through their own H at (Jl, Jr, K) = (0, 1, 0).  The rung, leg and diag
-pairs are anchored at rung r: (leg 1, rung r) with (leg 2, rung r), (leg 1,
-rung r + 1) and (leg 2, rung r + 1), where r = 1 on periodic ladders and the
-middle rung ceil(L/2) on open ones, so both boundaries measure bulk pairs.  A
-one-rung open ladder has only the rung pair, which is then the whole system.
+through their own H at (Jl, Jr, K) = (0, 1, 0).  LadderSolver gives the
+record of one point at any theta; run_sweep is its client over a grid.  The
+rung, leg and diag pairs are anchored at rung r: (leg 1, rung r) with (leg 2,
+rung r), (leg 1, rung r + 1) and (leg 2, rung r + 1), where r = 1 on periodic
+ladders and the middle rung ceil(L/2) on open ones, so both boundaries
+measure bulk pairs.  A one-rung open ladder has only the rung pair, which is
+then the whole system.
 
 A ground state of multiplicity g > 1 is measured as the equal mixture of
 its manifold, rho = (1/g) sum_i |psi_i><psi_i|, which does not depend on
@@ -53,6 +55,7 @@ from .lattice import Couplings, LadderSpec, check_integer, couplings_from_theta
 
 __all__ = [
     "BlockSpec",
+    "LadderSolver",
     "SweepConfig",
     "SweepRecord",
     "block_sites",
@@ -216,34 +219,12 @@ def _manifold_rdm(states, layout: BlockLayout) -> DensityMatrix:
     return first
 
 
-@dataclass
-class _Ground:
-    """E0, the gap to the first level above the ground band, an orthonormal
-    basis of the ground manifold over the Sz sector, <T> of its equal
-    mixture, the number of sectors, the positions of those left unsolved,
-    the number of loose passes, the matvecs of every loose pass and exact
-    solve and those of the loose passes alone, the largest residual of the
-    exact solves, a lower bound on each sector's lowest level and the
-    entries stored in the sectors' tables."""
-
-    E0: float
-    gap: float
-    states: list[StateVector]
-    T_expect: float
-    sectors: int
-    screened: list[int]
-    bounded: int
-    matvecs: int
-    loose_matvecs: int
-    residual_max: float
-    lower: list[float]
-    table_nnz: int
-
-
-def _solve(basis, sector_tables, couplings, cfg: SweepConfig, floor=None) -> _Ground:
-    """E0, the gap and the ground manifold of the Sz sector basis, from the
-    sectors that split it: the symmetry sectors of the ladder's group, or,
-    as the tests' whole-sector reference, basis alone.
+def _solve(basis, sector_tables, couplings, seed: int, floor=None):
+    """E0, the gap, an orthonormal basis of the ground manifold over the Sz
+    sector basis, <T> of its equal mixture, a lower bound on each sector's
+    lowest level and the solve's SweepRecord.diagnostics, from the sectors that
+    split basis: the symmetry sectors of the ladder's group, or, as the
+    tests' whole-sector reference, basis alone.
 
     Every sector's bound starts at its floor, a known lower bound on its
     lowest level (floor None: -inf for every sector).  A sector is bounded
@@ -286,40 +267,41 @@ def _solve(basis, sector_tables, couplings, cfg: SweepConfig, floor=None) -> _Gr
     dims = [tables.basis.dim for tables in sector_tables]
     to_bound = {i for i, dim in enumerate(dims) if len(dims) > 1 and dim > DENSE_MAX_DIM}
     lower = [-np.inf] * len(dims) if floor is None else [float(f) for f in floor]
-    matvecs, loose_matvecs, residual_max = 0, 0, 0.0
+    counts = {"sectors": len(dims), "bounded": 0, "screened": 0, "matvecs": 0,
+              "loose_matvecs": 0, "residual_max": 0.0,
+              "table_nnz": sum(len(tables.indices) for tables in sector_tables)}
 
     def loose(i):
-        nonlocal loose_matvecs
         action = HamiltonianAction(sector_tables[i], couplings)
-        bound, n = ritz_bound(action.matvec, action.dim, cfg.seed)
-        loose_matvecs += n
+        bound, n = ritz_bound(action.matvec, action.dim, seed)
+        counts["matvecs"] += n
+        counts["loose_matvecs"] += n
         return bound
 
     def exact(i, k):
-        nonlocal matvecs, residual_max
         action = HamiltonianAction(sector_tables[i], couplings)
         res = lowest_eigenpairs(action.matvec, action.dim, k=min(k, action.dim),
-                                seed=cfg.seed, matrix=action.H)
-        matvecs += res.matvecs
-        residual_max = max(residual_max, float(np.max(res.residuals)))
+                                seed=seed, matrix=action.H)
+        counts["matvecs"] += res.matvecs
+        counts["residual_max"] = max(counts["residual_max"], float(np.max(res.residuals)))
         return res
 
     pending = [(bound, i) for i, bound in enumerate(lower)]  # lowest bound first
     heapq.heapify(pending)
     found, upper = {}, np.inf
-    bounded = 0
     while pending and pending[0][0] <= upper:
         _, i = heapq.heappop(pending)
         if i in to_bound:
             to_bound.remove(i)
             lower[i] = max(lower[i], loose(i))
             heapq.heappush(pending, (lower[i], i))
-            bounded += 1
+            counts["bounded"] += 1
             continue
         found[i] = exact(i, 2)
         levels = np.concatenate([res.energies for res in found.values()])
         upper = levels[levels - levels.min() >= ground_band(levels.min())].min(initial=np.inf)
     found = dict(sorted(found.items()))  # sector order, as when every sector is solved
+    counts["screened"] = len(pending)
 
     E0 = min(res.energies[0] for res in found.values())
     band = ground_band(E0)
@@ -341,10 +323,7 @@ def _solve(basis, sector_tables, couplings, cfg: SweepConfig, floor=None) -> _Gr
         lower[i] = E - float(res.residuals[0]) - ground_band(E)
     states = [StateVector(basis, sector.expand(v, row)) for sector, v, row in held]
     gap = min(above) - E0 if above else float("nan")
-    return _Ground(E0, gap, states, T / len(states), len(dims),
-                   sorted(i for _, i in pending), bounded, matvecs + loose_matvecs,
-                   loose_matvecs, residual_max, lower,
-                   sum(len(tables.indices) for tables in sector_tables))
+    return E0, gap, states, T / len(states), lower, counts
 
 
 def _chord(theta, left, right) -> np.ndarray:
@@ -379,104 +358,88 @@ def _bisection(n: int) -> list[int]:
     return order
 
 
-def _solver(spec, basis):
-    """solve(theta, cfg), theta in radians: _solve over the symmetry sectors
-    of the ladder's group, tables built once for a sweep chunk.  It keeps
-    the (theta, lower bounds) of every theta solved, sorted by theta, and
-    starts a new theta from the chord of the nearest solved theta on each
-    side (-inf with a side empty, or at a theta solved before), so it serves
-    any order of theta."""
-    tables = [LadderTables(spec, s) for s in symmetry_sectors(basis, spec.bc)]
-    solved = []
+class LadderSolver:
+    """Records of one ladder's Sz sector at any theta, in any order: the Sz
+    basis of config's L, bc and twoSz, one LadderTables per symmetry sector,
+    built once, and in bounds the (theta, lower bounds) of every theta
+    solved, sorted by theta.  A new theta starts from the chord of the
+    nearest solved theta on each side (-inf with a side empty, or at a theta
+    solved before), so a grid in bisection order and a root-finder that
+    places theta freely skip most loose passes.  Of config it reads L, bc,
+    twoSz, seed and blocks."""
 
-    def solve(theta, cfg):
-        i = bisect.bisect_left(solved, theta, key=lambda point: point[0])
-        floor = _chord(theta, solved[i - 1], solved[i]) if 0 < i < len(solved) else None
-        ground = _solve(basis, tables, couplings_from_theta(theta), cfg, floor)
-        solved.insert(i, (theta, ground.lower))
-        return ground
+    def __init__(self, config: SweepConfig):
+        self.config, self.spec = config, LadderSpec(L=config.L, bc=config.bc)
+        self.basis = build_sector(self.spec.N, config.twoSz)
+        self.tables = [LadderTables(self.spec, s) for s in symmetry_sectors(self.basis, config.bc)]
+        self.bounds = []
 
-    return solve
-
-
-def _measure(spec, solve, cfg: SweepConfig, t_over_pi: float, layouts) -> SweepRecord:
-    """The record of one grid point, solved by solve: the concurrence of
-    every pair the ladder has (the rung pair alone when L = 1), the rung
-    entropy and the entropy of each of cfg's blocks.  layouts maps the
-    sites of each block measured before to its BlockLayout; a block not in
-    it gets one built and added, so a chunk builds each layout once.  With
-    layouts None a layout lives for its one block's RDM only, so a lone
-    point holds one layout at a time."""
-    start = time.perf_counter()
-    ground = solve(t_over_pi * math.pi, cfg)
-    solved = time.perf_counter()
-    states = ground.states
-    built = 0
-
-    def rdm(sites) -> DensityMatrix:
-        nonlocal built
-        kept = {} if layouts is None else layouts
-        sites = tuple(sites)
-        if sites not in kept:
-            kept[sites], built = BlockLayout(states[0].basis, sites), built + 1
-        return _manifold_rdm(states, kept[sites])
-
-    r = 1 if spec.bc == "periodic" else math.ceil(spec.L / 2)
-    rho_rung = rdm((spec.site(1, r), spec.site(2, r)))
-    conc = {"rung": concurrence(rho_rung), "leg": None, "diag": None}
-    if spec.L > 1:  # the leg and diag pairs end at (leg 1 and 2, rung r + 1)
-        for name, leg in (("leg", 1), ("diag", 2)):
-            conc[name] = concurrence(rdm((spec.site(1, r), spec.site(leg, r + 1))))
-
-    ev = {
-        b.label: von_neumann_entropy(rdm(block_sites(b.family, b.l, spec)))
-        for b in cfg.blocks
-    }
-    rec = SweepRecord(
-        thetaOverPi=t_over_pi,
-        E0=ground.E0,
-        gap=ground.gap,
-        C_rung=conc["rung"],
-        C_leg=conc["leg"],
-        C_diag=conc["diag"],
-        E_rung2site=von_neumann_entropy(rho_rung),
-        dEr_dtheta=None,
-        Ev=ev,
-        T_expect=ground.T_expect,
-        degenerate=len(states) > 1,
-    )
-    rec.diagnostics = {
-        "sectors": ground.sectors,
-        "bounded": ground.bounded,
-        "screened": len(ground.screened),
-        "matvecs": ground.matvecs,
-        "loose_matvecs": ground.loose_matvecs,
-        "residual_max": ground.residual_max,
-        "g": len(states),
-        "layouts": built,
-        "table_nnz": ground.table_nnz,
-        "solve_s": solved - start,
-        "measure_s": time.perf_counter() - solved,
-        "peak_rss_mb": resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024.0,
-    }
-    return rec
-
-
-def _sweep_chunk(config: SweepConfig, thetas) -> list[SweepRecord]:
-    """Records of the given grid points from one _solver and (for more than
-    one point) one dict of block layouts, dropped with the chunk.  In
-    bisection order the nearest solved points around a midpoint are the ends
-    of its interval, whose chord floors it, so a dense grid skips most loose
-    passes."""
-    spec = LadderSpec(L=config.L, bc=config.bc)
-    basis = build_sector(spec.N, config.twoSz)
-    solve, layouts = _solver(spec, basis), ({} if len(thetas) > 1 else None)
-    records = {}
-    for i in _bisection(len(thetas)):
+    def point(self, theta_over_pi: float, layouts=None) -> SweepRecord:
+        """The record of one point: the concurrence of every pair the ladder
+        has (the rung pair alone when L = 1), the rung entropy and the
+        entropy of each of the config's blocks, with dEr_dtheta None.
+        layouts maps the sites of each block measured before to its
+        BlockLayout; a block not in it gets one built and added, so a chunk
+        builds each layout once.  With layouts None a layout lives for its
+        one block's RDM only, so a lone point holds one layout at a time."""
+        start, theta, spec = time.perf_counter(), theta_over_pi * math.pi, self.spec
+        i = bisect.bisect_left(self.bounds, theta, key=lambda b: b[0])
+        floor = _chord(theta, *self.bounds[i - 1:i + 1]) if 0 < i < len(self.bounds) else None
         try:
-            records[i] = _measure(spec, solve, config, thetas[i], layouts)
+            E0, gap, states, T, lower, diagnostics = _solve(
+                self.basis, self.tables, couplings_from_theta(theta), self.config.seed, floor)
         except Exception as exc:
-            raise RuntimeError(f"sweep failed at theta = {thetas[i]}*pi: {exc}") from exc
+            raise RuntimeError(f"sweep failed at theta = {theta_over_pi}*pi: {exc}") from exc
+        self.bounds.insert(i, (theta, lower))
+        solved, built = time.perf_counter(), 0
+
+        def rdm(sites) -> DensityMatrix:
+            nonlocal built
+            kept = {} if layouts is None else layouts
+            sites = tuple(sites)
+            if sites not in kept:
+                kept[sites], built = BlockLayout(self.basis, sites), built + 1
+            return _manifold_rdm(states, kept[sites])
+
+        r = 1 if spec.bc == "periodic" else math.ceil(spec.L / 2)
+        rho_rung = rdm((spec.site(1, r), spec.site(2, r)))
+        conc = {"rung": concurrence(rho_rung), "leg": None, "diag": None}
+        if spec.L > 1:  # the leg and diag pairs end at (leg 1 and 2, rung r + 1)
+            for name, leg in (("leg", 1), ("diag", 2)):
+                conc[name] = concurrence(rdm((spec.site(1, r), spec.site(leg, r + 1))))
+        ev = {
+            b.label: von_neumann_entropy(rdm(block_sites(b.family, b.l, spec)))
+            for b in self.config.blocks
+        }
+        rec = SweepRecord(
+            thetaOverPi=theta_over_pi,
+            E0=E0,
+            gap=gap,
+            C_rung=conc["rung"],
+            C_leg=conc["leg"],
+            C_diag=conc["diag"],
+            E_rung2site=von_neumann_entropy(rho_rung),
+            dEr_dtheta=None,
+            Ev=ev,
+            T_expect=T,
+            degenerate=len(states) > 1,
+        )
+        rec.diagnostics = diagnostics | {
+            "g": len(states),
+            "layouts": built,
+            "solve_s": solved - start,
+            "measure_s": time.perf_counter() - solved,
+            "peak_rss_mb": resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024.0,
+        }
+        return rec
+
+
+def _chunk(config: SweepConfig, thetas) -> list[SweepRecord]:
+    """Records of the given grid points from one LadderSolver in bisection
+    order, whose midpoints the chord of their interval's ends floors, with
+    (for more than one point) one dict of block layouts, dropped with it."""
+    solver, layouts = LadderSolver(config), ({} if len(thetas) > 1 else None)
+    records = {i: solver.point(thetas[i], layouts) for i in _bisection(len(thetas))}
     return [records[i] for i in range(len(thetas))]
 
 
@@ -490,18 +453,18 @@ def run_sweep(config: SweepConfig) -> list[SweepRecord]:
     thetas = config.thetas_over_pi
     n = min(config.workers, len(thetas))
     if n <= 1:
-        records = _sweep_chunk(config, thetas)
+        records = _chunk(config, thetas)
     else:
         chunks = [thetas[i * len(thetas) // n:(i + 1) * len(thetas) // n] for i in range(n)]
         with ProcessPoolExecutor(max_workers=n) as pool:
-            records = [r for part in pool.map(_sweep_chunk, [config] * n, chunks) for r in part]
+            records = [r for part in pool.map(_chunk, [config] * n, chunks) for r in part]
 
     for i in range(1, len(records) - 1):
         dtheta = (records[i + 1].thetaOverPi - records[i - 1].thetaOverPi) * math.pi
         if dtheta:
-            records[i].dEr_dtheta = (
+            records[i].dEr_dtheta = (  # + 0.0: a flat stretch gives 0, never -0
                 records[i + 1].E_rung2site - records[i - 1].E_rung2site
-            ) / dtheta
+            ) / dtheta + 0.0
 
     if config.out is not None:
         write_csv(records, config.blocks, config.out)

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 import scipy.linalg
 
-from conftest import geometry, solve
+from conftest import geometry, solve, traced_point
 from ringladder import (
     BlockSpec,
     Couplings,
@@ -269,8 +269,8 @@ def test_ritz_bound_overshoots_the_lowest_level_by_0_6(monkeypatch):
     assert bound == pytest.approx(-9.36678, abs=1e-5) and bound < first
 
     cfg = SweepConfig(L=7, thetas_over_pi=(-0.51,), blocks=(BlockSpec("D", 3),))
-    ground = sweep._solve(basis, tables, couplings, cfg)
-    assert i in ground.screened and ground.E0 == pytest.approx(-14.158, abs=5e-4)
+    rec, _, unsolved = traced_point(monkeypatch, sweep.LadderSolver(cfg), -0.51)
+    assert i in unsolved and rec.E0 == pytest.approx(-14.158, abs=5e-4)
     (screened,) = run_sweep(cfg)
     monkeypatch.setattr(sweep, "ritz_bound", lambda applyH, dim, seed: (-np.inf, 0))
     (solved,) = run_sweep(cfg)

@@ -14,7 +14,7 @@ import numpy as np
 import pytest
 import scipy.optimize
 
-from conftest import geometry, ground_state, solve
+from conftest import geometry, ground_state, solve, traced_point
 from ringladder import (
     BlockSpec,
     Couplings,
@@ -31,15 +31,19 @@ from ringladder import (
     expectation_T,
     find_extrema,
     find_zero_crossing,
+    fm_entropy,
+    fm_pair_concurrence,
     lowest_eigenpairs,
     reduced_density_matrix,
     run_sweep,
+    rung_entropy_from_z,
     sweep,
     symmetry_sectors,
     theta_grid,
     write_csv,
 )
 from ringladder.cli import main
+from ringladder.eigensolver import ground_band
 
 
 def crossing_bonds(spec, sites):
@@ -150,6 +154,60 @@ def test_derivative_is_empty_where_the_neighbours_share_theta(tmp_path):
     assert [r.dEr_dtheta is None for r in recs] == [True, False, True, True]
     rows = list(csv.reader(out.open()))
     assert [row[7] for row in rows[1:]] == ["", format(recs[1].dEr_dtheta, ".12g"), "", ""]
+
+
+def test_descending_grid_writes_the_ascending_rows_reversed():
+    # on the FM plateau the rung entropy is flat, so its central difference
+    # is an exact 0, which a descending grid divides by a negative dtheta:
+    # the cell must read 0 in both directions, never -0
+    blocks = (BlockSpec("D", 2),)
+    grid = theta_grid(-1.0, 0.9, 0.1)
+    rows = [
+        [sweep.record_row(r, blocks) for r in run_sweep(
+            SweepConfig(L=4, thetas_over_pi=thetas, blocks=blocks))]
+        for thetas in (grid, tuple(reversed(grid)))
+    ]
+    assert rows[0] == rows[1][::-1]
+    assert [row[7] for row in rows[0]].count("0") == 4
+
+
+def test_pair_measurements_match_their_closed_forms():
+    # an FM ground state is the Dicke member of the FM multiplet, whose pair
+    # concurrences and two-site entropy have closed forms; any other ground
+    # state of these ladders is an SU(2) singlet, whose rung RDM on a
+    # periodic ladder is fixed by z = <T>/(1.5 L) alone.  A point is
+    # classified by E0 against the FM multiplet's energy, and every periodic
+    # point must fall in one class.  An open ladder breaks translation, so
+    # only its FM points are checked.  Bisection order gives most points a
+    # chord, as in a sweep
+    grid = theta_grid(-1.0, 0.96, 0.04)
+    classes = collections.Counter()
+    for bc, Ls in (("periodic", (4, 6, 8)), ("open", (4, 6))):
+        for L in Ls:
+            solver, layouts = sweep.LadderSolver(SweepConfig(L=L, bc=bc, thetas_over_pi=())), {}
+            N = 2 * L
+            for t in (grid[i] for i in sweep._bisection(len(grid))):
+                rec = solver.point(t, layouts)
+                c, s = math.cos(t * math.pi), math.sin(t * math.pi)
+                if bc == "periodic":
+                    e_fm = L * (0.75 * c + 2 * s)
+                else:
+                    e_fm = (L / 4 + (L - 1) / 2) * c + 2 * (L - 1) * s
+                if abs(rec.E0 - e_fm) < ground_band(e_fm):
+                    got = [rec.C_rung, rec.C_leg, rec.C_diag, rec.E_rung2site]
+                    want = [fm_pair_concurrence(N)] * 3 + [fm_entropy(N, 2)]
+                    classes[bc, "fm"] += 1
+                elif bc == "periodic":
+                    z = rec.T_expect / (1.5 * L)
+                    got = [rec.E_rung2site, rec.C_rung]
+                    want = [rung_entropy_from_z(z), max(0.0, -0.5 - 3 * z)]
+                    classes[bc, "singlet"] += 1
+                else:
+                    continue
+                assert got == pytest.approx(want, abs=1e-12, rel=0), (bc, L, t)
+    assert classes["periodic", "fm"] + classes["periodic", "singlet"] == 3 * len(grid)
+    assert classes["periodic", "fm"] > 0 and classes["periodic", "singlet"] > 0
+    assert classes["open", "fm"] > 0
 
 
 def test_open_ladder_pairs_are_bulk():
@@ -447,8 +505,6 @@ def test_solver_chords_from_the_nearest_solved_points(monkeypatch):
     # in any order of theta, a point starts from the chord of the nearest
     # solved point on each side; the floors leave loose passes out and
     # change no level
-    spec = LadderSpec(L=7)
-    basis = build_sector(spec.N, 2)
     cfg = SweepConfig(L=7, thetas_over_pi=(0.1,), twoSz=2)
     chords = []
     chord = sweep._chord
@@ -458,13 +514,13 @@ def test_solver_chords_from_the_nearest_solved_points(monkeypatch):
         return chord(theta, left, right)
 
     monkeypatch.setattr(sweep, "_chord", recording)
-    solve = sweep._solver(spec, basis)
+    solver = sweep.LadderSolver(cfg)
     bounded = []
     for t in (0.1, 0.9, 0.5, 0.3, 0.7):
-        ground = solve(t * math.pi, cfg)
-        fresh = sweep._solver(spec, basis)(t * math.pi, cfg)  # solves nothing before
-        assert (ground.E0, ground.gap) == (fresh.E0, fresh.gap)
-        bounded.append((ground.bounded, fresh.bounded))
+        rec = solver.point(t)
+        fresh = sweep.LadderSolver(cfg).point(t)  # solves nothing before
+        assert (rec.E0, rec.gap) == (fresh.E0, fresh.gap)
+        bounded.append((rec.diagnostics["bounded"], fresh.diagnostics["bounded"]))
     assert chords == [(0.5, 0.1, 0.9), (0.3, 0.1, 0.5), (0.7, 0.5, 0.9)]
     assert bounded == [(10, 10)] * 3 + [(3, 10), (4, 10)]
 
@@ -475,17 +531,14 @@ def test_solver_memory_serves_a_root_finder(L):
     # of E_rung2site at theta_c = arctan(1/2), a maximum at L = 6 and a
     # minimum at L = 8; the solver's memory floors each iterate from those
     # before it, which takes fewer matvecs and moves no iterate
-    spec = LadderSpec(L=L)
-    basis = build_sector(spec.N, 0)
-    cfg = SweepConfig(L=L, thetas_over_pi=(0.15,))
+    cfg = SweepConfig(L=L, thetas_over_pi=())
     sign = -1 if L == 6 else 1
     found, matvecs, runs = [], [], []
     for memory in (True, False):
-        solve, layouts, records = sweep._solver(spec, basis), {}, []
+        solver, layouts, records = sweep.LadderSolver(cfg), {}, []
 
         def entropy(t):
-            rec = sweep._measure(spec, solve if memory else sweep._solver(spec, basis), cfg, t,
-                                 layouts if memory else {})
+            rec = solver.point(t, layouts) if memory else sweep.LadderSolver(cfg).point(t, {})
             records.append(rec)
             return sign * rec.E_rung2site
 
@@ -530,14 +583,13 @@ def test_lone_sector_starts_at_k_2():
     # it; dim 70 is above DENSE_MAX_DIM, so both solves below run Lanczos
     _, basis, tables = geometry(4, "open")
     couplings = couplings_from_theta(0.1 * math.pi)
-    cfg = SweepConfig(L=4, thetas_over_pi=(0.1,), bc="open")
-    ground = sweep._solve(basis, [tables], couplings, cfg)
+    E0, *_, counts = sweep._solve(basis, [tables], couplings, seed=0)
     action = HamiltonianAction(tables, couplings)
     direct = lowest_eigenpairs(action.matvec, basis.dim, k=2, matrix=action.H)
     assert basis.dim == 70 and direct.multiplicity == 1
-    assert ground.sectors == 1
-    assert ground.matvecs == direct.matvecs
-    assert ground.E0 == direct.energies[0]
+    assert counts["sectors"] == 1
+    assert counts["matvecs"] == direct.matvecs
+    assert E0 == direct.energies[0]
 
 
 @pytest.mark.parametrize("L, bc", [(6, "periodic"), (5, "open")])
@@ -554,15 +606,14 @@ def test_every_solve_asks_for_two_levels(monkeypatch, L, bc):
         return res
 
     monkeypatch.setattr(sweep, "lowest_eigenpairs", recording)
-    spec = LadderSpec(L, bc)
     cfg = SweepConfig(L=L, bc=bc, thetas_over_pi=(-0.3, 0.5, 0.1))
-    solve_at = sweep._solver(spec, build_sector(spec.N, 0))
+    solver = sweep.LadderSolver(cfg)
     for t in cfg.thetas_over_pi:  # one solver: 0.1 pi starts from the others' chord
         calls.clear()
-        ground = solve_at(t * math.pi, cfg)
-        assert len(ground.states) == 1
+        rec = solver.point(t)
+        assert rec.diagnostics["g"] == 1
         assert calls and all(k >= min(2, dim) for _, dim, k, _ in calls)
-        assert sum(E == ground.E0 for *_, E in calls) == 1
+        assert sum(E == rec.E0 for *_, E in calls) == 1
         assert len({id(tables) for tables, *_ in calls}) == len(calls)
 
 
@@ -630,38 +681,37 @@ def test_T_expect_is_read_in_the_solved_sectors(monkeypatch, L, bc, twoSz, t, g)
     basis = build_sector(spec.N, twoSz)
     cfg = SweepConfig(L=L, bc=bc, thetas_over_pi=(t,), twoSz=twoSz)
     whole = [sweep.LadderTables(spec, basis)]
-    ground = sweep._solver(spec, basis)(t * math.pi, cfg)
-    reference = sweep._solve(basis, whole, couplings_from_theta(t * math.pi), cfg)
-    for solved in (reference, ground):
-        oracle = [expectation_T(psi) for psi in solved.states]
-        assert solved.T_expect == pytest.approx(np.mean(oracle), abs=1e-12)
+    rec, states, _ = traced_point(monkeypatch, sweep.LadderSolver(cfg), t)
+    _, _, reference, T_reference, *_ = sweep._solve(
+        basis, whole, couplings_from_theta(t * math.pi), seed=0)
+    for T, manifold in ((T_reference, reference), (rec.T_expect, states)):
+        oracle = [expectation_T(psi) for psi in manifold]
+        assert T == pytest.approx(np.mean(oracle), abs=1e-12)
     assert len(oracle) == g
     if (L, twoSz) == (7, 2):  # T commutes with the group: each row has the mean
-        assert oracle == pytest.approx([ground.T_expect] * g, abs=1e-12)
+        assert oracle == pytest.approx([rec.T_expect] * g, abs=1e-12)
     if twoSz == spec.N:
-        assert ground.T_expect == pytest.approx(L / 4, abs=1e-12)
+        assert rec.T_expect == pytest.approx(L / 4, abs=1e-12)
 
     def forbidden(psi):
         raise AssertionError("the sweep measured <T> on an expanded state")
 
     monkeypatch.setattr(sweep, "expectation_T", forbidden)
-    (rec,) = run_sweep(cfg)
-    assert rec.T_expect == ground.T_expect
+    (swept,) = run_sweep(cfg)
+    assert swept.T_expect == rec.T_expect
 
 
 def test_solve_memory_stays_near_its_states():
     # one L = 9 point holds the values of one sector at a time, not those
     # of all 30 sectors (8.6 MB)
-    spec = LadderSpec(L=9)
-    basis = build_sector(spec.N, 0)
-    solve = sweep._solver(spec, basis)
+    solver = sweep.LadderSolver(SweepConfig(L=9, thetas_over_pi=(0.1,)))
     tracemalloc.start()
     try:
-        ground = solve(0.1 * math.pi, SweepConfig(L=9, thetas_over_pi=(0.1,)))
+        rec = solver.point(0.1)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert ground.screened
+    assert rec.diagnostics["screened"]
     assert peak < 4 * 2**20
 
 
@@ -767,10 +817,10 @@ def test_block_size_must_be_an_integer():
 
 
 def test_empty_out_is_refused_before_any_solve(monkeypatch, capsys):
-    def no_solver(spec, basis):
+    def no_solver(config):
         raise AssertionError("a solve ran")
 
-    monkeypatch.setattr(sweep, "_solver", no_solver)
+    monkeypatch.setattr(sweep, "LadderSolver", no_solver)
     with pytest.raises(ValueError, match="out must be a file in an existing directory, got ''"):
         run_sweep(SweepConfig(L=3, thetas_over_pi=(0.1,), out=""))
     with pytest.raises(SystemExit) as exc:

@@ -11,7 +11,7 @@ import numpy as np
 import pytest
 import scipy.linalg
 
-from conftest import geometry
+from conftest import geometry, traced_point
 from ringladder import (
     BlockSpec,
     HamiltonianAction,
@@ -33,28 +33,28 @@ from ringladder.eigensolver import DENSE_MAX_DIM, ground_band
 THETA_C_OVER_PI = math.atan(0.5) / math.pi
 GRID = (-0.5, 0.0, 0.1, THETA_C_OVER_PI, 0.5, 0.75, 1.0)  # 1.0: the FM point
 BLOCKS = (BlockSpec("A", 2), BlockSpec("C", 3), BlockSpec("D", 3))
-# Lanczos on the whole Sz sector, solved by _solve as its lone sector,
-# starts from one vector, so its Krylov space holds a single combination of
-# exactly degenerate states.  At these points it returns one state of a
-# two-dimensional irrep's ground pair (g = 1), which the dense spectrum of
-# the whole sector shows twice.  No production path solves the whole
-# sector, so these misses concern the reference alone.
+# Lanczos on the whole Sz sector, solved by _solve as its lone sector (the
+# symmetry sectors patched to the basis alone), starts from one vector, so
+# its Krylov space holds a single combination of exactly degenerate states.
+# At these points it returns one state of a two-dimensional irrep's ground
+# pair (g = 1), which the dense spectrum of the whole sector shows twice.
+# No production path solves the whole sector, so these misses concern the
+# reference alone.
 LANCZOS_MISSES = {("periodic", 5, 2, 0.75), ("periodic", 7, 2, 0.75)}
 
 
-def full_sector_solver(spec, basis):
+def whole_sector(basis, bc):
     # the whole-sector reference: the whole Sz sector as _solve's lone
     # sector, with no orbits, sector states or factors; a lone sector is
-    # always solved, so it needs no floor
-    tables = [LadderTables(spec, basis)]
-    return lambda theta, cfg: sweep._solve(basis, tables, couplings_from_theta(theta), cfg)
+    # never bounded and always solved
+    return [basis]
 
 
 def both_paths(monkeypatch, cfg):
     """Records of the symmetric path and of the whole-Sz-sector path."""
     sym = run_sweep(cfg)
     with monkeypatch.context() as m:
-        m.setattr(sweep, "_solver", full_sector_solver)
+        m.setattr(sweep, "symmetry_sectors", whole_sector)
         full = run_sweep(cfg)
     return sym, full
 
@@ -222,18 +222,19 @@ def test_partner_is_the_translated_state_less_its_projection():
 
 
 @pytest.mark.parametrize("L, twoSz, theta, g", [(3, 0, 0.1, 3), (5, 2, 0.0, 2), (6, 0, 0.1, 1)])
-def test_expanded_manifold_is_orthonormal_and_ground(L, twoSz, theta, g):
+def test_expanded_manifold_is_orthonormal_and_ground(monkeypatch, L, twoSz, theta, g):
+    # the states a point measures are an orthonormal basis of its ground
+    # manifold over the Sz sector
     spec = LadderSpec(L=L)
-    basis = build_sector(spec.N, twoSz)
-    couplings = couplings_from_theta(theta * math.pi)
-    solve = sweep._solver(spec, basis)
-    ground = solve(theta * math.pi, SweepConfig(L=L, thetas_over_pi=(theta,), twoSz=twoSz))
-    V = np.column_stack([psi.amps for psi in ground.states])
+    solver = sweep.LadderSolver(SweepConfig(L=L, thetas_over_pi=(), twoSz=twoSz))
+    rec, states, _ = traced_point(monkeypatch, solver, theta)
+    V = np.column_stack([psi.amps for psi in states])
     assert V.shape[1] == g
     assert np.abs(V.T @ V - np.eye(g)).max() <= 1e-12
-    H = HamiltonianAction(LadderTables(spec, basis), couplings)
-    for psi in ground.states:
-        assert np.linalg.norm(H.matvec(psi.amps) - ground.E0 * psi.amps) <= 1e-10
+    couplings = couplings_from_theta(theta * math.pi)
+    H = HamiltonianAction(LadderTables(spec, solver.basis), couplings)
+    for psi in states:
+        assert np.linalg.norm(H.matvec(psi.amps) - rec.E0 * psi.amps) <= 1e-10
 
 
 def group_images(spec: LadderSpec, twoSz: int, masks: np.ndarray) -> np.ndarray:
@@ -313,22 +314,20 @@ def test_symmetric_path_matches_full_sector_path(monkeypatch, bc, L, twoSz):
 
 @pytest.mark.parametrize("L", (7, 8))
 @pytest.mark.parametrize("twoSz", (0, 2))
-def test_screened_sectors_hold_no_level_below_the_gap(L, twoSz):
+def test_screened_sectors_hold_no_level_below_the_gap(monkeypatch, L, twoSz):
     # a sector settled by its bound takes no part in E0, the gap or the
     # ground manifold, so its dense spectrum must start at or above
     # E0 + gap.  At L = 7, twoSz = 2, theta = 0.75 pi the ground level is a
-    # two-dimensional irrep
-    spec = LadderSpec(L=L)
-    basis = build_sector(spec.N, twoSz)
-    tables = [LadderTables(spec, sector) for sector in symmetry_sectors(basis)]
-    cfg = SweepConfig(L=L, thetas_over_pi=(0.0,), twoSz=twoSz)
+    # two-dimensional irrep.  In ascending order no theta lies between two
+    # solved ones, so each point starts with no floor
+    solver = sweep.LadderSolver(SweepConfig(L=L, thetas_over_pi=(), twoSz=twoSz))
     for t in (-0.3, 0.0, THETA_C_OVER_PI, 0.5, 0.75, 0.9):
         couplings = couplings_from_theta(t * math.pi)
-        ground = sweep._solve(basis, tables, couplings, cfg)
-        assert ground.screened
-        for i in ground.screened:
-            action = HamiltonianAction(tables[i], couplings)
-            assert dense_oracle(action.matvec, action.dim)[0] >= ground.E0 + ground.gap
+        rec, _, screened = traced_point(monkeypatch, solver, t)
+        assert screened
+        for i in screened:
+            action = HamiltonianAction(solver.tables[i], couplings)
+            assert dense_oracle(action.matvec, action.dim)[0] >= rec.E0 + rec.gap
 
 
 @pytest.mark.parametrize("L", (4, 5))
@@ -367,20 +366,17 @@ def test_chord_is_a_weyl_lower_bound(L):
 
 
 @pytest.mark.parametrize("L, twoSz", [(7, 0), (6, 2)])
-def test_dense_sector_is_never_screened(L, twoSz):
+def test_dense_sector_is_never_screened(monkeypatch, L, twoSz):
     # a sector of at most DENSE_MAX_DIM states has no bound and is always
     # solved; on these ladders it shares the point with bounded sectors,
     # some of which are screened
-    spec = LadderSpec(L=L)
-    basis = build_sector(spec.N, twoSz)
-    solve = sweep._solver(spec, basis)
-    dims = [sector.dim for sector in symmetry_sectors(basis)]
+    solver = sweep.LadderSolver(SweepConfig(L=L, thetas_over_pi=(), twoSz=twoSz))
+    dims = [tables.basis.dim for tables in solver.tables]
     assert min(dims) <= DENSE_MAX_DIM < max(dims)
-    cfg = SweepConfig(L=L, thetas_over_pi=(0.0,), twoSz=twoSz)
     for t in (-0.3, 0.0, 0.1, 0.5, 0.75, 0.9):
-        ground = solve(t * math.pi, cfg)
-        assert ground.screened
-        assert all(dims[i] > DENSE_MAX_DIM for i in ground.screened)
+        _, _, screened = traced_point(monkeypatch, solver, t)
+        assert screened
+        assert all(dims[i] > DENSE_MAX_DIM for i in screened)
 
 
 def test_representative_rows_live_with_their_group(monkeypatch):
@@ -435,7 +431,7 @@ def test_two_dimensional_ground_level(monkeypatch, L, seeds):
     for rec in rows[1:]:
         assert_rows_match(rec, rows[0], blocks)
     with monkeypatch.context() as m:
-        m.setattr(sweep, "_solver", full_sector_solver)
+        m.setattr(sweep, "symmetry_sectors", whole_sector)
         (full,) = run_sweep(SweepConfig(L=L, thetas_over_pi=(0.0,), twoSz=2, blocks=blocks))
     assert full.degenerate is True
     assert_rows_match(rows[0], full, blocks)
