@@ -41,7 +41,7 @@ def extremum(L):
     """theta/pi of the extremum of E_rung2site in BRACKET, its kind and the
     number of points the minimizer asked for.  One solver serves every
     point, so each starts from the chord of the points solved around it."""
-    solver, layouts = LadderSolver(SweepConfig(L=L, thetas_over_pi=())), {}
+    solver, layouts = LadderSolver(SweepConfig(L=L)), {}
 
     def entropy(t):
         return solver.point(t, layouts).E_rung2site

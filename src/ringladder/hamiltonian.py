@@ -25,7 +25,7 @@ import numpy as np
 import scipy.sparse
 from scipy.sparse._sparsetools import csr_matvec
 
-from .basis import LadderOrbits, SectorBasis, SymmetrySector
+from .basis import RANK_BLOCK, LadderOrbits, SectorBasis, SymmetrySector
 from .lattice import Couplings, LadderSpec, Plaquette, enumerate_terms
 
 __all__ = [
@@ -150,8 +150,9 @@ def _bond_slots(up, rung_bonds, leg_bonds, plaquettes):
 
     up[s] is the bool spin-up array of site s over the sector states.  Yields
     (on, flip, code): the rows that hold the slot, the bits its column flips
-    and the code of its entries (an array over those rows, or a scalar when
-    no plaquette touches the bond).
+    and the uint8 code its entry would have in every row, an array as long
+    as up[s] that the caller reads at those rows (one gather there costs far
+    less than a boolean mask here).
     """
     # P and Pinv each exchange one edge of a plaquette with exactly one
     # antiparallel diagonal pair: the two antiparallel edges of its minority spin
@@ -162,9 +163,10 @@ def _bond_slots(up, rung_bonds, leg_bonds, plaquettes):
             touching.setdefault(frozenset(edge), []).append(k)
     for bonds, base in ((rung_bonds, RUNG), (leg_bonds, LEG)):
         for i, j in bonds:
-            on = up[i] ^ up[j]
-            hits = sum(one_odd[k][on] for k in touching.get(frozenset((i, j)), ()))
-            yield on, (1 << i) | (1 << j), base + hits
+            hits = np.zeros(len(up[i]), dtype=np.uint8)
+            for k in touching.get(frozenset((i, j)), ()):
+                hits += one_odd[k]
+            yield up[i] ^ up[j], (1 << i) | (1 << j), base + hits
 
 
 def _plaquette_slots(up, plaquettes):
@@ -311,43 +313,49 @@ def _rows(spec: LadderSpec, basis: SectorBasis, masks: np.ndarray):
     code of each entry and the per-row int8 counts anti_r, anti_l and fixed.
     """
     rung_bonds, leg_bonds, plaquettes = enumerate_terms(spec)
-    up = [((masks >> s) & 1).astype(bool) for s in range(spec.N)]
-
-    def anti(bonds):
-        n = np.zeros(len(masks), dtype=np.int8)
-        for i, j in bonds:
-            n += up[i] ^ up[j]
-        return n
-
-    anti_r, anti_l = anti(rung_bonds), anti(leg_bonds)
-    fixed = np.zeros(len(masks), dtype=np.int8)
-    for p in plaquettes:
-        mixed = (up[p.a] ^ up[p.b]) | (up[p.b] ^ up[p.c]) | (up[p.c] ^ up[p.d])
-        fixed += np.int8(2) * ~mixed
-    # two passes over the slots, so only one slot's arrays live at a time:
-    # count the entries of each row (one per antiparallel bond, the ring
-    # slots and the diagonal), then scatter them in place
-    row_len = 1 + anti_r.astype(np.int64) + anti_l
-    for on, _, _ in _plaquette_slots(up, plaquettes):
-        row_len += on
-    nnz = int(row_len.sum())
+    n = len(masks)
+    anti_r, anti_l, fixed = (np.zeros(n, dtype=np.int8) for _ in range(3))
+    row_len = np.ones(n, dtype=np.int8)  # at most 6 L + 1 <= 97 entries, N <= 32
+    # two passes over the masks RANK_BLOCK at a time, so only one block's spin
+    # arrays and one slot's rows live at a time: count the entries of each row
+    # (one per antiparallel bond, the ring slots and the diagonal), then fill
+    # the block's own stretch of the entries slot by slot
+    blocks = [slice(at, min(at + RANK_BLOCK, n)) for at in range(0, n, RANK_BLOCK)]
+    for part in blocks:
+        block = masks[part]
+        up = [((block >> s) & 1).astype(bool) for s in range(spec.N)]
+        for count, bonds in ((anti_r, rung_bonds), (anti_l, leg_bonds)):
+            for i, j in bonds:
+                count[part] += up[i] ^ up[j]
+        for p in plaquettes:
+            mixed = (up[p.a] ^ up[p.b]) | (up[p.b] ^ up[p.c]) | (up[p.c] ^ up[p.d])
+            fixed[part] += np.int8(2) * ~mixed
+        row_len[part] += anti_r[part] + anti_l[part]
+        for on, _, _ in _plaquette_slots(up, plaquettes):
+            row_len[part] += on
+    nnz = int(row_len.sum(dtype=np.int64))
     idx = scipy.sparse.get_index_dtype(maxval=max(nnz, basis.dim))
-    indptr = np.zeros(len(masks) + 1, dtype=idx)
-    np.cumsum(row_len, out=indptr[1:])
+    indptr = np.zeros(n + 1, dtype=idx)
+    np.cumsum(row_len, dtype=idx, out=indptr[1:])
     del row_len
     indices = np.empty(nnz, dtype=idx)
     code = np.zeros(nnz, dtype=np.uint8)
-    pos = indptr[:-1].copy()
-    for on, flip, c in itertools.chain(
-        _bond_slots(up, rung_bonds, leg_bonds, plaquettes),
-        _plaquette_slots(up, plaquettes),
-    ):
-        rows = np.flatnonzero(on)
-        at = pos[rows]
-        indices[at] = basis.rank_many(masks[rows] ^ flip)
-        code[at] = c
-        pos[rows] += 1
-    indices[pos] = basis.rank_many(masks)
+    for part in blocks:
+        block = masks[part]
+        up = [((block >> s) & 1).astype(bool) for s in range(spec.N)]
+        start, stop = indptr[part.start], indptr[part.stop]
+        ind, cod = indices[start:stop], code[start:stop]
+        pos = np.subtract(indptr[part], start, dtype=np.intp)  # intp: index without a cast
+        for on, flip, c in itertools.chain(
+            _bond_slots(up, rung_bonds, leg_bonds, plaquettes),
+            _plaquette_slots(up, plaquettes),
+        ):
+            rows = np.flatnonzero(on)
+            at = pos[rows]
+            ind[at] = basis.rank_many(block[rows] ^ flip)
+            cod[at] = c[rows] if np.ndim(c) else c
+            pos += on
+        ind[pos] = basis.rank_many(block)
     return indptr, indices, code, anti_r, anti_l, fixed
 
 

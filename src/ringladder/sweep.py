@@ -128,10 +128,11 @@ def block_sites(family: str, l: int, spec: LadderSpec) -> list[int]:
 @dataclass(frozen=True)
 class SweepConfig:
     """Grid and measurement plan for run_sweep.  Every point measures each
-    pair the ladder has, so of the measurements only the blocks are chosen."""
+    pair the ladder has, so of the measurements only the blocks are chosen.
+    The grid is empty by default, as a LadderSolver reads none of it."""
 
     L: int
-    thetas_over_pi: tuple[float, ...]
+    thetas_over_pi: tuple[float, ...] = ()
     bc: str = "periodic"
     blocks: tuple[BlockSpec, ...] = ()
     twoSz: int = 0

@@ -11,12 +11,12 @@ less its l/(2N ln 2) finite-size correction.
 
 import itertools
 import math
-from math import comb, factorial
+from math import factorial
 
 import numpy as np
 import pytest
 
-from conftest import geometry, ground_state, solve
+from conftest import geometry, ground_state
 from ringladder import (
     BlockSpec,
     Couplings,

@@ -23,6 +23,8 @@ from ringladder import (
     rung_correlator,
     symmetry_sectors,
 )
+from ringladder import hamiltonian
+from ringladder.basis import LadderOrbits
 
 THETA_C = math.atan(0.5)
 # T = sum_i S1i.S2i is H at these couplings
@@ -213,6 +215,27 @@ def test_tables_hold_no_float_entries():
                 pairs, entries = pairs + len(tables.pair_code), entries + nnz
         # the pairs grow more slowly than the entries
         assert L < 7 or 4 * pairs < entries, (bc, L, twoSz)
+
+
+@pytest.mark.parametrize("bc, L", [("periodic", 5), ("periodic", 6), ("open", 5)])
+@pytest.mark.parametrize("twoSz", [0, 2])
+def test_rows_do_not_depend_on_the_block_size(monkeypatch, bc, L, twoSz):
+    # the row builder works through the masks RANK_BLOCK at a time; blocks of
+    # 1, 7 and 64 masks give the one-block build of the plain rows and of the
+    # group's representative rows, array for array, dtype included
+    spec = LadderSpec(L=L, bc=bc)
+    basis = build_sector(spec.N, twoSz)
+    group = LadderOrbits(basis, bc)
+    calls = [(basis, basis.states), (group.basis, group.reps)]
+    assert basis.dim <= hamiltonian.RANK_BLOCK
+    whole = [hamiltonian._rows(spec, b, masks) for b, masks in calls]
+    for size in (1, 7, 64):
+        monkeypatch.setattr(hamiltonian, "RANK_BLOCK", size)
+        for want, (b, masks) in zip(whole, calls):
+            got = hamiltonian._rows(spec, b, masks)
+            assert len(got) == len(want) == 6
+            for g, w in zip(got, want):
+                assert g.dtype == w.dtype and np.array_equal(g, w), (size, len(masks))
 
 
 def test_decomposed_all_up_plaquette_gives_two():

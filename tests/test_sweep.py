@@ -184,7 +184,7 @@ def test_pair_measurements_match_their_closed_forms():
     classes = collections.Counter()
     for bc, Ls in (("periodic", (4, 6, 8)), ("open", (4, 6))):
         for L in Ls:
-            solver, layouts = sweep.LadderSolver(SweepConfig(L=L, bc=bc, thetas_over_pi=())), {}
+            solver, layouts = sweep.LadderSolver(SweepConfig(L=L, bc=bc)), {}
             N = 2 * L
             for t in (grid[i] for i in sweep._bisection(len(grid))):
                 rec = solver.point(t, layouts)
@@ -531,7 +531,7 @@ def test_solver_memory_serves_a_root_finder(L):
     # of E_rung2site at theta_c = arctan(1/2), a maximum at L = 6 and a
     # minimum at L = 8; the solver's memory floors each iterate from those
     # before it, which takes fewer matvecs and moves no iterate
-    cfg = SweepConfig(L=L, thetas_over_pi=())
+    cfg = SweepConfig(L=L)
     sign = -1 if L == 6 else 1
     found, matvecs, runs = [], [], []
     for memory in (True, False):

@@ -226,7 +226,7 @@ def test_expanded_manifold_is_orthonormal_and_ground(monkeypatch, L, twoSz, thet
     # the states a point measures are an orthonormal basis of its ground
     # manifold over the Sz sector
     spec = LadderSpec(L=L)
-    solver = sweep.LadderSolver(SweepConfig(L=L, thetas_over_pi=(), twoSz=twoSz))
+    solver = sweep.LadderSolver(SweepConfig(L=L, twoSz=twoSz))
     rec, states, _ = traced_point(monkeypatch, solver, theta)
     V = np.column_stack([psi.amps for psi in states])
     assert V.shape[1] == g
@@ -320,7 +320,7 @@ def test_screened_sectors_hold_no_level_below_the_gap(monkeypatch, L, twoSz):
     # E0 + gap.  At L = 7, twoSz = 2, theta = 0.75 pi the ground level is a
     # two-dimensional irrep.  In ascending order no theta lies between two
     # solved ones, so each point starts with no floor
-    solver = sweep.LadderSolver(SweepConfig(L=L, thetas_over_pi=(), twoSz=twoSz))
+    solver = sweep.LadderSolver(SweepConfig(L=L, twoSz=twoSz))
     for t in (-0.3, 0.0, THETA_C_OVER_PI, 0.5, 0.75, 0.9):
         couplings = couplings_from_theta(t * math.pi)
         rec, _, screened = traced_point(monkeypatch, solver, t)
@@ -370,7 +370,7 @@ def test_dense_sector_is_never_screened(monkeypatch, L, twoSz):
     # a sector of at most DENSE_MAX_DIM states has no bound and is always
     # solved; on these ladders it shares the point with bounded sectors,
     # some of which are screened
-    solver = sweep.LadderSolver(SweepConfig(L=L, thetas_over_pi=(), twoSz=twoSz))
+    solver = sweep.LadderSolver(SweepConfig(L=L, twoSz=twoSz))
     dims = [tables.basis.dim for tables in solver.tables]
     assert min(dims) <= DENSE_MAX_DIM < max(dims)
     for t in (-0.3, 0.0, 0.1, 0.5, 0.75, 0.9):

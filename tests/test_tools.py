@@ -306,8 +306,9 @@ def test_pass_memory_reports_every_pass():
     assert proc.returncode == 0, proc.stderr
     (line,) = proc.stdout.splitlines()
     record = json.loads(line)
-    assert list(record) == ["dim", "build_sector", "rdm_pair", "rdm_block", "expectation_T",
-                            "symmetry_sectors", "expand", "sector_tables", "tables_kept"]
+    assert list(record) == ["dim", "build_sector", "plain_tables", "rdm_pair", "rdm_block",
+                            "expectation_T", "symmetry_sectors", "expand", "sector_tables",
+                            "tables_kept"]
     assert record["dim"] == 924
     assert all(record[k] > 0 for k in record)
     # the build's peak holds what it keeps

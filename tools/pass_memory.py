@@ -12,6 +12,7 @@ tracemalloc records over each pass, in bytes per basis state of the Sz
 sector:
 
 - build_sector: building the Sz sector;
+- plain_tables: the LadderTables of the whole Sz sector;
 - rdm_pair: a one-off reduced_density_matrix of sites (0, 1);
 - rdm_block: a one-off reduced_density_matrix of sites 0 .. l - 1, with
   l = min(N / 2, 14);
@@ -61,6 +62,8 @@ def main(argv=None) -> int:
 
     peaks = {"build_sector": peak(lambda: build_sector(N, 0))}
     basis = build_sector(N, 0)
+    spec = LadderSpec(L=args.rungs)
+    peaks["plain_tables"] = peak(lambda: LadderTables(spec, basis))
     amps = rng.standard_normal(basis.dim)
     psi = StateVector(basis, amps / np.linalg.norm(amps))
     peaks["rdm_pair"] = peak(lambda: reduced_density_matrix(psi, (0, 1)))
@@ -74,7 +77,6 @@ def main(argv=None) -> int:
     v /= np.linalg.norm(v)
     peaks["expand"] = peak(lambda: sector.expand(v))
     tables = []
-    spec = LadderSpec(L=args.rungs)
     peaks["sector_tables"] = peak(lambda: tables.extend(LadderTables(spec, s) for s in sectors))
     peaks["tables_kept"] = sum(a.nbytes for t in tables for a in vars(t).values()
                                if isinstance(a, np.ndarray))
